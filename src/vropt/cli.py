@@ -18,9 +18,9 @@ import numpy as np
 from .bench_data import load_dataset
 from .data import ParseError
 from .diag import StopRule, fit_linear_rate, solve_reference, write_trace
-from .objectives import GlmObjective, NonSmoothError, smoothness
-from .optimizers import METHODS, ConfigError, DivergenceError, RunConfig, run
-from .schedules import StepsizePolicy, default_stepsize, lipschitz_scheme, uniform_scheme
+from .objectives import GlmObjective, smoothness
+from .optimizers import METHODS, ConfigError, DivergenceError, RunConfig, _resolve_gamma, run
+from .schedules import StepsizePolicy, lipschitz_scheme, uniform_scheme
 from .validate import run_checks
 from . import vecio
 
@@ -191,7 +191,7 @@ def _build_config(ns, obj):
         StopRule.parse(ns.stop)
     except ValueError as e:
         raise UsageError(str(e))
-    return RunConfig(
+    config = RunConfig(
         method=ns.method,
         epochs=ns.epochs,
         seed=ns.seed,
@@ -209,28 +209,21 @@ def _build_config(ns, obj):
         f_star=f_star,
         record_iterates=getattr(ns, "record_iterates", False),
     )
-
-
-def _resolved_gamma_text(ns, obj, config):
-    """Best-effort constant stepsize for the output header."""
-    if ns.gamma is not None:
-        return _fmt(ns.gamma)
-    pol = config.policy
-    if pol is not None and pol.kind == "fixed":
-        return _fmt(pol.gamma)
-    if pol is None or pol.kind in ("theory", "minibatch"):
+    if config.method != "sdca":
+        # resolved once: the header prints it and run() takes it as given
+        # instead of computing smoothness again
         try:
-            return _fmt(default_stepsize(ns.method, smoothness(obj), config.scheme))
-        except (ValueError, NonSmoothError):
-            return ""
-    return ""
+            config.gamma = _resolve_gamma(config, obj, config.scheme)[0]
+        except ValueError:
+            pass  # run() raises it again, after its own validation
+    return config
 
 
 def cmd_run(ns):
     data = _load_data(ns.data, ns.dim)
     obj = GlmObjective(data, ns.loss, l2=ns.l2, l1=ns.l1)
     config = _build_config(ns, obj)
-    meta = _run_meta(ns, extra={"gamma": _resolved_gamma_text(ns, obj, config)})
+    meta = _run_meta(ns, extra={"gamma": config.gamma})
     try:
         res = run(config, obj)
     except DivergenceError as e:
@@ -314,7 +307,7 @@ def parse_compare_spec(text):
             if k in entry:
                 _number(entry[k], k)
         for k in ("batch", "inner_t"):
-            if k in entry and not entry[k].isdigit():
+            if k in entry and not (entry[k].isdigit() and int(entry[k]) >= 1):
                 raise UsageError("method %s: %s must be a positive integer" % (label, k))
         if entry.get("sampling", "uniform") not in ("uniform", "lipschitz"):
             raise UsageError("method %s: bad sampling %r" % (label, entry["sampling"]))
@@ -444,7 +437,7 @@ def cmd_trace2d(ns):
     obj = GlmObjective(data, ns.loss, l2=ns.l2, l1=ns.l1)
     ns.record_iterates = True
     config = _build_config(ns, obj)
-    meta = _run_meta(ns, extra={"gamma": _resolved_gamma_text(ns, obj, config)})
+    meta = _run_meta(ns, extra={"gamma": config.gamma})
     diverged = False
     try:
         res = run(config, obj)

@@ -74,9 +74,6 @@ class Dataset:
         self.col_values = np.concatenate([r.values for r in rows]) if self.indptr[-1] else np.zeros(0, np.float64)
         self._csr = None
 
-    def row(self, i):
-        return self.rows[i]
-
     def to_csr(self):
         """scipy CSR matrix of shape (n, d); built once, cached."""
         if self._csr is None:
@@ -90,10 +87,6 @@ class Dataset:
     def margins(self, x):
         """All a_i^T x as one vector of length n."""
         return self.to_csr() @ x
-
-    def take(self, ids):
-        """New Dataset restricted to the given example ids (same d)."""
-        return Dataset([self.rows[i] for i in ids], self.labels[list(ids)])
 
 
 class RandomSource:
@@ -130,21 +123,6 @@ def draw_index(rng, n):
     if n < 1:
         raise ValueError("need n >= 1")
     return rng.integers(n)
-
-
-def dot(row, x):
-    """Margin a_i^T x; cost proportional to nnz(row)."""
-    if len(x) != row.dim:
-        raise ValueError("dimension mismatch: row dim %d, x length %d" % (row.dim, len(x)))
-    return float(np.dot(row.values, x[row.indices]))
-
-
-def axpy_sparse(c, row, x):
-    """x[j] += c * a_ij on the row support; returns x."""
-    if len(x) != row.dim:
-        raise ValueError("dimension mismatch: row dim %d, x length %d" % (row.dim, len(x)))
-    x[row.indices] += c * row.values
-    return x
 
 
 def row_norm_sq(row):

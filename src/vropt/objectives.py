@@ -115,23 +115,6 @@ def get_loss(loss):
     return loss
 
 
-def loss_value(loss, alpha, b):
-    if not np.isfinite(alpha):
-        raise ValueError("non-finite margin")
-    return float(get_loss(loss).value(alpha, b))
-
-
-def loss_deriv(loss, alpha, b):
-    loss = get_loss(loss)
-    if not loss.smooth:
-        raise NonSmoothError("non-smooth loss: %s" % loss.name)
-    return float(loss.deriv(alpha, b))
-
-
-def conjugate_value(loss, u, b):
-    return float(get_loss(loss).conjugate(u, b))
-
-
 class GlmObjective:
     """Immutable bundle of (dataset, loss, l2, l1).
 
@@ -222,18 +205,6 @@ class GlmObjective:
         if not self.l1:
             return np.array(z, dtype=np.float64)
         return prox_l1(z, gamma * self.l1)
-
-
-def full_value(obj, x):
-    return obj.full_value(x)
-
-
-def full_grad(obj, x):
-    return obj.full_grad(x)
-
-
-def grad_i(obj, x, i):
-    return obj.grad_i(x, i)
 
 
 def prox_l1(z, t):

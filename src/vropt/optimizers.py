@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sparse_jit
 from .data import RandomSource
 from .diag import StopRule, TraceRecord, duality_gap, enum_stats, should_stop
 from .objectives import NonSmoothError, smoothness
@@ -67,7 +68,7 @@ class GradientTable:
     so trajectories match bit for bit.
     """
 
-    def __init__(self, obj, mode="dense", init_x=None):
+    def __init__(self, obj, mode="dense"):
         if mode not in ("dense", "scalar"):
             raise ConfigError("table mode must be dense or scalar, not %r" % mode)
         self.mode = mode
@@ -80,18 +81,6 @@ class GradientTable:
         self.gsum = np.zeros(self.d)
         self.seen = np.zeros(self.n, dtype=bool)
         self.seen_count = 0
-        if init_x is not None:
-            for i in range(self.n):
-                row = obj.data.rows[i]
-                s = obj.loss.deriv(float(np.dot(row.values, init_x[row.indices])), obj.labels[i])
-                prod = s * row.values
-                if mode == "scalar":
-                    self.s[i] = s
-                else:
-                    self.v[i, row.indices] = prod
-                self.gsum[row.indices] += prod
-            self.seen[:] = True
-            self.seen_count = self.n
 
     def cov_vals(self, i, row):
         """Stored v^i restricted to the row support."""
@@ -153,11 +142,8 @@ def star_table(obj, x_star):
 class SvrgState:
     """Snapshot anchor: x_ref, its per-example loss scalars, and gradients."""
 
-    def __init__(self, t, variant="fixed"):
-        if variant not in ("fixed", "sampled"):
-            raise ConfigError("svrg variant must be fixed or sampled")
+    def __init__(self, t):
         self.t = int(t)
-        self.variant = variant
         self.x_ref = None
         self.s_ref = None
         self.loss_ref = None  # loss part of grad f(x_ref)
@@ -204,6 +190,18 @@ def _as_batch(i):
     return tuple(int(j) for j in i)
 
 
+def _pull(obj, x, idxs, gamma):
+    """(j, row, loss'(a_j^T x, b_j)) per sampled j; every margin is checked
+    before the caller changes any state."""
+    pulls = []
+    for j in idxs:
+        row = obj.data.rows[j]
+        m = float(np.dot(row.values, x[row.indices]))
+        _check_finite(m, gamma)
+        pulls.append((j, row, obj.loss.deriv(m, obj.labels[j])))
+    return pulls
+
+
 def gd_step(obj, x, gamma):
     """Full-gradient step (returns a new iterate; prox applied when l1 > 0)."""
     x = x - gamma * obj.full_grad(x)
@@ -219,22 +217,17 @@ def sgd_step(obj, x, i, gamma, momentum=None):
     idxs = _as_batch(i)
     b = len(idxs)
     lam = obj.l2
-    pulls = []
-    for j in idxs:
-        row = obj.data.rows[j]
-        m = float(np.dot(row.values, x[row.indices]))
-        _check_finite(m, gamma)
-        pulls.append((row, obj.loss.deriv(m, obj.labels[j])))
+    pulls = _pull(obj, x, idxs, gamma)
     if momentum is None:
         x *= 1.0 - gamma * lam
-        for row, s in pulls:
+        for _, row, s in pulls:
             x[row.indices] -= (gamma / b) * s * row.values
     else:
         mv = momentum.m
         mv *= momentum.beta
         if lam:
             mv += lam * x
-        for row, s in pulls:
+        for _, row, s in pulls:
             mv[row.indices] += (s / b) * row.values
         x -= gamma * mv
     if obj.l1:
@@ -247,17 +240,12 @@ def sgd_star_step(obj, x, i, gamma, star):
     idxs = _as_batch(i)
     b = len(idxs)
     lam = obj.l2
-    pulls = []
-    for j in idxs:
-        row = obj.data.rows[j]
-        m = float(np.dot(row.values, x[row.indices]))
-        _check_finite(m, gamma)
-        pulls.append((row, obj.loss.deriv(m, obj.labels[j]) - star.scalars[j]))
+    pulls = _pull(obj, x, idxs, gamma)
     x *= 1.0 - gamma * lam
     if lam:
         x += (gamma * lam) * star.x_star
-    for row, ds in pulls:
-        x[row.indices] -= (gamma / b) * ds * row.values
+    for j, row, s in pulls:
+        x[row.indices] -= (gamma / b) * (s - star.scalars[j]) * row.values
     if obj.l1:
         x[:] = obj.prox(gamma, x)
     return x
@@ -266,13 +254,8 @@ def sgd_star_step(obj, x, i, gamma, star):
 def sag_step(table, obj, x, i, gamma, seen_norm=False):
     """Averaged-gradient step: refresh the table first, then move with the
     refreshed average (divided by n, or by the seen count when seen_norm)."""
-    idxs = _as_batch(i)
     lam = obj.l2
-    for j in idxs:
-        row = obj.data.rows[j]
-        m = float(np.dot(row.values, x[row.indices]))
-        _check_finite(m, gamma)
-        s_new = obj.loss.deriv(m, obj.labels[j])
+    for j, row, s_new in _pull(obj, x, _as_batch(i), gamma):
         new_vals = s_new * row.values
         delta = new_vals - table.cov_vals(j, row)
         table.store(j, row, new_vals, s_new)
@@ -292,14 +275,9 @@ def saga_step(table, obj, x, i, gamma):
     b = len(idxs)
     lam = obj.l2
     pulls = []
-    for j in idxs:
-        row = obj.data.rows[j]
-        m = float(np.dot(row.values, x[row.indices]))
-        _check_finite(m, gamma)
-        s_new = obj.loss.deriv(m, obj.labels[j])
+    for j, row, s_new in _pull(obj, x, idxs, gamma):
         new_vals = s_new * row.values
-        delta = new_vals - table.cov_vals(j, row)
-        pulls.append((j, row, new_vals, s_new, delta))
+        pulls.append((j, row, new_vals, s_new, new_vals - table.cov_vals(j, row)))
     x *= 1.0 - gamma * lam
     x -= (gamma / table.n) * table.gsum
     for j, row, new_vals, s_new, delta in pulls:
@@ -329,16 +307,11 @@ def svrg_inner_step(state, obj, x, i, gamma):
     idxs = _as_batch(i)
     b = len(idxs)
     lam = obj.l2
-    pulls = []
-    for j in idxs:
-        row = obj.data.rows[j]
-        m = float(np.dot(row.values, x[row.indices]))
-        _check_finite(m, gamma)
-        pulls.append((row, obj.loss.deriv(m, obj.labels[j]) - state.s_ref[j]))
+    pulls = _pull(obj, x, idxs, gamma)
     x *= 1.0 - gamma * lam
     x -= gamma * state.loss_ref
-    for row, ds in pulls:
-        x[row.indices] -= (gamma / b) * ds * row.values
+    for j, row, s in pulls:
+        x[row.indices] -= (gamma / b) * (s - state.s_ref[j]) * row.values
     if obj.l1:
         x[:] = obj.prox(gamma, x)
     state.inner_done += 1
@@ -377,17 +350,6 @@ def sarah_step(state, obj, x, i, gamma):
         x[:] = obj.prox(gamma, x)
     state.inner_done += 1
     return x
-
-
-def minibatch_estimate(estimator, x, batch):
-    """Average of per-example estimates over an index set."""
-    batch = _as_batch(batch)
-    if not batch:
-        raise ValueError("empty batch")
-    g = estimator(x, batch[0]).copy()
-    for j in batch[1:]:
-        g += estimator(x, j)
-    return g / len(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +502,10 @@ class RunConfig:
     scheme: SamplingScheme | None = None
     beta: float = 0.0
     inner_t: int | None = None
-    svrg_variant: str = "fixed"
     table_mode: str = "dense"
-    table_init_grads: bool = False
     seen_norm: bool = False
     jit: str = "off"  # "auto" | "on" | "off"
     x_star: np.ndarray | None = None
-    prox: bool = True
     warm_start_sgd_epochs: float = 0.0
     checkpoint_every: float = 1.0
     var_checkpoints: bool = False
@@ -567,6 +526,7 @@ class RunResult:
 
 
 def _validate(config, obj):
+    """Reject inconsistent configurations; returns the parsed stop rule."""
     if config.method not in METHODS:
         raise ConfigError("unknown method %r (valid: %s)" % (config.method, ", ".join(METHODS)))
     if config.method != "sdca" and not obj.loss.smooth:
@@ -580,10 +540,18 @@ def _validate(config, obj):
             raise ConfigError("sdca is a single-coordinate method (batch=1)")
         if (config.scheme or uniform_scheme()).kind != "uniform":
             raise ConfigError("sdca supports uniform sampling only")
-    if obj.l1 and not config.prox:
-        raise ConfigError("l1 > 0 requires the prox step enabled")
     if config.epochs < 0:
         raise ConfigError("epochs must be nonnegative")
+    if config.inner_t is not None and config.inner_t < 1:
+        raise ConfigError("inner_t must be a positive integer")
+    rule = StopRule.parse(config.stop)
+    if rule.kind == "gap" and config.method != "sdca":
+        raise ConfigError("gap stop rule is only available for sdca")
+    if rule.kind == "gbar" and config.method not in TABLE_METHODS:
+        raise ConfigError("gbar stop rule needs a gradient table (sag/saga)")
+    if rule.kind in ("grad", "gbar") and config.method == "sdca":
+        raise ConfigError("sdca runs stop on the gap metric, not gradient norms")
+    return rule
 
 
 def _resolve_gamma(config, obj, scheme):
@@ -603,49 +571,101 @@ def _resolve_gamma(config, obj, scheme):
     return default_stepsize(config.method, info, scheme), None
 
 
+class Recorder:
+    """The checkpoints of one run, shared by the dense loops and the lazy
+    engine: stride, record fields, stop test and closing record.
+
+    A checkpoint is due whenever the evaluation count reaches the next
+    multiple of the stride. sync, when set, runs before a checkpoint reads
+    x; the lazy engine sets it to bring every coordinate current.
+    """
+
+    def __init__(self, config, obj, rule, gamma, estimator=None, table=None, dual=None):
+        self.config = config
+        self.obj = obj
+        self.rule = rule
+        self.gamma = gamma
+        self.estimator = estimator
+        self.table = table
+        self.dual = dual
+        self.sync = None
+        self.records = []
+        self.stride = max(1, int(round(config.checkpoint_every * obj.n)))
+        self.next_cp = 0
+        self.t0 = time.perf_counter()
+
+    def checkpoint(self, x, evals, force=False):
+        """Record a checkpoint if one is due (always when force); True when
+        the new record meets the stop rule."""
+        if not force and evals < self.next_cp:
+            return False
+        while self.next_cp <= evals:
+            self.next_cp += self.stride
+        if self.sync is not None:
+            self.sync()
+        config, obj, table, dual = self.config, self.obj, self.table, self.dual
+        cur = dual.w if dual is not None else x
+        f = obj.objective_value(cur)
+        if not np.isfinite(f):
+            raise DivergenceError("objective diverged (gamma=%s)" % self.gamma, gamma=self.gamma, records=self.records)
+        rec = TraceRecord(epoch=evals / obj.n, grad_evals=evals, f=f)
+        if config.f_star is not None:
+            rec.subopt = f - config.f_star
+        if dual is not None:
+            rec.gap = duality_gap(obj, dual)
+        elif self.rule.kind == "gbar":
+            gbar = table.gsum / (table.seen_count if config.seen_norm and table.seen_count else table.n)
+            rec.grad_norm = float(np.linalg.norm(gbar + obj.l2 * x))
+        elif obj.loss.smooth:
+            rec.grad_norm = float(np.linalg.norm(obj.full_grad(cur)))
+        if config.var_checkpoints and self.estimator is not None:
+            if config.var_epochs is None or int(round(rec.epoch)) in config.var_epochs:
+                _, rec.var_est = enum_stats(obj, self.estimator, cur)
+        rec.time_s = time.perf_counter() - self.t0
+        self.records.append(rec)
+        return self.rule.kind != "epochs" and should_stop(self.rule, rec)
+
+    def close(self, x, evals):
+        """The closing record, unless the last checkpoint is already at evals."""
+        if not self.records or self.records[-1].grad_evals != evals:
+            self.checkpoint(x, evals, force=True)
+
+
 def run(config, obj, x0=None):
     """Execute one configured run and return its trace and final iterate.
 
+    The one driver for both engines: it validates the configuration,
+    resolves the stepsize, builds the method state and hands sag/saga to the
+    lazy engine (sparse_jit.run_jit) when config.jit allows and
+    jit_compatible passes.
+
     Raises DivergenceError (carrying the partial trace) on non-finite values.
     """
-    _validate(config, obj)
+    rule = _validate(config, obj)
     method = config.method
     n = obj.n
     scheme = config.scheme or uniform_scheme()
     rng = RandomSource(config.seed)
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=np.float64)
-    rule = StopRule.parse(config.stop)
-    if rule.kind == "gap" and method != "sdca":
-        raise ConfigError("gap stop rule is only available for sdca")
-    if rule.kind == "gbar" and method not in TABLE_METHODS:
-        raise ConfigError("gbar stop rule needs a gradient table (sag/saga)")
-    if rule.kind in ("grad", "gbar") and method == "sdca":
-        raise ConfigError("sdca runs stop on the gap metric, not gradient norms")
 
     gamma = None
     armijo = None
     if method != "sdca":
         gamma, armijo = _resolve_gamma(config, obj, scheme)
 
+    lazy = False
     if config.jit != "off":
-        from .sparse_jit import jit_compatible, run_jit
-
-        reason = jit_compatible(config, obj, gamma)
-        if reason is None:
-            return run_jit(config, obj, gamma, x0=x0)
-        if config.jit == "on":
+        reason = sparse_jit.jit_compatible(config, obj, gamma)
+        if reason is not None and config.jit == "on":
             raise ConfigError("jit mode unavailable: %s" % reason)
+        lazy = reason is None
 
     warm_budget = int(round(config.warm_start_sgd_epochs * n))
     budget = warm_budget + int(round(config.epochs * n))
-    records = []
     iterates = []
     aux = {}
-    t0 = time.perf_counter()
     evals = 0
     steps = 0
-    cp_stride = max(1, int(round(config.checkpoint_every * n)))
-    next_cp = 0
 
     # method state
     table = None
@@ -656,7 +676,7 @@ def run(config, obj, x0=None):
     star = None
     estimator = None
     if method in TABLE_METHODS:
-        table = GradientTable(obj, config.table_mode, init_x=(x if config.table_init_grads else None))
+        table = GradientTable(obj, config.table_mode)
         aux["table"] = table
         if method == "saga":
             estimator = saga_estimator(obj, table)
@@ -671,7 +691,7 @@ def run(config, obj, x0=None):
         estimator = sgd_star_estimator(obj, star)
         aux["star"] = star
     elif method == "svrg":
-        svrg = SvrgState(config.inner_t or n, config.svrg_variant)
+        svrg = SvrgState(config.inner_t or n)
         aux["svrg"] = svrg
         estimator = svrg_estimator(obj, svrg)
     elif method == "sarah":
@@ -681,42 +701,13 @@ def run(config, obj, x0=None):
         dual = DualState(obj)
         aux["dual"] = dual
         aux["min_dual_gain"] = np.inf
-
-    def emit(force=False):
-        nonlocal next_cp
-        if not force and evals < next_cp:
-            return None
-        while next_cp <= evals:
-            next_cp += cp_stride
-        cur = dual.w if method == "sdca" else x
-        f = obj.objective_value(cur)
-        if not np.isfinite(f):
-            raise DivergenceError("objective diverged (gamma=%s)" % gamma, gamma=gamma, records=records)
-        rec = TraceRecord(epoch=evals / n, grad_evals=evals, f=f)
-        if config.f_star is not None:
-            rec.subopt = f - config.f_star
-        if method == "sdca":
-            rec.gap = duality_gap(obj, dual)
-        elif rule.kind == "gbar":
-            gbar = table.gsum / (table.seen_count if config.seen_norm and table.seen_count else table.n)
-            rec.grad_norm = float(np.linalg.norm(gbar + obj.l2 * x))
-        elif obj.loss.smooth:
-            rec.grad_norm = float(np.linalg.norm(obj.full_grad(cur)))
-        if config.var_checkpoints and estimator is not None:
-            if config.var_epochs is None or int(round(rec.epoch)) in config.var_epochs:
-                _, rec.var_est = enum_stats(obj, estimator, cur)
-        rec.time_s = time.perf_counter() - t0
-        records.append(rec)
-        return rec
+    recorder = Recorder(config, obj, rule, gamma, estimator, table, dual)
 
     def note_iterate():
         if config.record_iterates and steps % config.record_every == 0:
             iterates.append((steps, x.copy()))
 
-    def halted(rec):
-        return rec is not None and rule.kind != "epochs" and should_stop(rule, rec)
-
-    emit(force=True)
+    recorder.checkpoint(x, evals, force=True)
     note_iterate()
     stopped = False
     try:
@@ -728,15 +719,18 @@ def run(config, obj, x0=None):
             evals += len(batch)
             steps += 1
             note_iterate()
-            stopped = halted(emit())
+            stopped = recorder.checkpoint(x, evals)
 
-        if method == "gd":
+        if lazy:
+            evals, lazy_x = sparse_jit.run_jit(recorder, x, scheme, rng, budget)
+            aux.update(jit=True, lazy=lazy_x, touched_coords=lazy_x.touched)
+        elif method == "gd":
             while evals < budget and not stopped:
                 x = gd_step(obj, x, gamma)
                 evals += n
                 steps += 1
                 note_iterate()
-                stopped = halted(emit())
+                stopped = recorder.checkpoint(x, evals)
         elif method in ("sgd", "sgd_momentum", "sgd_star") or method in TABLE_METHODS:
             while evals < budget and not stopped:
                 batch = sample(scheme, rng, n)
@@ -752,8 +746,10 @@ def run(config, obj, x0=None):
                 evals += len(batch)
                 steps += 1
                 note_iterate()
-                stopped = halted(emit())
+                stopped = recorder.checkpoint(x, evals)
         elif method in ("svrg", "sarah"):
+            # the stop rule is tested only at outer boundaries, on the
+            # full gradient the refresh computes
             state = svrg if method == "svrg" else sarah
             while evals < budget and not stopped:
                 if method == "svrg":
@@ -764,13 +760,9 @@ def run(config, obj, x0=None):
                 if rule.kind == "grad":
                     ref_norm = float(np.linalg.norm(state.grad_ref if method == "svrg" else state.g))
                     if ref_norm <= rule.eps:
-                        emit(force=True)
-                        stopped = True
+                        recorder.checkpoint(x, evals, force=True)
                         break
-                t_eff = state.t
-                if method == "svrg" and state.variant == "sampled":
-                    t_eff = 1 + rng.integers(state.t)
-                for _ in range(t_eff):
+                for _ in range(state.t):
                     batch = sample(scheme, rng, n)
                     g = gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux)
                     if method == "svrg":
@@ -780,10 +772,7 @@ def run(config, obj, x0=None):
                     evals += 2 * len(batch)
                     steps += 1
                     note_iterate()
-                    emit()
-                # stop rules are evaluated only at outer boundaries
-                if records and rule.kind not in ("epochs", "grad"):
-                    stopped = halted(records[-1])
+                    recorder.checkpoint(x, evals)
         else:  # sdca
             min_gain = np.inf
             while evals < budget and not stopped:
@@ -793,17 +782,16 @@ def run(config, obj, x0=None):
                     min_gain = gain
                 evals += 1
                 steps += 1
-                stopped = halted(emit())
+                stopped = recorder.checkpoint(x, evals)
             aux["min_dual_gain"] = min_gain
     except DivergenceError as err:
-        err.records = records
+        err.records = recorder.records
         raise
-    if not records or records[-1].grad_evals != evals:
-        emit(force=True)
+    recorder.close(x, evals)
     xf = dual.w.copy() if method == "sdca" else x
     if config.record_iterates and (not iterates or iterates[-1][0] != steps):
         iterates.append((steps, xf.copy()))
-    return RunResult(records=records, x=xf, grad_evals=evals, aux=aux, iterates=iterates)
+    return RunResult(records=recorder.records, x=xf, grad_evals=evals, aux=aux, iterates=iterates)
 
 
 def _armijo_gamma(obj, x, batch, policy, aux):

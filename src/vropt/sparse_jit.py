@@ -17,12 +17,9 @@ eps * |G[k]| * |gsum_j| per touch, far below trace tolerances at the scales
 this engine targets.
 """
 
-import time
-
 import numpy as np
 
-from .data import RandomSource
-from .diag import StopRule, TraceRecord, enum_stats, should_stop
+from .diag import enum_stats  # noqa: F401 -- perfbench/tracing.py wraps this name here
 from .schedules import sample, uniform_scheme
 
 
@@ -98,102 +95,43 @@ def jit_compatible(config, obj, gamma):
     return None
 
 
-def run_jit(config, obj, gamma, x0=None):
-    """Lazy-update driver for sag/saga; same trace semantics as the dense
-    driver, plus aux counters for the work actually performed."""
-    from .optimizers import (
-        ConfigError,
-        DivergenceError,
-        GradientTable,
-        RunResult,
-        sag_estimator,
-        saga_estimator,
-    )
+def run_jit(recorder, x, scheme, rng, budget):
+    """Lazy sag/saga loop over x in place, for optimizers.run.
 
-    reason = jit_compatible(config, obj, gamma)
-    if reason is not None:
-        raise ConfigError("jit mode unavailable: %s" % reason)
+    run() has validated the configuration, built the scalar table and taken
+    the first checkpoint; recorder carries them. Returns (evals, the
+    LazyIterate, whose touched counter is the work actually performed).
+    """
+    from .optimizers import _check_finite
+
+    config, obj, gamma, table = recorder.config, recorder.obj, recorder.gamma, recorder.table
     method = config.method
     n = obj.n
-    scheme = config.scheme or uniform_scheme()
-    rng = RandomSource(config.seed)
-    x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=np.float64)
-    rule = StopRule.parse(config.stop)
-    if rule.kind == "gap":
-        raise ConfigError("gap stop rule is only available for sdca")
-
-    table = GradientTable(obj, "scalar", init_x=(x if config.table_init_grads else None))
-    estimator = saga_estimator(obj, table) if method == "saga" else sag_estimator(obj, table, config.seen_norm)
-    rho = 1.0 - gamma * obj.l2
-    lazy = LazyIterate(x, rho)
-
-    budget = int(round(config.epochs * n))
-    records = []
-    aux = {"table": table, "jit": True, "lazy": lazy}
-    t0 = time.perf_counter()
+    lazy = LazyIterate(x, 1.0 - gamma * obj.l2)
+    recorder.sync = lambda: lazy.materialize(table.gsum)
     evals = 0
-    cp_stride = max(1, int(round(config.checkpoint_every * n)))
-    next_cp = 0
-
-    def emit(force=False):
-        nonlocal next_cp
-        if not force and evals < next_cp:
-            return None
-        while next_cp <= evals:
-            next_cp += cp_stride
-        lazy.materialize(table.gsum)
-        f = obj.objective_value(x)
-        if not np.isfinite(f):
-            raise DivergenceError("objective diverged (gamma=%g)" % gamma, gamma=gamma, records=records)
-        rec = TraceRecord(epoch=evals / n, grad_evals=evals, f=f)
-        if config.f_star is not None:
-            rec.subopt = f - config.f_star
-        if rule.kind == "gbar":
-            denom = table.seen_count if config.seen_norm and table.seen_count else table.n
-            rec.grad_norm = float(np.linalg.norm(table.gsum / denom + obj.l2 * x))
-        else:
-            rec.grad_norm = float(np.linalg.norm(obj.full_grad(x)))
-        if config.var_checkpoints:
-            if config.var_epochs is None or int(round(rec.epoch)) in config.var_epochs:
-                _, rec.var_est = enum_stats(obj, estimator, x)
-        rec.time_s = time.perf_counter() - t0
-        records.append(rec)
-        return rec
-
-    emit(force=True)
-    stopped = False
-    try:
-        while evals < budget and not stopped:
-            i = int(sample(scheme, rng, n)[0])
-            row = obj.data.rows[i]
+    while evals < budget:
+        i = int(sample(scheme, rng, n)[0])
+        row = obj.data.rows[i]
+        lazy.catch_up(row.indices, table.gsum)
+        m = float(np.dot(row.values, x[row.indices]))
+        _check_finite(m, gamma)
+        s_new = obj.loss.deriv(m, obj.labels[i])
+        delta = s_new * row.values - table.cov_vals(i, row)
+        if method == "sag":
+            table.store(i, row, None, s_new)
+            table.gsum[row.indices] += delta
+            denom = table.seen_count if config.seen_norm else table.n
+            lazy.push_weight(gamma / denom)
             lazy.catch_up(row.indices, table.gsum)
-            m = float(np.dot(row.values, x[row.indices]))
-            if not np.isfinite(m):
-                raise DivergenceError("non-finite value encountered (gamma=%g)" % gamma, gamma=gamma, records=records)
-            s_new = obj.loss.deriv(m, obj.labels[i])
-            delta = s_new * row.values - table.cov_vals(i, row)
-            if method == "sag":
-                table.store(i, row, None, s_new)
-                table.gsum[row.indices] += delta
-                denom = table.seen_count if config.seen_norm else table.n
-                lazy.push_weight(gamma / denom)
-                lazy.catch_up(row.indices, table.gsum)
-            else:
-                lazy.push_weight(gamma / table.n)
-                lazy.catch_up(row.indices, table.gsum)
-                x[row.indices] -= gamma * delta
-                table.store(i, row, None, s_new)
-                table.gsum[row.indices] += delta
-            lazy.touched += row.nnz
-            evals += 1
-            rec = emit()
-            if rec is not None and rule.kind != "epochs" and should_stop(rule, rec):
-                stopped = True
-    except DivergenceError as err:
-        err.records = records
-        raise
-    if not records or records[-1].grad_evals != evals:
-        emit(force=True)
-    lazy.materialize(table.gsum)
-    aux["touched_coords"] = lazy.touched
-    return RunResult(records=records, x=x, grad_evals=evals, aux=aux, iterates=[])
+        else:
+            lazy.push_weight(gamma / table.n)
+            lazy.catch_up(row.indices, table.gsum)
+            x[row.indices] -= gamma * delta
+            table.store(i, row, None, s_new)
+            table.gsum[row.indices] += delta
+        lazy.touched += row.nnz
+        evals += 1
+        if recorder.checkpoint(x, evals):
+            break
+    return evals, lazy

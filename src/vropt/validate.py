@@ -231,16 +231,6 @@ def check_smoothness_inequalities():
                        seconds=time.perf_counter() - t0)
 
 
-def _estimator_for(method, obj, state, x_star):
-    if method == "sgd":
-        return sgd_estimator(obj)
-    if method == "sgd_star":
-        return sgd_star_estimator(obj, state)
-    if method == "saga":
-        return saga_estimator(obj, state)
-    return svrg_estimator(obj, state)
-
-
 def check_unbiasedness(flip_sign=False):
     """Enumerated estimator means equal the full gradient at 10 live
     checkpoints per method; exhaustive mini-batch subsets at n=6.

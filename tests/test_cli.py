@@ -134,6 +134,13 @@ def test_compare_spec_errors(tmp_path, capsys):
     dup.write_text("data = synth:tiny\nout = o\n[method]\nname = gd\n[method]\nname = gd\n")
     assert _run("compare", str(dup)) == 1
     assert "label" in capsys.readouterr().err
+    for key in ("batch", "inner_t"):
+        zero = tmp_path / ("zero_%s.spec" % key)
+        zero.write_text("data = synth:tiny\nout = %s\n[method]\nname = gd\n"
+                        "[method]\nname = svrg\n%s = 0\n" % (tmp_path / "zero", key))
+        assert _run("compare", str(zero)) == 1
+        assert "positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "zero").exists()  # rejected before any run
 
 
 def test_trace2d(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vropt.bench_data import tiny, toy_classification, toy_regression
+from vropt.bench_data import sparse_gaussian, tiny, toy_classification, toy_regression
 from vropt.data import Dataset, SparseRow
 from vropt.diag import dual_objective, solve_reference
 from vropt.objectives import GlmObjective, smoothness
@@ -135,9 +135,11 @@ def test_warm_start_prefix():
 def test_stop_rule_gbar():
     ds = toy_classification(seed=0, n=50, d=5)
     obj = GlmObjective(ds, "logistic", l2=0.1)
-    res = run(RunConfig(method="saga", epochs=500.0, seed=0, stop="gbar:1e-6"), obj)
-    assert res.records[-1].grad_norm <= 1e-6
-    assert res.records[-1].epoch < 500.0
+    for engine in ({}, {"table_mode": "scalar", "jit": "on"}):
+        res = run(RunConfig(method="saga", epochs=500.0, seed=0, stop="gbar:1e-6", **engine), obj)
+        assert res.aux.get("jit", False) == bool(engine)
+        assert res.records[-1].grad_norm <= 1e-6
+        assert res.records[-1].epoch < 500.0
 
 
 def test_stop_rule_gap():
@@ -183,6 +185,14 @@ def test_divergence_carries_partial_trace():
     assert err.gamma == 1e6
     assert err.records and err.records[0].grad_evals == 0
     assert all(np.isfinite(r.f) for r in err.records)
+    # the lazy engine shares the dense driver's recorder
+    sq = GlmObjective(sparse_gaussian(seed=0), "half_squared", l2=1e-4)
+    for jit in ("off", "on"):
+        with pytest.raises(DivergenceError) as exc:
+            run(RunConfig(method="saga", table_mode="scalar", jit=jit, gamma=50.0,
+                          epochs=10.0, seed=0), sq)
+        assert exc.value.gamma == 50.0
+        assert [r.grad_evals for r in exc.value.records] == [0, sq.n]
 
 
 def test_config_validation():
@@ -196,8 +206,9 @@ def test_config_validation():
         (RunConfig(method="sgd_momentum", gamma=0.1), obj),  # beta unset
         (RunConfig(method="sgd_star", gamma=0.1), obj),
         (RunConfig(method="sdca", scheme=uniform_scheme(batch=2)), obj),
-        (RunConfig(method="saga", prox=False), reg),
         (RunConfig(method="saga", epochs=-1.0), obj),
+        (RunConfig(method="svrg", inner_t=0), obj),
+        (RunConfig(method="svrg", inner_t=-3), obj),
         (RunConfig(method="sag", stop="gap:1e-6", gamma=0.1), obj),
         (RunConfig(method="sgd", stop="gbar:1e-6", gamma=0.1), obj),
         (RunConfig(method="sdca", stop="grad:1e-6"), obj),

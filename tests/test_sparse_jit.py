@@ -96,11 +96,13 @@ def test_jit_on_raises_when_unavailable():
 def test_jit_run_parity(method):
     data = sparse_gaussian(seed=3, n=120, d=80)
     obj = GlmObjective(data, "logistic", l2=0.01)
-    base = dict(method=method, epochs=4.0, seed=3, table_mode="scalar", gamma=0.3)
+    base = dict(method=method, epochs=4.0, seed=3, table_mode="scalar", gamma=0.3,
+                var_checkpoints=True, var_epochs=frozenset({1, 3}))
     plain = run(RunConfig(jit="off", **base), obj)
     lazy = run(RunConfig(jit="on", **base), obj)
     assert np.linalg.norm(lazy.x - plain.x) <= 1e-12 * (1 + np.linalg.norm(plain.x))
     assert [r.grad_evals for r in lazy.records] == [r.grad_evals for r in plain.records]
+    assert [r.epoch for r in lazy.records if r.var_est is not None] == [1, 3]
     for rp, rl in zip(plain.records, lazy.records):
         assert rl.f == pytest.approx(rp.f, rel=1e-13)
         assert rl.grad_norm == pytest.approx(rp.grad_norm, rel=1e-10, abs=1e-14)
