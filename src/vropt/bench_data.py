@@ -10,10 +10,16 @@ import os
 
 import numpy as np
 
-from .data import Dataset, RandomSource, SparseRow, parse_libsvm
+from .data import Dataset, RandomSource, parse_libsvm
 
 # attribute arities; they sum to 112 and include a single-valued attribute
 ARITIES = (6, 4, 10, 2, 9, 2, 2, 2, 12, 2, 5, 4, 4, 9, 9, 1, 4, 3, 5, 9, 6, 2)
+
+
+def _dense(a, labels):
+    """Dataset whose rows are the rows of the dense (n, d) array a."""
+    n, d = a.shape
+    return Dataset(np.arange(0, n * d + 1, d), np.tile(np.arange(d), n), a.ravel(), labels, d)
 
 
 def mushrooms_like(seed=0, scale=1.0, gap=0.8):
@@ -28,7 +34,8 @@ def mushrooms_like(seed=0, scale=1.0, gap=0.8):
     """
     path = os.environ.get("VROPT_MUSHROOMS")
     if path:
-        return parse_libsvm(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_libsvm(fh)
     rng = RandomSource(seed, stream=77)
     n = 8124
     d = int(sum(ARITIES))
@@ -61,10 +68,8 @@ def mushrooms_like(seed=0, scale=1.0, gap=0.8):
         raise RuntimeError("margin rejection sampling did not converge")
     cols = offsets[None, :] + cats
     margins = w * x_true[cols].sum(axis=1)
-    vals = np.full(groups, w)
-    rows = [SparseRow(offsets + cats[i], vals, d) for i in range(n)]
     labels = np.where(margins >= 0, 1.0, -1.0)
-    return Dataset(rows, labels)
+    return Dataset(np.arange(0, cols.size + 1, groups), cols.ravel(), np.full(cols.size, w), labels, d)
 
 
 def blobs_2d(seed=0, n=400, flip=0.08):
@@ -79,16 +84,14 @@ def blobs_2d(seed=0, n=400, flip=0.08):
     labels[half:] = -1.0
     flips = rng.random(n) < flip
     labels[flips] *= -1.0
-    idx = np.array([0, 1], dtype=np.int64)
-    rows = [SparseRow(idx, pts[i], 2) for i in range(n)]
-    return Dataset(rows, labels)
+    return _dense(pts, labels)
 
 
 def sparse_gaussian(seed=0, n=500, d=200, density=0.02):
     """Sparse Gaussian design with planted logistic labels."""
     rng = RandomSource(seed, stream=13)
     x_true = rng.normal(d) / np.sqrt(max(1.0, d * density))
-    rows = []
+    col_indices, col_values = [], []
     margins = np.empty(n)
     for i in range(n):
         mask = rng.random(d) < density
@@ -96,11 +99,13 @@ def sparse_gaussian(seed=0, n=500, d=200, density=0.02):
         if idx.size == 0:
             idx = np.array([int(rng.integers(d))])
         vals = rng.normal(idx.size)
-        rows.append(SparseRow(idx.astype(np.int64), vals, d))
+        col_indices.append(idx)
+        col_values.append(vals)
         margins[i] = float(np.dot(vals, x_true[idx]))
     prob = 1.0 / (1.0 + np.exp(-margins))
     labels = np.where(rng.random(n) < prob, 1.0, -1.0)
-    return Dataset(rows, labels)
+    indptr = np.cumsum([0] + [idx.size for idx in col_indices])
+    return Dataset(indptr, np.concatenate(col_indices), np.concatenate(col_values), labels, d)
 
 
 def toy_classification(seed=0, n=50, d=10):
@@ -111,9 +116,7 @@ def toy_classification(seed=0, n=50, d=10):
     margins = a @ x_true
     prob = 1.0 / (1.0 + np.exp(-margins))
     labels = np.where(rng.random(n) < prob, 1.0, -1.0)
-    idx = np.arange(d, dtype=np.int64)
-    rows = [SparseRow(idx, a[i], d) for i in range(n)]
-    return Dataset(rows, labels)
+    return _dense(a, labels)
 
 
 def toy_regression(seed=0, n=40, d=12, k=4, noise=0.05):
@@ -124,9 +127,7 @@ def toy_regression(seed=0, n=40, d=12, k=4, noise=0.05):
     support = np.argsort(rng.random(d))[:k]
     x_true[support] = rng.normal(k) * 2.0
     y = a @ x_true + noise * rng.normal(n)
-    idx = np.arange(d, dtype=np.int64)
-    rows = [SparseRow(idx, a[i], d) for i in range(n)]
-    return Dataset(rows, y)
+    return _dense(a, y)
 
 
 def tiny(seed=0, n=6, d=5):
@@ -134,9 +135,7 @@ def tiny(seed=0, n=6, d=5):
     rng = RandomSource(seed, stream=3)
     a = rng.normal(n * d).reshape(n, d)
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    idx = np.arange(d, dtype=np.int64)
-    rows = [SparseRow(idx, a[i], d) for i in range(n)]
-    return Dataset(rows, labels)
+    return _dense(a, labels)
 
 
 _SYNTH = {
@@ -160,8 +159,11 @@ def synth(name):
 
 
 def load_dataset(path, dim=None):
-    """Load a LIBSVM file, or a synthetic problem via "synth:<name>[:seed]"."""
+    """Load a LIBSVM file, or a synthetic problem via "synth:<name>[:seed]";
+    dim overrides a file's feature count and is refused for synthetic data."""
     if path.startswith("synth:"):
+        if dim is not None:
+            raise ValueError("dim applies to LIBSVM files only, not to %s" % path)
         return synth(path[len("synth:"):])
     with open(path, "r", encoding="utf-8") as fh:
         return parse_libsvm(fh, dim=dim)

@@ -495,7 +495,7 @@ def cmd_validate(ns):
 
 def _add_objective_flags(p):
     p.add_argument("--data", required=True, help="libsvm path or synth:NAME[:SEED]")
-    p.add_argument("--dim", type=int, default=None, help="force feature count")
+    p.add_argument("--dim", type=int, default=None, help="feature count of a LIBSVM file (not for synth:)")
     p.add_argument("--loss", choices=LOSSES, default="logistic")
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--l1", type=float, default=0.0)

@@ -1,11 +1,13 @@
-"""Dataset containers, LIBSVM text parsing, and sparse row primitives.
+"""CSR datasets, LIBSVM text parsing, and the run's random source.
 
-Rows are immutable after construction and safe to share between runs.
+Datasets are immutable after construction and safe to share between runs.
 Indices are stored 0-based; the on-disk LIBSVM convention is 1-based and
 shifted at parse time.
 """
 
 import hashlib
+from array import array
+from collections import namedtuple
 
 import numpy as np
 
@@ -14,65 +16,63 @@ class ParseError(ValueError):
     """Malformed LIBSVM text; the message names the offending line."""
 
 
-class SparseRow:
-    """One feature vector a_i: strictly increasing indices, no stored zeros."""
-
-    __slots__ = ("indices", "values", "dim")
-
-    def __init__(self, indices, values, dim):
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if indices.shape != values.shape or indices.ndim != 1:
-            raise ValueError("indices and values must be 1-d and the same length")
-        if indices.size and (np.diff(indices) <= 0).any():
-            raise ValueError("indices must be strictly increasing")
-        if indices.size and (indices[0] < 0 or indices[-1] >= dim):
-            raise ValueError("index out of range for dim=%d" % dim)
-        keep = values != 0.0
-        if not keep.all():
-            indices = indices[keep]
-            values = values[keep]
-        self.indices = indices
-        self.values = values
-        self.dim = int(dim)
-        self.indices.setflags(write=False)
-        self.values.setflags(write=False)
-
-    @property
-    def nnz(self):
-        return self.indices.size
-
-    def __repr__(self):
-        return "SparseRow(nnz=%d, dim=%d)" % (self.nnz, self.dim)
+RowView = namedtuple("RowView", "indices values")
 
 
 class Dataset:
-    """n sparse rows plus labels; the (a_i, b_i) pairs of one finite sum.
+    """n sparse rows a_i plus labels b_i; the (a_i, b_i) pairs of one finite sum.
 
-    Also carries a CSR view (indptr/col_indices/col_values) used by the
-    vectorized full-pass operations; per-example loops slice it directly.
+    Held as CSR only: row i is col_indices/col_values[indptr[i]:indptr[i+1]],
+    indices strictly increasing within a row and in [0, d), no stored zeros
+    (dropped here). The arrays are read-only views; the caller's stay writable.
     """
 
-    def __init__(self, rows, labels):
-        if len(rows) == 0:
-            raise ValueError("empty dataset")
-        if len(labels) != len(rows):
+    def __init__(self, indptr, col_indices, col_values, labels, d):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(col_indices, dtype=np.int64)
+        values = np.asarray(col_values, dtype=np.float64)
+        if indptr.ndim != 1 or indptr.size < 2:
+            raise ValueError("empty dataset: indptr needs n+1 >= 2 entries in one dimension")
+        n = indptr.size - 1
+        if len(labels) != n:
             raise ValueError("labels length must equal row count")
-        d = rows[0].dim
-        for r in rows:
-            if r.dim != d:
-                raise ValueError("all rows must share one dimension")
-        self.rows = tuple(rows)
-        self.labels = np.asarray(labels, dtype=np.float64).copy()
-        self.labels.setflags(write=False)
-        self.n = len(rows)
-        self.d = d
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for i, r in enumerate(rows):
-            self.indptr[i + 1] = self.indptr[i] + r.nnz
-        self.col_indices = np.concatenate([r.indices for r in rows]) if self.indptr[-1] else np.zeros(0, np.int64)
-        self.col_values = np.concatenate([r.values for r in rows]) if self.indptr[-1] else np.zeros(0, np.float64)
+        if indices.shape != values.shape or indices.ndim != 1:
+            raise ValueError("indices and values must be 1-d and the same length")
+        nnz = indices.size
+        if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+            raise ValueError("indptr must rise monotonically from 0 to nnz=%d" % nnz)
+        if nnz:
+            starts = np.zeros(nnz, dtype=bool)
+            starts[indptr[:-1][np.diff(indptr) > 0]] = True  # a row's first entry
+            if (np.diff(indices)[~starts[1:]] <= 0).any():
+                raise ValueError("indices must be strictly increasing")
+            if indices.min() < 0 or indices.max() >= d:
+                raise ValueError("index out of range for dim=%d" % d)
+        keep = values != 0.0
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            indices = indices[keep]
+            values = values[keep]
+        self.indptr, self.col_indices, self.col_values = indptr.view(), indices.view(), values.view()
+        self.labels = np.array(labels, dtype=np.float64)
+        for a in (self.indptr, self.col_indices, self.col_values, self.labels):
+            a.setflags(write=False)
+        self.n = n
+        self.d = int(d)
         self._csr = None
+
+    def row(self, i):
+        """(indices, values) of row i: read-only views, no copy."""
+        if not 0 <= i < self.n:
+            raise IndexError("row index %d out of range for n=%d" % (i, self.n))
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.col_indices[lo:hi], self.col_values[lo:hi]
+
+    @property
+    def rows(self):
+        """Iterator of RowView(*row(i)) over all rows; kept for the benchmark
+        tracer (perfbench/tracing.py), per-example loops call row(i)."""
+        return (RowView(*self.row(i)) for i in range(self.n))
 
     def to_csr(self):
         """scipy CSR matrix of shape (n, d); built once, cached."""
@@ -125,11 +125,6 @@ def draw_index(rng, n):
     return rng.integers(n)
 
 
-def row_norm_sq(row):
-    """||a_i||^2."""
-    return float(np.dot(row.values, row.values))
-
-
 def parse_libsvm(source, dim=None):
     """Parse LIBSVM text ("label idx:val ...", 1-based indices) into a Dataset.
 
@@ -151,7 +146,9 @@ def parse_libsvm(source, dim=None):
         lines = source.splitlines()
     else:
         lines = source
-    rows_raw = []
+    indptr = array("q", [0])
+    col_indices = array("q")
+    col_values = array("d")
     labels = []
     max_idx = 0
     for ln, line in enumerate(lines, start=1):
@@ -163,8 +160,6 @@ def parse_libsvm(source, dim=None):
             label = float(parts[0])
         except ValueError:
             raise ParseError("line %d: bad label %r" % (ln, parts[0]))
-        idxs = []
-        vals = []
         prev = 0
         for tok in parts[1:]:
             if tok.startswith("#"):
@@ -182,13 +177,13 @@ def parse_libsvm(source, dim=None):
             if idx <= prev:
                 raise ParseError("line %d: indices not strictly increasing" % ln)
             prev = idx
-            idxs.append(idx - 1)
-            vals.append(val)
+            col_indices.append(idx - 1)
+            col_values.append(val)
         if prev > max_idx:
             max_idx = prev
-        rows_raw.append((idxs, vals))
+        indptr.append(len(col_indices))
         labels.append(label)
-    if not rows_raw:
+    if not labels:
         raise ParseError("empty dataset")
     if dim is None:
         d = max_idx
@@ -198,17 +193,17 @@ def parse_libsvm(source, dim=None):
             raise ParseError("dim override %d smaller than max index %d" % (d, max_idx))
     if d < 1:
         raise ParseError("empty dataset")  # rows exist but carry no features
-    rows = [SparseRow(idxs, vals, d) for idxs, vals in rows_raw]
-    return Dataset(rows, labels)
+    return Dataset(np.frombuffer(indptr, dtype=np.int64), np.frombuffer(col_indices, dtype=np.int64),
+                   np.frombuffer(col_values, dtype=np.float64), labels, d)
 
 
 def write_libsvm(dataset):
     """Canonical LIBSVM text (17 significant digits, 1-based indices)."""
     out = []
     for i in range(dataset.n):
-        r = dataset.rows[i]
+        idx, vals = dataset.row(i)
         parts = ["%.17g" % dataset.labels[i]]
-        for j, v in zip(r.indices, r.values):
+        for j, v in zip(idx, vals):
             parts.append("%d:%.17g" % (j + 1, v))
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"

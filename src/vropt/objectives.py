@@ -10,8 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import row_norm_sq
-
 
 class NonSmoothError(ValueError):
     """Raised when a gradient of the hinge loss is requested."""
@@ -143,14 +141,16 @@ class GlmObjective:
         self.labels.setflags(write=False)
         self.n = data.n
         self.d = data.d
-        self.row_sq = np.array([row_norm_sq(r) for r in data.rows])
+        # ||a_i||^2 one row at a time: np.dot per row fixes the summation
+        # order, so L_max (and with it the default stepsize) is reproducible
+        self.row_sq = np.array([float(np.dot(v, v)) for _, v in map(data.row, range(data.n))])
         self.row_sq.setflags(write=False)
 
     # -- per-example quantities ------------------------------------------
 
     def margin(self, x, i):
-        r = self.data.rows[i]
-        return float(np.dot(r.values, x[r.indices]))
+        idx, vals = self.data.row(i)
+        return float(np.dot(vals, x[idx]))
 
     def grad_i_scalar(self, x, i):
         """loss'(a_i^T x, b_i); the scalar that spans the loss gradient."""
@@ -161,8 +161,8 @@ class GlmObjective:
         if not 0 <= i < self.n:
             raise IndexError("example index %d out of range" % i)
         g = self.l2 * x if self.l2 else np.zeros(self.d)
-        r = self.data.rows[i]
-        g[r.indices] += self.grad_i_scalar(x, i) * r.values
+        idx, vals = self.data.row(i)
+        g[idx] += self.grad_i_scalar(x, i) * vals
         return g
 
     def value_i(self, x, i):

@@ -82,17 +82,17 @@ class GradientTable:
         self.seen = np.zeros(self.n, dtype=bool)
         self.seen_count = 0
 
-    def cov_vals(self, i, row):
-        """Stored v^i restricted to the row support."""
+    def cov_vals(self, i, idx, vals):
+        """Stored v^i restricted to row i's support (idx, vals = data.row(i))."""
         if self.mode == "scalar":
-            return self.s[i] * row.values
-        return self.v[i, row.indices]
+            return self.s[i] * vals
+        return self.v[i, idx]
 
-    def store(self, i, row, new_vals, new_scalar):
+    def store(self, i, idx, new_vals, new_scalar):
         if self.mode == "scalar":
             self.s[i] = new_scalar
         else:
-            self.v[i, row.indices] = new_vals
+            self.v[i, idx] = new_vals
         if not self.seen[i]:
             self.seen[i] = True
             self.seen_count += 1
@@ -191,14 +191,14 @@ def _as_batch(i):
 
 
 def _pull(obj, x, idxs, gamma):
-    """(j, row, loss'(a_j^T x, b_j)) per sampled j; every margin is checked
-    before the caller changes any state."""
+    """(j, indices, values, loss'(a_j^T x, b_j)) per sampled j; every margin
+    is checked before the caller changes any state."""
     pulls = []
     for j in idxs:
-        row = obj.data.rows[j]
-        m = float(np.dot(row.values, x[row.indices]))
+        idx, vals = obj.data.row(j)
+        m = float(np.dot(vals, x[idx]))
         _check_finite(m, gamma)
-        pulls.append((j, row, obj.loss.deriv(m, obj.labels[j])))
+        pulls.append((j, idx, vals, obj.loss.deriv(m, obj.labels[j])))
     return pulls
 
 
@@ -220,15 +220,15 @@ def sgd_step(obj, x, i, gamma, momentum=None):
     pulls = _pull(obj, x, idxs, gamma)
     if momentum is None:
         x *= 1.0 - gamma * lam
-        for _, row, s in pulls:
-            x[row.indices] -= (gamma / b) * s * row.values
+        for _, idx, vals, s in pulls:
+            x[idx] -= (gamma / b) * s * vals
     else:
         mv = momentum.m
         mv *= momentum.beta
         if lam:
             mv += lam * x
-        for _, row, s in pulls:
-            mv[row.indices] += (s / b) * row.values
+        for _, idx, vals, s in pulls:
+            mv[idx] += (s / b) * vals
         x -= gamma * mv
     if obj.l1:
         x[:] = obj.prox(gamma, x)
@@ -244,8 +244,8 @@ def sgd_star_step(obj, x, i, gamma, star):
     x *= 1.0 - gamma * lam
     if lam:
         x += (gamma * lam) * star.x_star
-    for j, row, s in pulls:
-        x[row.indices] -= (gamma / b) * (s - star.scalars[j]) * row.values
+    for j, idx, vals, s in pulls:
+        x[idx] -= (gamma / b) * (s - star.scalars[j]) * vals
     if obj.l1:
         x[:] = obj.prox(gamma, x)
     return x
@@ -255,11 +255,11 @@ def sag_step(table, obj, x, i, gamma, seen_norm=False):
     """Averaged-gradient step: refresh the table first, then move with the
     refreshed average (divided by n, or by the seen count when seen_norm)."""
     lam = obj.l2
-    for j, row, s_new in _pull(obj, x, _as_batch(i), gamma):
-        new_vals = s_new * row.values
-        delta = new_vals - table.cov_vals(j, row)
-        table.store(j, row, new_vals, s_new)
-        table.gsum[row.indices] += delta
+    for j, idx, vals, s_new in _pull(obj, x, _as_batch(i), gamma):
+        new_vals = s_new * vals
+        delta = new_vals - table.cov_vals(j, idx, vals)
+        table.store(j, idx, new_vals, s_new)
+        table.gsum[idx] += delta
     denom = table.seen_count if seen_norm else table.n
     x *= 1.0 - gamma * lam
     x -= (gamma / denom) * table.gsum
@@ -275,16 +275,16 @@ def saga_step(table, obj, x, i, gamma):
     b = len(idxs)
     lam = obj.l2
     pulls = []
-    for j, row, s_new in _pull(obj, x, idxs, gamma):
-        new_vals = s_new * row.values
-        pulls.append((j, row, new_vals, s_new, new_vals - table.cov_vals(j, row)))
+    for j, idx, vals, s_new in _pull(obj, x, idxs, gamma):
+        new_vals = s_new * vals
+        pulls.append((j, idx, new_vals, s_new, new_vals - table.cov_vals(j, idx, vals)))
     x *= 1.0 - gamma * lam
     x -= (gamma / table.n) * table.gsum
-    for j, row, new_vals, s_new, delta in pulls:
-        x[row.indices] -= (gamma / b) * delta
-    for j, row, new_vals, s_new, delta in pulls:
-        table.store(j, row, new_vals, s_new)
-        table.gsum[row.indices] += delta
+    for j, idx, new_vals, s_new, delta in pulls:
+        x[idx] -= (gamma / b) * delta
+    for j, idx, new_vals, s_new, delta in pulls:
+        table.store(j, idx, new_vals, s_new)
+        table.gsum[idx] += delta
     if obj.l1:
         x[:] = obj.prox(gamma, x)
     return x
@@ -310,8 +310,8 @@ def svrg_inner_step(state, obj, x, i, gamma):
     pulls = _pull(obj, x, idxs, gamma)
     x *= 1.0 - gamma * lam
     x -= gamma * state.loss_ref
-    for j, row, s in pulls:
-        x[row.indices] -= (gamma / b) * (s - state.s_ref[j]) * row.values
+    for j, idx, vals, s in pulls:
+        x[idx] -= (gamma / b) * (s - state.s_ref[j]) * vals
     if obj.l1:
         x[:] = obj.prox(gamma, x)
     state.inner_done += 1
@@ -334,16 +334,16 @@ def sarah_step(state, obj, x, i, gamma):
     lam = obj.l2
     pulls = []
     for j in idxs:
-        row = obj.data.rows[j]
-        m_now = float(np.dot(row.values, x[row.indices]))
-        m_prev = float(np.dot(row.values, state.x_prev[row.indices]))
+        idx, vals = obj.data.row(j)
+        m_now = float(np.dot(vals, x[idx]))
+        m_prev = float(np.dot(vals, state.x_prev[idx]))
         _check_finite(m_now, gamma)
         ds = obj.loss.deriv(m_now, obj.labels[j]) - obj.loss.deriv(m_prev, obj.labels[j])
-        pulls.append((row, ds))
+        pulls.append((idx, vals, ds))
     if lam:
         state.g += lam * (x - state.x_prev)
-    for row, ds in pulls:
-        state.g[row.indices] += (ds / b) * row.values
+    for idx, vals, ds in pulls:
+        state.g[idx] += (ds / b) * vals
     state.x_prev[:] = x
     x -= gamma * state.g
     if obj.l1:
@@ -384,10 +384,10 @@ def sdca_step(dual, obj, i):
     Updates v_i and w in place and returns the (scaled by n) increase of the
     dual objective, which is nonnegative up to solver tolerance.
     """
-    row = obj.data.rows[i]
+    idx, vals = obj.data.row(i)
     b = obj.labels[i]
     lam_n = obj.l2 * obj.n
-    m = float(np.dot(row.values, dual.w[row.indices]))
+    m = float(np.dot(vals, dual.w[idx]))
     rho = obj.row_sq[i] / lam_n
     v_old = float(dual.v[i])
     mt = m - rho * v_old  # margin excluding example i's own contribution
@@ -410,7 +410,7 @@ def sdca_step(dual, obj, i):
         raise ConfigError("dual ascent does not support loss %r" % kind)
     dv = v_new - v_old
     if dv != 0.0:
-        dual.w[row.indices] += (dv / lam_n) * row.values
+        dual.w[idx] += (dv / lam_n) * vals
         dual.v[i] = v_new
     gain = (
         obj.loss.conjugate(-v_old, b)
@@ -431,10 +431,10 @@ def sgd_estimator(obj):
 
 def sgd_star_estimator(obj, star):
     def est(x, i):
-        row = obj.data.rows[i]
+        idx, vals = obj.data.row(i)
         g = obj.l2 * (x - star.x_star)
-        s = obj.loss.deriv(float(np.dot(row.values, x[row.indices])), obj.labels[i])
-        g[row.indices] += (s - star.scalars[i]) * row.values
+        s = obj.loss.deriv(float(np.dot(vals, x[idx])), obj.labels[i])
+        g[idx] += (s - star.scalars[i]) * vals
         return g
 
     return est
@@ -442,10 +442,10 @@ def sgd_star_estimator(obj, star):
 
 def saga_estimator(obj, table):
     def est(x, i):
-        row = obj.data.rows[i]
+        idx, vals = obj.data.row(i)
         g = table.mean() + obj.l2 * x
-        s = obj.loss.deriv(float(np.dot(row.values, x[row.indices])), obj.labels[i])
-        g[row.indices] += s * row.values - table.cov_vals(i, row)
+        s = obj.loss.deriv(float(np.dot(vals, x[idx])), obj.labels[i])
+        g[idx] += s * vals - table.cov_vals(i, idx, vals)
         return g
 
     return est
@@ -456,12 +456,12 @@ def sag_estimator(obj, table, seen_norm=False):
     i (biased: its mean is not the gradient until the table is current)."""
 
     def est(x, i):
-        row = obj.data.rows[i]
-        s = obj.loss.deriv(float(np.dot(row.values, x[row.indices])), obj.labels[i])
+        idx, vals = obj.data.row(i)
+        s = obj.loss.deriv(float(np.dot(vals, x[idx])), obj.labels[i])
         seen = table.seen_count + (0 if table.seen[i] else 1)
         denom = seen if seen_norm else table.n
         num = table.gsum.copy()
-        num[row.indices] += s * row.values - table.cov_vals(i, row)
+        num[idx] += s * vals - table.cov_vals(i, idx, vals)
         return num / denom + obj.l2 * x
 
     return est
@@ -471,10 +471,10 @@ def svrg_estimator(obj, state):
     def est(x, i):
         if state.x_ref is None:
             return obj.grad_i(x, i)  # no anchor yet: plain stochastic gradient
-        row = obj.data.rows[i]
+        idx, vals = obj.data.row(i)
         g = state.loss_ref + obj.l2 * x
-        s = obj.loss.deriv(float(np.dot(row.values, x[row.indices])), obj.labels[i])
-        g[row.indices] += (s - state.s_ref[i]) * row.values
+        s = obj.loss.deriv(float(np.dot(vals, x[idx])), obj.labels[i])
+        g[idx] += (s - state.s_ref[i]) * vals
         return g
 
     return est

@@ -112,25 +112,25 @@ def run_jit(recorder, x, scheme, rng, budget):
     evals = 0
     while evals < budget:
         i = int(sample(scheme, rng, n)[0])
-        row = obj.data.rows[i]
-        lazy.catch_up(row.indices, table.gsum)
-        m = float(np.dot(row.values, x[row.indices]))
+        idx, vals = obj.data.row(i)
+        lazy.catch_up(idx, table.gsum)
+        m = float(np.dot(vals, x[idx]))
         _check_finite(m, gamma)
         s_new = obj.loss.deriv(m, obj.labels[i])
-        delta = s_new * row.values - table.cov_vals(i, row)
+        delta = s_new * vals - table.cov_vals(i, idx, vals)
         if method == "sag":
-            table.store(i, row, None, s_new)
-            table.gsum[row.indices] += delta
+            table.store(i, idx, None, s_new)
+            table.gsum[idx] += delta
             denom = table.seen_count if config.seen_norm else table.n
             lazy.push_weight(gamma / denom)
-            lazy.catch_up(row.indices, table.gsum)
+            lazy.catch_up(idx, table.gsum)
         else:
             lazy.push_weight(gamma / table.n)
-            lazy.catch_up(row.indices, table.gsum)
-            x[row.indices] -= gamma * delta
-            table.store(i, row, None, s_new)
-            table.gsum[row.indices] += delta
-        lazy.touched += row.nnz
+            lazy.catch_up(idx, table.gsum)
+            x[idx] -= gamma * delta
+            table.store(i, idx, None, s_new)
+            table.gsum[idx] += delta
+        lazy.touched += idx.size
         evals += 1
         if recorder.checkpoint(x, evals):
             break

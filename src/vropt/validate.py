@@ -253,10 +253,10 @@ def check_unbiasedness(flip_sign=False):
                 table = state
 
                 def est(xx, i, table=table):
-                    row = obj.data.rows[i]
+                    idx, vals = obj.data.row(i)
                     gg = table.mean() + obj.l2 * xx
-                    s = obj.loss.deriv(float(np.dot(row.values, xx[row.indices])), obj.labels[i])
-                    gg[row.indices] += s * row.values + table.cov_vals(i, row)  # faulty sign
+                    s = obj.loss.deriv(float(np.dot(vals, xx[idx])), obj.labels[i])
+                    gg[idx] += s * vals + table.cov_vals(i, idx, vals)  # faulty sign
                     return gg
             else:
                 est = saga_estimator(obj, state)
@@ -347,8 +347,8 @@ def check_jit_equivalence():
         # independent replay of the sample path
         rng = RandomSource(seed)
         scheme = uniform_scheme()
-        nnz_sum = sum(data.rows[int(sample(scheme, rng, data.n)[0])].nnz
-                      for _ in range(int(3.0 * data.n)))
+        row_nnz = np.diff(data.indptr).tolist()
+        nnz_sum = sum(row_nnz[int(sample(scheme, rng, data.n)[0])] for _ in range(int(3.0 * data.n)))
         counters_ok = counters_ok and (nnz_sum == lazy.aux["touched_coords"])
     ok = worst_x <= 1e-9 and worst_f <= 1e-10 and counters_ok
     obs = "x_rel=%.2e f_rel=%.2e counters=%s" % (worst_x, worst_f, counters_ok)
@@ -421,8 +421,8 @@ def check_sdca_certificates():
         for _ in range(200):
             i = int(rs.integers(tob.n))
             v_old = ld(dual.v[i])
-            row = tob.data.rows[i]
-            m = ld(np.dot(row.values, dual.w[row.indices]))
+            idx, vals = tob.data.row(i)
+            m = ld(np.dot(vals, dual.w[idx]))
             rho = ld(tob.row_sq[i]) / ld(tob.l2 * tob.n)
             mt = m - rho * v_old
             b_i = ld(tob.labels[i])

@@ -1,6 +1,7 @@
 import os
 
 from vropt import optimizers, sparse_jit
+from vropt.bench_data import load_dataset
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -20,3 +21,19 @@ def test_perfbench_tracer_finds_every_hook(monkeypatch):
     finally:
         tracer.uninstall()
     assert optimizers.run is run and sparse_jit.run_jit is run_jit
+
+
+def test_perfbench_dataset_hooks(monkeypatch):
+    """The tracer's result hooks read Dataset.indptr and iterate Dataset.rows
+    for the byte count; the rows' payload is the CSR arrays, once more."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    data = load_dataset("synth:sparse:0")
+    nnz = int(data.indptr[-1])
+    payload = data.col_indices.nbytes + data.col_values.nbytes
+    assert tracing.parse_result(None, data) == {"nnz": nnz}
+    assert tracing.dataset_result(None, data) == {
+        "n": data.n, "d": data.d, "nnz": nnz,
+        "bytes": 2 * payload + data.indptr.nbytes + data.labels.nbytes,
+    }

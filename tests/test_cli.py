@@ -143,6 +143,32 @@ def test_compare_spec_errors(tmp_path, capsys):
         assert not (tmp_path / "zero").exists()  # rejected before any run
 
 
+def test_dim_rejected_for_synthetic_data(tmp_path, capsys):
+    # a synthetic problem fixes its own d; a dim would only be echoed
+    out = tmp_path / "t.csv"
+    assert _run("run", "--data", "synth:tiny", "--dim", "50", "--l2", "0.1",
+                "--method", "gd", "--epochs", "1", "--out", str(out)) == 1
+    assert "dim" in capsys.readouterr().err
+    assert not out.exists()
+    prefix = tmp_path / "tr"
+    assert _run("trace2d", "--data", "synth:blobs2d", "--dim", "2", "--l2", "0.1",
+                "--method", "sag", "--gamma", "0.1", "--out", str(prefix)) == 1
+    assert "dim" in capsys.readouterr().err
+    assert not list(tmp_path.glob("tr*"))
+    spec = tmp_path / "dim.spec"
+    spec.write_text("data = synth:tiny\ndim = 50\nout = %s\n[method]\nname = gd\n"
+                    % (tmp_path / "grid"))
+    assert _run("compare", str(spec)) == 1
+    assert "dim" in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
+    # on a LIBSVM file dim still widens d and reaches the header
+    data = tmp_path / "d.svm"
+    data.write_text("1 1:1 2:-1\n-1 2:0.5\n")
+    assert _run("run", "--data", str(data), "--dim", "7", "--l2", "0.1",
+                "--method", "gd", "--epochs", "1", "--out", str(out)) == 0
+    assert read_trace(str(out))[1]["dim"] == "7"
+
+
 def test_trace2d(tmp_path, capsys):
     prefix = str(tmp_path / "tr")
     rc = _run("trace2d", "--data", "synth:blobs2d", "--l2", "0.1", "--method", "sag",

@@ -5,19 +5,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vropt.data import Dataset, ParseError, RandomSource, SparseRow, dataset_hash, parse_libsvm, write_libsvm
+from vropt import bench_data
+from vropt.bench_data import load_dataset
+from vropt.data import Dataset, ParseError, RandomSource, dataset_hash, parse_libsvm, write_libsvm
 
 
-def test_sparse_row_validation():
-    SparseRow([0, 3], [1.0, -2.0], 5)
+def test_dataset_validation():
+    ds = Dataset([0, 2], [0, 3], [1.0, -2.0], [1.0], 5)
+    assert (ds.n, ds.d) == (1, 5)
+    # only steps inside a row must rise; rows may be empty
+    ds = Dataset([0, 2, 2, 4], [1, 3, 0, 3], [1.0] * 4, [1.0, -1.0, 1.0], 5)
+    assert np.diff(ds.indptr).tolist() == [2, 0, 2]
+    bad = [
+        ([0, 2], [3, 0], [1.0, 1.0]),  # not increasing
+        ([0, 2], [0, 0], [1.0, 1.0]),  # duplicate
+        ([0, 2], [0, 5], [1.0, 1.0]),  # out of range
+        ([0, 2], [-1, 0], [1.0, 1.0]),  # negative index
+        ([0, 1], [0], [1.0, 2.0]),  # length mismatch
+        ([1, 2], [0, 1], [1.0, 1.0]),  # indptr does not start at 0
+        ([0, 1], [0, 1], [1.0, 1.0]),  # indptr does not end at nnz
+        ([0, 2, 1, 2], [0, 1], [1.0, 1.0]),  # indptr falls
+        ([[0, 2]], [0, 1], [1.0, 1.0]),  # indptr not 1-d
+    ]
+    for indptr, idx, vals in bad:
+        with pytest.raises(ValueError):
+            Dataset(indptr, idx, vals, [1.0] * (len(indptr) - 1), 5)
     with pytest.raises(ValueError):
-        SparseRow([3, 0], [1.0, 1.0], 5)  # not increasing
+        Dataset([0], [], [], [], 5)  # no rows
     with pytest.raises(ValueError):
-        SparseRow([0, 0], [1.0, 1.0], 5)  # duplicate
-    with pytest.raises(ValueError):
-        SparseRow([0, 5], [1.0, 1.0], 5)  # out of range
-    with pytest.raises(ValueError):
-        SparseRow([0], [1.0, 2.0], 5)  # length mismatch
+        Dataset([0, 1], [0], [1.0], [1.0, -1.0], 5)  # labels length
+
+
+def test_stored_zeros_dropped():
+    ds = parse_libsvm("1 1:0 2:3")
+    assert (ds.n, ds.d) == (1, 2)
+    assert ds.indptr.tolist() == [0, 1]
+    assert ds.row(0)[0].tolist() == [1] and ds.row(0)[1].tolist() == [3.0]
+    ds = Dataset([0, 2, 3, 4], [0, 2, 1, 0], [0.0, 2.0, -0.0, 5.0], [1.0, 1.0, -1.0], 3)
+    assert ds.indptr.tolist() == [0, 1, 1, 2]
+    assert ds.col_indices.tolist() == [2, 0] and ds.col_values.tolist() == [2.0, 5.0]
+
+
+def test_row_views():
+    ds = parse_libsvm("1 1:2 3:4\n-1 2:-1\n")
+    idx, vals = ds.row(1)
+    assert idx.tolist() == [1] and vals.tolist() == [-1.0]
+    assert np.shares_memory(vals, ds.col_values) and not vals.flags.writeable
+    for i in (-1, ds.n):
+        with pytest.raises(IndexError):
+            ds.row(i)
+    assert [r.indices.tolist() for r in ds.rows] == [[0, 2], [1]]
 
 
 def test_parse_basic():
@@ -26,8 +63,8 @@ def test_parse_basic():
     assert ds.n == 2 and ds.d == 3
     assert ds.labels.tolist() == [1.0, -1.0]
     # libsvm indices are 1-based
-    assert ds.rows[0].indices.tolist() == [0, 2]
-    assert ds.rows[0].values.tolist() == [0.5, 2.0]
+    assert ds.row(0)[0].tolist() == [0, 2]
+    assert ds.row(0)[1].tolist() == [0.5, 2.0]
 
 
 def test_parse_dim_override_and_errors():
@@ -48,9 +85,9 @@ def test_round_trip():
     ds = parse_libsvm(io.StringIO(text))
     again = parse_libsvm(io.StringIO(write_libsvm(ds)))
     assert again.n == ds.n and again.d == ds.d
-    for a, b in zip(ds.rows, again.rows):
-        assert a.indices.tolist() == b.indices.tolist()
-        assert a.values.tolist() == b.values.tolist()
+    assert again.indptr.tolist() == ds.indptr.tolist()
+    assert again.col_indices.tolist() == ds.col_indices.tolist()
+    assert again.col_values.tolist() == ds.col_values.tolist()
 
 
 @settings(max_examples=50, deadline=None)
@@ -65,21 +102,24 @@ def test_round_trip():
 ))
 def test_round_trip_property(rows):
     d = 21
-    built = [SparseRow(sorted(cols), [cols[k] for k in sorted(cols)], d) for _, cols in rows]
-    ds = Dataset(built, [lab for lab, _ in rows])
+    indptr = np.cumsum([0] + [len(cols) for _, cols in rows])
+    idx = [k for _, cols in rows for k in sorted(cols)]
+    vals = [cols[k] for _, cols in rows for k in sorted(cols)]
+    ds = Dataset(indptr, idx, vals, [lab for lab, _ in rows], d)
     again = parse_libsvm(io.StringIO(write_libsvm(ds)), dim=d)
     assert again.labels.tolist() == ds.labels.tolist()
-    for a, b in zip(ds.rows, again.rows):
-        assert a.indices.tolist() == b.indices.tolist()
-        assert np.array_equal(a.values, b.values)
+    assert again.indptr.tolist() == ds.indptr.tolist()
+    assert again.col_indices.tolist() == ds.col_indices.tolist()
+    assert np.array_equal(again.col_values, ds.col_values)
 
 
 def test_csr_matches_rows():
     ds = parse_libsvm(io.StringIO("1 1:2 3:4\n-1 2:-1\n1 1:1 2:1 3:1\n"))
     m = ds.to_csr().toarray()
     dense = np.zeros((3, 3))
-    for i, row in enumerate(ds.rows):
-        dense[i, row.indices] = row.values
+    for i in range(ds.n):
+        idx, vals = ds.row(i)
+        dense[i, idx] = vals
     assert np.array_equal(m, dense)
     x = np.array([1.0, -2.0, 0.5])
     assert np.allclose(ds.margins(x), dense @ x)
@@ -103,3 +143,27 @@ def test_dataset_hash_sensitivity():
     ds3 = parse_libsvm(io.StringIO("1 1:1\n-1 2:1.0000001\n"))
     assert dataset_hash(ds1) == dataset_hash(ds2)
     assert dataset_hash(ds1) != dataset_hash(ds3)
+
+
+def test_dataset_hash_pinned():
+    """dataset_hash keys VROPT_CACHE entries; these digests must not move."""
+    pinned = {
+        "synth:mushrooms:0": "96eec80bfd84b63d286062cf1aae28680b380a6b272580869e35893aa844ec4b",
+        "synth:sparse:0": "3c7dd0eac404a2c15e7d5a9fa690875c401580a7aea14797c003b133123349c9",
+        "synth:tiny": "0ab6bd35aa934ec6e2c8b9e424b4c575868ff04e8e3bf33a391f5ca14bf81be0",
+    }
+    for path, digest in pinned.items():
+        assert dataset_hash(load_dataset(path)) == digest, path
+    text = "# header\n+1 1:0.5 3:2 4:0\n-1 2:-1.25e-3 # tail\n0\n1 4:7\n"
+    assert dataset_hash(parse_libsvm(io.StringIO(text))) == (
+        "c0323b30b5b0c1f439d94a7baf2df2f540b3ea7f3853331fe7c0e75166f3934c")
+
+
+def test_mushrooms_env_file(tmp_path, monkeypatch):
+    path = tmp_path / "mush.svm"
+    path.write_text("1 1:1 3:0.5\n-1 2:2\n")
+    monkeypatch.setenv("VROPT_MUSHROOMS", str(path))
+    for ds in (bench_data.mushrooms_like(), load_dataset("synth:mushrooms")):
+        assert (ds.n, ds.d) == (2, 3)
+        assert ds.labels.tolist() == [1.0, -1.0]
+        assert ds.col_indices.tolist() == [0, 2, 1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vropt.bench_data import tiny, toy_classification
-from vropt.data import Dataset, SparseRow
+from vropt.data import Dataset
 from vropt.diag import (
     StopRule,
     TraceRecord,
@@ -75,7 +75,7 @@ def test_golden_section_parabola():
 
 def test_solve_reference_analytic():
     # f(x) = 0.5(x-2)^2 + 0.25 x^2 has the stationary point 4/3
-    ds = Dataset([SparseRow([0], [1.0], 1)], [2.0])
+    ds = Dataset([0, 1], [0], [1.0], [2.0], 1)
     obj = GlmObjective(ds, "half_squared", l2=0.5)
     x, f = solve_reference(obj, tol=1e-13, cache=False)
     assert x[0] == pytest.approx(4.0 / 3.0, rel=1e-10)
@@ -85,7 +85,7 @@ def test_solve_reference_analytic():
 
 def test_solve_reference_l1_analytic():
     # soft-thresholded stationarity: 1.5x - 2 + 0.4 = 0 on the positive branch
-    ds = Dataset([SparseRow([0], [1.0], 1)], [2.0])
+    ds = Dataset([0, 1], [0], [1.0], [2.0], 1)
     obj = GlmObjective(ds, "half_squared", l2=0.5, l1=0.4)
     x, f = solve_reference(obj, tol=1e-13, cache=False)
     assert x[0] == pytest.approx(1.6 / 1.5, rel=1e-10)

@@ -55,7 +55,7 @@ def test_label_validation():
     labels[0] = 0.3
     from vropt.data import Dataset
 
-    bad = Dataset(ds.rows, labels)
+    bad = Dataset(ds.indptr, ds.col_indices, ds.col_values, labels, ds.d)
     with pytest.raises(ValueError):
         GlmObjective(bad, "logistic", l2=0.1)
     # regression accepts arbitrary reals
@@ -110,7 +110,7 @@ def test_smoothness_constants():
     ds = toy_classification(seed=1, n=15, d=4)
     obj = GlmObjective(ds, "half_squared", l2=0.25)
     info = smoothness(obj)
-    sq = [float(np.dot(r.values, r.values)) for r in ds.rows]
+    sq = [float(np.dot(ds.row(i)[1], ds.row(i)[1])) for i in range(ds.n)]
     assert info.l_max == pytest.approx(max(sq) + 0.25, rel=1e-15)
     assert info.l_mean == pytest.approx(np.mean(sq) + 0.25, rel=1e-15)
     # global L from the gram spectrum, so l_max >= l_full >= mu

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vropt.bench_data import sparse_gaussian, tiny, toy_classification, toy_regression
-from vropt.data import Dataset, SparseRow
+from vropt.data import Dataset
 from vropt.diag import dual_objective, solve_reference
 from vropt.objectives import GlmObjective, smoothness
 from vropt.optimizers import (
@@ -22,12 +22,12 @@ from vropt.schedules import armijo_policy, lipschitz_scheme, uniform_scheme
 
 
 def _one_example(a=2.0, b=1.0):
-    ds = Dataset([SparseRow([0], [a], 1)], [b])
+    ds = Dataset([0, 1], [0], [a], [b], 1)
     return GlmObjective(ds, "half_squared", l2=0.0)
 
 
 def _two_example():
-    ds = Dataset([SparseRow([0], [2.0], 1), SparseRow([0], [1.0], 1)], [1.0, 1.0])
+    ds = Dataset([0, 1, 2], [0, 0], [2.0, 1.0], [1.0, 1.0], 1)
     return GlmObjective(ds, "half_squared", l2=0.0)
 
 
@@ -227,13 +227,13 @@ def test_scalar_table_matches_dense_storage():
     rng = np.random.default_rng(4)
     x = rng.normal(size=obj.d)
     for i in (3, 7, 3, 11):
-        row = ds.rows[i]
+        idx, vals = ds.row(i)
         s = obj.grad_i_scalar(x, i)
         for t in (ts, td):
-            delta = s * row.values - t.cov_vals(i, row)  # steppers own gsum
-            t.store(i, row, s * row.values, s)
-            t.gsum[row.indices] += delta
-        assert np.array_equal(ts.cov_vals(i, row), td.cov_vals(i, row))
+            delta = s * vals - t.cov_vals(i, idx, vals)  # steppers own gsum
+            t.store(i, idx, s * vals, s)
+            t.gsum[idx] += delta
+        assert np.array_equal(ts.cov_vals(i, idx, vals), td.cov_vals(i, idx, vals))
     assert np.allclose(ts.mean(), td.mean(), rtol=0, atol=0)
     assert ts.mean_rel_error(obj) <= 1e-14
 
