@@ -323,13 +323,15 @@ def parse_compare_spec(text):
     for k in ("l1", "epochs", "checkpoint_every"):
         if k in top:
             _number(top[k], k)
+    if "checkpoint_every" in top and not 0 < float(top["checkpoint_every"]) < np.inf:
+        raise UsageError("checkpoint_every must be positive and finite")
     if "l2" in top and top["l2"] != "1/n":
         _number(top["l2"], "l2")
     if "dim" in top and not top["dim"].isdigit():
         raise UsageError("dim must be a positive integer")
     seeds = top.get("seeds", "0").split()
-    if not seeds or not all(s.lstrip("-").isdigit() for s in seeds):
-        raise UsageError("seeds must be a space-separated list of integers")
+    if not seeds or not all(s.isdigit() for s in seeds):
+        raise UsageError("seeds must be a space-separated list of nonnegative integers")
     top["seeds"] = [int(s) for s in seeds]
     return top, entries
 

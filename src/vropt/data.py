@@ -197,18 +197,24 @@ def parse_libsvm(source, dim=None):
                    np.frombuffer(col_values, dtype=np.float64), labels, d)
 
 
-def write_libsvm(dataset):
-    """Canonical LIBSVM text (17 significant digits, 1-based indices)."""
-    out = []
+def _libsvm_lines(dataset):
     for i in range(dataset.n):
         idx, vals = dataset.row(i)
         parts = ["%.17g" % dataset.labels[i]]
         for j, v in zip(idx, vals):
             parts.append("%d:%.17g" % (j + 1, v))
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"
+        yield " ".join(parts) + "\n"
+
+
+def write_libsvm(dataset):
+    """Canonical LIBSVM text (17 significant digits, 1-based indices)."""
+    return "".join(_libsvm_lines(dataset))
 
 
 def dataset_hash(dataset):
-    """sha256 of the canonical serialization; keys the reference cache."""
-    return hashlib.sha256(write_libsvm(dataset).encode()).hexdigest()
+    """sha256 of the canonical serialization, fed one line at a time; keys
+    the reference cache."""
+    h = hashlib.sha256()
+    for line in _libsvm_lines(dataset):
+        h.update(line.encode())
+    return h.hexdigest()

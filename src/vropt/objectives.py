@@ -226,18 +226,6 @@ class SmoothnessInfo:
     l_full_exact: bool
     mu_lower: float
 
-    @property
-    def kappa(self):
-        return self.l_full / self.mu_lower if self.mu_lower > 0 else np.inf
-
-    @property
-    def kappa_max(self):
-        return self.l_max / self.mu_lower if self.mu_lower > 0 else np.inf
-
-    @property
-    def kappa_mean(self):
-        return self.l_mean / self.mu_lower if self.mu_lower > 0 else np.inf
-
 
 def power_iteration_sq(A, tol=1e-10, max_iter=10_000, seed=12345):
     """Largest eigenvalue of (1/n) A A^T for sparse CSR A.

@@ -15,6 +15,7 @@ true full gradient.
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -148,7 +149,6 @@ class SvrgState:
         self.s_ref = None
         self.loss_ref = None  # loss part of grad f(x_ref)
         self.grad_ref = None  # full grad f(x_ref)
-        self.inner_done = 0
 
 
 class SarahState:
@@ -158,7 +158,6 @@ class SarahState:
         self.t = int(t)
         self.g = None
         self.x_prev = None
-        self.inner_done = 0
 
 
 class DualState:
@@ -181,25 +180,38 @@ class DualState:
 
 
 # ---------------------------------------------------------------------------
-# single steps (mutate x in place unless noted; i may be an int or an array)
+# single steps (mutate x in place; batch is a sequence of int row indices)
+#
+# Every per-example method makes the same move (_move); each step below only
+# works out its pieces: the anchor term, the per-row vectors, and whether x
+# shrinks by the l2 factor.
 
 
-def _as_batch(i):
-    if isinstance(i, (int, np.integer)):
-        return (int(i),)
-    return tuple(int(j) for j in i)
-
-
-def _pull(obj, x, idxs, gamma):
+def _pull(obj, x, batch, gamma):
     """(j, indices, values, loss'(a_j^T x, b_j)) per sampled j; every margin
     is checked before the caller changes any state."""
     pulls = []
-    for j in idxs:
+    for j in batch:
         idx, vals = obj.data.row(j)
         m = float(np.dot(vals, x[idx]))
         _check_finite(m, gamma)
         pulls.append((j, idx, vals, obj.loss.deriv(m, obj.labels[j])))
     return pulls
+
+
+def _move(obj, x, gamma, weight, anchor, rows, decay=True):
+    """x <- (1 - gamma*l2) x + weight*anchor, then x[idx] -= vec for each
+    (idx, vec) in rows, then the l1 prox. decay=False keeps x unshrunk (the
+    direction already carries l2*x); anchor None drops that term."""
+    if decay:
+        x *= 1.0 - gamma * obj.l2
+    if anchor is not None:
+        x += weight * anchor
+    for idx, vec in rows:
+        x[idx] -= vec
+    if obj.l1:
+        x[:] = obj.prox(gamma, x)
+    return x
 
 
 def gd_step(obj, x, gamma):
@@ -212,82 +224,53 @@ def gd_step(obj, x, gamma):
     return x
 
 
-def sgd_step(obj, x, i, gamma, momentum=None):
-    """Plain or momentum stochastic step on the sampled example(s)."""
-    idxs = _as_batch(i)
-    b = len(idxs)
-    lam = obj.l2
-    pulls = _pull(obj, x, idxs, gamma)
-    if momentum is None:
-        x *= 1.0 - gamma * lam
-        for _, idx, vals, s in pulls:
-            x[idx] -= (gamma / b) * s * vals
-    else:
-        mv = momentum.m
-        mv *= momentum.beta
-        if lam:
-            mv += lam * x
-        for _, idx, vals, s in pulls:
-            mv[idx] += (s / b) * vals
-        x -= gamma * mv
-    if obj.l1:
-        x[:] = obj.prox(gamma, x)
-    return x
+def shift_step(obj, x, batch, gamma, ref=None, anchor=None, anchor_scale=0.0):
+    """Control-variate step
+    x <- (1 - gamma*l2) x + gamma*anchor_scale*anchor - (gamma/b) sum_j (s_j - ref_j) a_j
+    with s_j = loss'(a_j^T x). Plain sgd has no ref and no anchor; sgd_star
+    shifts by ref = loss'(a_j^T x*) with anchor (l2, x*); the svrg inner step
+    by the snapshot scalars with anchor (-1, loss part of grad f(x_ref))."""
+    c = gamma / len(batch)
+    rows = [(idx, (c * (s if ref is None else s - ref[j])) * vals)
+            for j, idx, vals, s in _pull(obj, x, batch, gamma)]
+    return _move(obj, x, gamma, gamma * anchor_scale, anchor if anchor_scale else None, rows)
 
 
-def sgd_star_step(obj, x, i, gamma, star):
-    """Reference-shifted step x - gamma*(grad f_i(x) - grad f_i(x*))."""
-    idxs = _as_batch(i)
-    b = len(idxs)
-    lam = obj.l2
-    pulls = _pull(obj, x, idxs, gamma)
-    x *= 1.0 - gamma * lam
-    if lam:
-        x += (gamma * lam) * star.x_star
-    for j, idx, vals, s in pulls:
-        x[idx] -= (gamma / b) * (s - star.scalars[j]) * vals
-    if obj.l1:
-        x[:] = obj.prox(gamma, x)
-    return x
-
-
-def sag_step(table, obj, x, i, gamma, seen_norm=False):
-    """Averaged-gradient step: refresh the table first, then move with the
-    refreshed average (divided by n, or by the seen count when seen_norm)."""
-    lam = obj.l2
-    for j, idx, vals, s_new in _pull(obj, x, _as_batch(i), gamma):
-        new_vals = s_new * vals
-        delta = new_vals - table.cov_vals(j, idx, vals)
-        table.store(j, idx, new_vals, s_new)
+def table_step(table, obj, x, batch, gamma, saga=False, seen_norm=False):
+    """Averaged-gradient step. sag refreshes the sampled entries first, then
+    moves along the refreshed average (gsum over n, or over the seen count
+    when seen_norm). saga moves with the pre-step average plus (gamma/b)
+    Delta_j per draw, Delta_j = fresh minus stored entry, and stores after
+    the move. A row drawn twice is stored once: its second Delta is 0."""
+    fresh = {}
+    for j, idx, vals, s in _pull(obj, x, batch, gamma):
+        if j not in fresh:
+            new_vals = s * vals
+            fresh[j] = (idx, new_vals, s, new_vals - table.cov_vals(j, idx, vals))
+    if saga:
+        c = gamma / len(batch)
+        rows = [(fresh[j][0], c * fresh[j][3]) for j in batch]  # every draw, repeats too
+        _move(obj, x, gamma, -(gamma / table.n), table.gsum, rows)
+    for j, (idx, new_vals, s, delta) in fresh.items():
+        table.store(j, idx, new_vals, s)
         table.gsum[idx] += delta
-    denom = table.seen_count if seen_norm else table.n
-    x *= 1.0 - gamma * lam
-    x -= (gamma / denom) * table.gsum
-    if obj.l1:
-        x[:] = obj.prox(gamma, x)
+    if not saga:
+        denom = table.seen_count if seen_norm else table.n
+        _move(obj, x, gamma, -(gamma / denom), table.gsum, ())
     return x
 
 
-def saga_step(table, obj, x, i, gamma):
-    """Unbiased table step: covariate uses the pre-step table entry and the
-    pre-step average; the table is updated after the move."""
-    idxs = _as_batch(i)
-    b = len(idxs)
-    lam = obj.l2
-    pulls = []
-    for j, idx, vals, s_new in _pull(obj, x, idxs, gamma):
-        new_vals = s_new * vals
-        pulls.append((j, idx, new_vals, s_new, new_vals - table.cov_vals(j, idx, vals)))
-    x *= 1.0 - gamma * lam
-    x -= (gamma / table.n) * table.gsum
-    for j, idx, new_vals, s_new, delta in pulls:
-        x[idx] -= (gamma / b) * delta
-    for j, idx, new_vals, s_new, delta in pulls:
-        table.store(j, idx, new_vals, s_new)
-        table.gsum[idx] += delta
-    if obj.l1:
-        x[:] = obj.prox(gamma, x)
-    return x
+def momentum_step(state, obj, x, batch, gamma):
+    """Heavy ball: m <- beta*m + grad f_B(x), then x <- x - gamma*m."""
+    b = len(batch)
+    mv = state.m
+    pulls = _pull(obj, x, batch, gamma)
+    mv *= state.beta
+    if obj.l2:
+        mv += obj.l2 * x
+    for _, idx, vals, s in pulls:
+        mv[idx] += (s / b) * vals
+    return _move(obj, x, gamma, -gamma, mv, (), decay=False)
 
 
 def svrg_outer_refresh(state, obj, x):
@@ -296,44 +279,24 @@ def svrg_outer_refresh(state, obj, x):
     state.s_ref = obj.loss.deriv_vec(obj.data.margins(x), obj.labels)
     state.loss_ref = (obj.data.to_csr().T @ state.s_ref) / obj.n
     state.grad_ref = state.loss_ref + obj.l2 * state.x_ref
-    state.inner_done = 0
     return state
-
-
-def svrg_inner_step(state, obj, x, i, gamma):
-    """Anchored step x - gamma*(grad f_i(x) - grad f_i(x_ref) + grad f(x_ref))."""
-    if state.x_ref is None:
-        raise RuntimeError("inner step before any refresh")
-    idxs = _as_batch(i)
-    b = len(idxs)
-    lam = obj.l2
-    pulls = _pull(obj, x, idxs, gamma)
-    x *= 1.0 - gamma * lam
-    x -= gamma * state.loss_ref
-    for j, idx, vals, s in pulls:
-        x[idx] -= (gamma / b) * (s - state.s_ref[j]) * vals
-    if obj.l1:
-        x[:] = obj.prox(gamma, x)
-    state.inner_done += 1
-    return x
 
 
 def sarah_refresh(state, obj, x):
     state.g = obj.full_grad(x)
     state.x_prev = x.copy()
-    state.inner_done = 0
     return state
 
 
-def sarah_step(state, obj, x, i, gamma):
-    """Continuous correction g += grad f_i(x) - grad f_i(x_prev); biased."""
+def sarah_step(state, obj, x, batch, gamma):
+    """Continuous correction g += grad f_B(x) - grad f_B(x_prev), then
+    x <- x - gamma*g; biased."""
     if state.g is None:
         raise RuntimeError("inner step before any refresh")
-    idxs = _as_batch(i)
-    b = len(idxs)
+    b = len(batch)
     lam = obj.l2
     pulls = []
-    for j in idxs:
+    for j in batch:
         idx, vals = obj.data.row(j)
         m_now = float(np.dot(vals, x[idx]))
         m_prev = float(np.dot(vals, state.x_prev[idx]))
@@ -345,11 +308,7 @@ def sarah_step(state, obj, x, i, gamma):
     for idx, vals, ds in pulls:
         state.g[idx] += (ds / b) * vals
     state.x_prev[:] = x
-    x -= gamma * state.g
-    if obj.l1:
-        x[:] = obj.prox(gamma, x)
-    state.inner_done += 1
-    return x
+    return _move(obj, x, gamma, -gamma, state.g, (), decay=False)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +467,10 @@ class RunConfig:
     x_star: np.ndarray | None = None
     warm_start_sgd_epochs: float = 0.0
     checkpoint_every: float = 1.0
-    var_checkpoints: bool = False
     stop: str | None = None
     f_star: float | None = None
     record_iterates: bool = False
-    record_every: int = 1
-    var_epochs: frozenset | None = None  # restrict var_est to these epochs
+    var_epochs: frozenset | None = None  # record var_est at these epochs (None: never)
 
 
 @dataclass
@@ -540,8 +497,14 @@ def _validate(config, obj):
             raise ConfigError("sdca is a single-coordinate method (batch=1)")
         if (config.scheme or uniform_scheme()).kind != "uniform":
             raise ConfigError("sdca supports uniform sampling only")
+    if config.method == "sdca" and config.warm_start_sgd_epochs:
+        raise ConfigError("sdca has no primal step to warm-start with sgd")
     if config.epochs < 0:
         raise ConfigError("epochs must be nonnegative")
+    if not 0 < config.checkpoint_every < np.inf:
+        raise ConfigError("checkpoint_every must be positive and finite")
+    if config.seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     if config.inner_t is not None and config.inner_t < 1:
         raise ConfigError("inner_t must be a positive integer")
     rule = StopRule.parse(config.stop)
@@ -618,8 +581,8 @@ class Recorder:
             rec.grad_norm = float(np.linalg.norm(gbar + obj.l2 * x))
         elif obj.loss.smooth:
             rec.grad_norm = float(np.linalg.norm(obj.full_grad(cur)))
-        if config.var_checkpoints and self.estimator is not None:
-            if config.var_epochs is None or int(round(rec.epoch)) in config.var_epochs:
+        if config.var_epochs is not None and self.estimator is not None:
+            if int(round(rec.epoch)) in config.var_epochs:
                 _, rec.var_est = enum_stats(obj, self.estimator, cur)
         rec.time_s = time.perf_counter() - self.t0
         self.records.append(rec)
@@ -667,36 +630,43 @@ def run(config, obj, x0=None):
     evals = 0
     steps = 0
 
-    # method state
+    # method state, and the per-example step step(x, batch, gamma)
     table = None
-    momentum = None
     svrg = None
     sarah = None
     dual = None
-    star = None
     estimator = None
+    step = None
     if method in TABLE_METHODS:
         table = GradientTable(obj, config.table_mode)
         aux["table"] = table
+        step = partial(table_step, table, obj, saga=method == "saga", seen_norm=config.seen_norm)
         if method == "saga":
             estimator = saga_estimator(obj, table)
         else:
             estimator = sag_estimator(obj, table, config.seen_norm)
-    elif method in ("sgd", "sgd_momentum"):
-        if method == "sgd_momentum":
-            momentum = MomentumState(m=np.zeros(obj.d), beta=config.beta)
+    elif method == "sgd":
+        step = partial(shift_step, obj)
+        estimator = sgd_estimator(obj)
+    elif method == "sgd_momentum":
+        step = partial(momentum_step, MomentumState(m=np.zeros(obj.d), beta=config.beta), obj)
         estimator = sgd_estimator(obj)
     elif method == "sgd_star":
         star = star_table(obj, config.x_star)
+        step = partial(shift_step, obj, ref=star.scalars, anchor=star.x_star, anchor_scale=obj.l2)
         estimator = sgd_star_estimator(obj, star)
         aux["star"] = star
     elif method == "svrg":
         svrg = SvrgState(config.inner_t or n)
         aux["svrg"] = svrg
         estimator = svrg_estimator(obj, svrg)
+
+        def step(x, batch, g):
+            return shift_step(obj, x, batch, g, svrg.s_ref, svrg.loss_ref, -1.0)
     elif method == "sarah":
         sarah = SarahState(config.inner_t or n)
         aux["sarah"] = sarah
+        step = partial(sarah_step, sarah, obj)
     elif method == "sdca":
         dual = DualState(obj)
         aux["dual"] = dual
@@ -704,23 +674,28 @@ def run(config, obj, x0=None):
     recorder = Recorder(config, obj, rule, gamma, estimator, table, dual)
 
     def note_iterate():
-        if config.record_iterates and steps % config.record_every == 0:
+        if config.record_iterates:
             iterates.append((steps, x.copy()))
 
-    recorder.checkpoint(x, evals, force=True)
-    note_iterate()
-    stopped = False
-    try:
-        # optional plain-SGD warm phase, charged to the same counters
-        while evals < warm_budget and not stopped:
-            batch = sample(scheme, rng, n)
-            g = gamma if gamma is not None else _armijo_gamma(obj, x, batch, armijo, aux)
-            sgd_step(obj, x, batch, g)
+    def per_example(stepper, until):
+        """Sampled steps until evals reaches until; True once the stop rule is met."""
+        nonlocal evals, steps
+        while evals < until:
+            batch = sample(scheme, rng, n).tolist()
+            g = gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux)
+            stepper(x, batch, g)
             evals += len(batch)
             steps += 1
             note_iterate()
-            stopped = recorder.checkpoint(x, evals)
+            if recorder.checkpoint(x, evals):
+                return True
+        return False
 
+    recorder.checkpoint(x, evals, force=True)
+    note_iterate()
+    try:
+        # optional plain-SGD warm phase, charged to the same counters
+        stopped = per_example(partial(shift_step, obj), warm_budget)
         if lazy:
             evals, lazy_x = sparse_jit.run_jit(recorder, x, scheme, rng, budget)
             aux.update(jit=True, lazy=lazy_x, touched_coords=lazy_x.touched)
@@ -728,22 +703,6 @@ def run(config, obj, x0=None):
             while evals < budget and not stopped:
                 x = gd_step(obj, x, gamma)
                 evals += n
-                steps += 1
-                note_iterate()
-                stopped = recorder.checkpoint(x, evals)
-        elif method in ("sgd", "sgd_momentum", "sgd_star") or method in TABLE_METHODS:
-            while evals < budget and not stopped:
-                batch = sample(scheme, rng, n)
-                g = gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux)
-                if method in ("sgd", "sgd_momentum"):
-                    sgd_step(obj, x, batch, g, momentum)
-                elif method == "sgd_star":
-                    sgd_star_step(obj, x, batch, g, star)
-                elif method == "sag":
-                    sag_step(table, obj, x, batch, g, config.seen_norm)
-                else:
-                    saga_step(table, obj, x, batch, g)
-                evals += len(batch)
                 steps += 1
                 note_iterate()
                 stopped = recorder.checkpoint(x, evals)
@@ -763,17 +722,14 @@ def run(config, obj, x0=None):
                         recorder.checkpoint(x, evals, force=True)
                         break
                 for _ in range(state.t):
-                    batch = sample(scheme, rng, n)
+                    batch = sample(scheme, rng, n).tolist()
                     g = gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux)
-                    if method == "svrg":
-                        svrg_inner_step(state, obj, x, batch, g)
-                    else:
-                        sarah_step(state, obj, x, batch, g)
+                    step(x, batch, g)
                     evals += 2 * len(batch)
                     steps += 1
                     note_iterate()
                     recorder.checkpoint(x, evals)
-        else:  # sdca
+        elif method == "sdca":
             min_gain = np.inf
             while evals < budget and not stopped:
                 i = sample(scheme, rng, n)[0]
@@ -784,6 +740,8 @@ def run(config, obj, x0=None):
                 steps += 1
                 stopped = recorder.checkpoint(x, evals)
             aux["min_dual_gain"] = min_gain
+        elif not stopped:
+            per_example(step, budget)
     except DivergenceError as err:
         err.records = recorder.records
         raise

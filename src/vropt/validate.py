@@ -31,18 +31,15 @@ from .optimizers import (
     RunConfig,
     SvrgState,
     run,
-    sag_step,
     saga_estimator,
-    saga_step,
     sdca_step,
     sgd_estimator,
     sgd_star_estimator,
-    sgd_star_step,
-    sgd_step,
+    shift_step,
     star_table,
     svrg_estimator,
-    svrg_inner_step,
     svrg_outer_refresh,
+    table_step,
 )
 from .schedules import minibatch_smoothness, sample, uniform_scheme
 
@@ -90,7 +87,7 @@ def _bench_runs():
         obj, info, x_star, f_star = _bench()
         g = 1.0 / info.l_max
         n = obj.n
-        var = {"var_checkpoints": True, "var_epochs": frozenset({1, 30})}
+        var = {"var_epochs": frozenset({1, 30})}
         grid = {
             "sag": {"gamma": g},
             "svrg": {"gamma": g, "inner_t": n, **var},
@@ -220,7 +217,7 @@ def check_smoothness_inequalities():
     x = np.zeros(obj_log.d)
     est = saga_estimator(obj_log, table)
     for k in range(200):
-        saga_step(table, obj_log, x, int(r.integers(obj_log.n)), 1.0 / info_log.l_max)
+        table_step(table, obj_log, x, [int(r.integers(obj_log.n))], 1.0 / info_log.l_max, saga=True)
         if k % 20 == 0:
             ok2, _, _ = check_lemma2(obj_log, est, x)
             lemma2_ok = lemma2_ok and ok2
@@ -272,15 +269,15 @@ def check_unbiasedness(flip_sign=False):
             est = sgd_estimator(obj)
         for cp in range(10):
             for _ in range(25):
-                i = int(rng.integers(obj.n))
+                batch = [int(rng.integers(obj.n))]
                 if method == "saga":
-                    saga_step(state, obj, x, i, g)
+                    table_step(state, obj, x, batch, g, saga=True)
                 elif method == "sgd_star":
-                    sgd_star_step(obj, x, i, g, state)
+                    shift_step(obj, x, batch, g, state.scalars, state.x_star, obj.l2)
                 elif method == "svrg":
-                    svrg_inner_step(state, obj, x, i, g)
+                    shift_step(obj, x, batch, g, state.s_ref, state.loss_ref, -1.0)
                 else:
-                    sgd_step(obj, x, i, g)
+                    shift_step(obj, x, batch, g)
             mean, var = enum_stats(obj, est, x)
             grad = obj.full_grad(x)
             rel = float(np.linalg.norm(mean - grad) / (1.0 + np.linalg.norm(grad)))
@@ -315,12 +312,12 @@ def check_table_mean_identity():
     g = 1.0 / info.l_max
     worst = 0.0
     for mode in ("dense", "scalar"):
-        for stepper in (sag_step, saga_step):
+        for saga in (False, True):
             table = GradientTable(obj, mode)
             rng = RandomSource(9)
             x = np.zeros(obj.d)
             for k in range(1, 1001):
-                stepper(table, obj, x, int(rng.integers(obj.n)), g)
+                table_step(table, obj, x, [int(rng.integers(obj.n))], g, saga)
                 if k % 100 == 0:
                     worst = max(worst, table.mean_rel_error(obj))
     ok = worst <= 1e-10

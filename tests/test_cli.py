@@ -141,6 +141,14 @@ def test_compare_spec_errors(tmp_path, capsys):
         assert _run("compare", str(zero)) == 1
         assert "positive integer" in capsys.readouterr().err
         assert not (tmp_path / "zero").exists()  # rejected before any run
+    for line, msg in (("seeds = 0 -1", "nonnegative"), ("checkpoint_every = 0", "positive"),
+                      ("checkpoint_every = -1", "positive"), ("checkpoint_every = inf", "finite")):
+        spec = tmp_path / "neg.spec"
+        spec.write_text("data = synth:tiny\nout = %s\n%s\n[method]\nname = saga\n"
+                        % (tmp_path / "neg", line))
+        assert _run("compare", str(spec)) == 1
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "neg").exists()  # no partial grid
 
 
 def test_dim_rejected_for_synthetic_data(tmp_path, capsys):

@@ -12,23 +12,29 @@ from vropt.optimizers import (
     GradientTable,
     MomentumState,
     RunConfig,
+    SarahState,
+    SvrgState,
+    momentum_step,
     run,
-    sag_step,
-    saga_step,
+    sarah_refresh,
+    sarah_step,
     sdca_step,
-    sgd_step,
+    shift_step,
+    star_table,
+    svrg_outer_refresh,
+    table_step,
 )
 from vropt.schedules import armijo_policy, lipschitz_scheme, uniform_scheme
 
 
-def _one_example(a=2.0, b=1.0):
+def _one_example(a=2.0, b=1.0, l2=0.0):
     ds = Dataset([0, 1], [0], [a], [b], 1)
-    return GlmObjective(ds, "half_squared", l2=0.0)
+    return GlmObjective(ds, "half_squared", l2=l2)
 
 
-def _two_example():
+def _two_example(l2=0.0):
     ds = Dataset([0, 1, 2], [0, 0], [2.0, 1.0], [1.0, 1.0], 1)
-    return GlmObjective(ds, "half_squared", l2=0.0)
+    return GlmObjective(ds, "half_squared", l2=l2)
 
 
 def test_saga_stores_after_step():
@@ -37,9 +43,9 @@ def test_saga_stores_after_step():
     table = GradientTable(obj, "dense")
     x = np.zeros(1)
     g = 0.1
-    saga_step(table, obj, x, 0, g)
+    table_step(table, obj, x, [0], g, saga=True)
     assert x[0] == pytest.approx(2 * g, rel=1e-15)
-    saga_step(table, obj, x, 0, g)
+    table_step(table, obj, x, [0], g, saga=True)
     assert x[0] == pytest.approx(4 * g - 8 * g * g, rel=1e-14)
 
 
@@ -50,18 +56,85 @@ def test_sag_refreshes_before_step():
     obj = _two_example()
     x = np.zeros(1)
     table = GradientTable(obj, "dense")
-    sag_step(table, obj, x, 0, g)
+    table_step(table, obj, x, [0], g)
     assert x[0] == pytest.approx(g, rel=1e-15)  # gsum/2
 
     x2 = np.zeros(1)
     table2 = GradientTable(obj, "dense")
-    saga_step(table2, obj, x2, 0, g)
+    table_step(table2, obj, x2, [0], g, saga=True)
     assert x2[0] == pytest.approx(2 * g, rel=1e-15)
 
     x3 = np.zeros(1)
     table3 = GradientTable(obj, "dense")
-    sag_step(table3, obj, x3, 0, g, seen_norm=True)
+    table_step(table3, obj, x3, [0], g, seen_norm=True)
     assert x3[0] == pytest.approx(2 * g, rel=1e-15)  # gsum/seen
+
+
+def test_saga_repeated_row_stored_once():
+    # with-replacement batches can draw a row twice: the move counts both
+    # draws, the table and its running sum take the row once
+    obj = _two_example()
+    table = GradientTable(obj, "dense")
+    x = np.zeros(1)
+    table_step(table, obj, x, [0, 0], 0.1, saga=True)
+    assert x[0] == pytest.approx(0.2, rel=1e-15)  # (g/2)*(2 + 2)
+    assert table.gsum[0] == table.v[0, 0] == -2.0
+    # a 20-epoch Lipschitz mini-batch run keeps the running sum exact
+    ds = toy_classification(seed=0, n=20, d=5)
+    obj = GlmObjective(ds, "logistic", l2=0.1)
+    info = smoothness(obj)
+    res = run(RunConfig(method="saga", epochs=20.0, seed=0, gamma=0.5 / info.l_max,
+                        scheme=lipschitz_scheme(info.per_example, batch=4)), obj)
+    assert res.aux["table"].mean_rel_error(obj) <= 1e-14
+    assert res.records[-1].grad_norm <= 1e-4
+
+
+def test_sgd_star_single_steps():
+    # x+ = x - g*(grad f_B(x) - grad f_B(x*)), x* here any anchor point
+    g, xs = 0.1, np.array([0.25])
+    obj = _one_example(l2=0.5)  # grad f(x) = 2(2x - 1) + x/2
+    star = star_table(obj, xs)
+    x = np.ones(1)
+    shift_step(obj, x, [0], g, star.scalars, star.x_star, obj.l2)
+    assert x[0] == pytest.approx(1.0 - g * (2.5 + 0.875), rel=1e-14)
+    obj = _two_example()  # mean over the batch of a_j^2 (x - x*) = 2.5 (x - x*)
+    star = star_table(obj, xs)
+    x = np.ones(1)
+    shift_step(obj, x, [0, 1], g, star.scalars, star.x_star, obj.l2)
+    assert x[0] == pytest.approx(1.0 - g * 2.5 * 0.75, rel=1e-14)
+
+
+def test_svrg_inner_single_steps():
+    # x+ = x - g*(grad f_B(x) - grad f_B(x_ref) + grad f(x_ref)), x_ref = 0
+    g = 0.1
+    for obj, batch, direction in (
+        (_one_example(l2=0.5), [0], 2.5),  # one example: grad f(1)
+        (_two_example(l2=0.5), [0], 2.5 + 2.0 - 1.5),
+        (_two_example(l2=0.5), [0, 1], 1.5),  # the full batch: grad f(1)
+    ):
+        state = svrg_outer_refresh(SvrgState(t=1), obj, np.zeros(1))
+        x = np.ones(1)
+        shift_step(obj, x, batch, g, state.s_ref, state.loss_ref, -1.0)
+        assert x[0] == pytest.approx(1.0 - g * direction, rel=1e-14)
+
+
+def test_sarah_single_steps():
+    # g_k = g_{k-1} + grad f_B(x_k) - grad f_B(x_{k-1}); x+ = x - gamma*g_k
+    g = 0.1
+    obj = _one_example(l2=0.5)  # one example: plain gradient descent
+    state = sarah_refresh(SarahState(t=2), obj, np.ones(1))
+    x = np.ones(1)
+    sarah_step(state, obj, x, [0], g)
+    assert x[0] == pytest.approx(0.75, rel=1e-15)
+    sarah_step(state, obj, x, [0], g)
+    assert x[0] == pytest.approx(0.75 - g * 1.375, rel=1e-14)
+    obj = _two_example(l2=0.5)
+    state = sarah_refresh(SarahState(t=2), obj, np.ones(1))
+    x = np.ones(1)
+    sarah_step(state, obj, x, [1], g)
+    assert x[0] == pytest.approx(0.85, rel=1e-14)
+    sarah_step(state, obj, x, [0], g)  # g = 1.5 + grad f_0(0.85) - grad f_0(1)
+    assert x[0] == pytest.approx(0.85 - g * (1.5 - 0.675), rel=1e-14)
 
 
 def test_gd_one_step_quadratic():
@@ -75,9 +148,9 @@ def test_momentum_accumulation():
     obj = _one_example(a=1.0, b=1.0)
     x = np.zeros(1)
     mom = MomentumState(np.zeros(1), beta=0.5)
-    sgd_step(obj, x, 0, 0.1, momentum=mom)
+    momentum_step(mom, obj, x, [0], 0.1)
     assert x[0] == pytest.approx(0.1, rel=1e-15)
-    sgd_step(obj, x, 0, 0.1, momentum=mom)
+    momentum_step(mom, obj, x, [0], 0.1)
     # m2 = 0.5*(-1) + (x1-1) = -1.4
     assert x[0] == pytest.approx(0.24, rel=1e-14)
 
@@ -154,10 +227,10 @@ def test_record_iterates_cadence():
     ds = tiny(seed=0)
     obj = GlmObjective(ds, "logistic", l2=0.1)
     res = run(RunConfig(method="sgd", gamma=0.1, epochs=5.0, seed=0,
-                        record_iterates=True, record_every=5), obj)
-    ks = [k for k, _ in res.iterates]
-    assert all(k % 5 == 0 or k == ks[-1] for k in ks)
-    assert ks[-1] == 30  # 5 epochs * n=6
+                        record_iterates=True), obj)
+    # the start, then every step: 5 epochs * n=6
+    assert [k for k, _ in res.iterates] == list(range(31))
+    assert np.array_equal(res.iterates[-1][1], res.x)
 
 
 def test_sdca_dual_ascent_and_w_consistency():
@@ -209,6 +282,11 @@ def test_config_validation():
         (RunConfig(method="saga", epochs=-1.0), obj),
         (RunConfig(method="svrg", inner_t=0), obj),
         (RunConfig(method="svrg", inner_t=-3), obj),
+        (RunConfig(method="saga", checkpoint_every=0.0), obj),
+        (RunConfig(method="saga", checkpoint_every=-1.0), obj),
+        (RunConfig(method="saga", checkpoint_every=float("inf")), obj),
+        (RunConfig(method="saga", seed=-1), obj),
+        (RunConfig(method="sdca", warm_start_sgd_epochs=1.0), obj),
         (RunConfig(method="sag", stop="gap:1e-6", gamma=0.1), obj),
         (RunConfig(method="sgd", stop="gbar:1e-6", gamma=0.1), obj),
         (RunConfig(method="sdca", stop="grad:1e-6"), obj),

@@ -97,7 +97,7 @@ def test_jit_run_parity(method):
     data = sparse_gaussian(seed=3, n=120, d=80)
     obj = GlmObjective(data, "logistic", l2=0.01)
     base = dict(method=method, epochs=4.0, seed=3, table_mode="scalar", gamma=0.3,
-                var_checkpoints=True, var_epochs=frozenset({1, 3}))
+                var_epochs=frozenset({1, 3}))
     plain = run(RunConfig(jit="off", **base), obj)
     lazy = run(RunConfig(jit="on", **base), obj)
     assert np.linalg.norm(lazy.x - plain.x) <= 1e-12 * (1 + np.linalg.norm(plain.x))
