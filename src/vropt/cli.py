@@ -306,6 +306,8 @@ def parse_compare_spec(text):
         for k in ("gamma", "beta", "warm_start_sgd_epochs"):
             if k in entry:
                 _number(entry[k], k)
+        if not 0 <= float(entry.get("warm_start_sgd_epochs", "0")) < np.inf:
+            raise UsageError("method %s: warm_start_sgd_epochs must be nonnegative and finite" % label)
         for k in ("batch", "inner_t"):
             if k in entry and not (entry[k].isdigit() and int(entry[k]) >= 1):
                 raise UsageError("method %s: %s must be a positive integer" % (label, k))
@@ -325,6 +327,8 @@ def parse_compare_spec(text):
             _number(top[k], k)
     if "checkpoint_every" in top and not 0 < float(top["checkpoint_every"]) < np.inf:
         raise UsageError("checkpoint_every must be positive and finite")
+    if "epochs" in top and not 0 <= float(top["epochs"]) < np.inf:
+        raise UsageError("epochs must be nonnegative and finite")
     if "l2" in top and top["l2"] != "1/n":
         _number(top["l2"], "l2")
     if "dim" in top and not top["dim"].isdigit():

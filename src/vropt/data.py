@@ -60,6 +60,8 @@ class Dataset:
         self.n = n
         self.d = int(d)
         self._csr = None
+        self._csr_t = None
+        self._hash = None
 
     def row(self, i):
         """(indices, values) of row i: read-only views, no copy."""
@@ -88,6 +90,13 @@ class Dataset:
         """All a_i^T x as one vector of length n."""
         return self.to_csr() @ x
 
+    def weighted_sum(self, s):
+        """sum_i s_i a_i, i.e. A^T s, as one vector of length d. A^T is built
+        once, as a CSC view over the CSR arrays (no copy)."""
+        if self._csr_t is None:
+            self._csr_t = self.to_csr().T
+        return self._csr_t @ s
+
 
 class RandomSource:
     """Deterministic 64-bit generator (numpy PCG64) owned by one run.
@@ -107,8 +116,11 @@ class RandomSource:
     def child(self, stream):
         return RandomSource(self.seed, stream)
 
-    def integers(self, low, high=None):
-        return int(self._gen.integers(low, high))
+    def integers(self, low, high=None, size=None):
+        """One int, or an int64 array when size is given; a block of size k
+        continues the stream exactly as k single draws would."""
+        out = self._gen.integers(low, high, size)
+        return int(out) if size is None else out
 
     def random(self, size=None):
         out = self._gen.random(size)
@@ -213,8 +225,10 @@ def write_libsvm(dataset):
 
 def dataset_hash(dataset):
     """sha256 of the canonical serialization, fed one line at a time; keys
-    the reference cache."""
-    h = hashlib.sha256()
-    for line in _libsvm_lines(dataset):
-        h.update(line.encode())
-    return h.hexdigest()
+    the reference cache. Computed once per Dataset (it is immutable)."""
+    if dataset._hash is None:
+        h = hashlib.sha256()
+        for line in _libsvm_lines(dataset):
+            h.update(line.encode())
+        dataset._hash = h.hexdigest()
+    return dataset._hash

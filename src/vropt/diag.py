@@ -258,15 +258,22 @@ def _ref_key(obj, tol):
     return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
 
-def composite_residual(obj, x, info=None):
-    """||grad f(x)|| when l1=0, else the prox-gradient mapping norm at 1/L."""
+def _prox_grad(obj, x, gamma):
+    """(step, residual) from one full gradient g at x: the (prox-)gradient
+    step prox(gamma, x - gamma*g) and the residual certifying x, ||g|| when
+    l1=0, else the prox-gradient mapping norm ||x - step|| / gamma."""
     g = obj.full_grad(x)
     if not obj.l1:
-        return float(np.linalg.norm(g))
-    info = info or smoothness(obj)
-    gamma = 1.0 / info.l_full
+        return x - gamma * g, float(np.linalg.norm(g))
     step = obj.prox(gamma, x - gamma * g)
-    return float(np.linalg.norm(x - step) / gamma)
+    return step, float(np.linalg.norm(x - step) / gamma)
+
+
+def composite_residual(obj, x, info=None):
+    """||grad f(x)|| when l1=0, else the prox-gradient mapping norm at 1/L."""
+    if not obj.l1:
+        return _prox_grad(obj, x, 1.0)[1]  # the residual does not depend on gamma
+    return _prox_grad(obj, x, 1.0 / (info or smoothness(obj)).l_full)[1]
 
 
 def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
@@ -309,20 +316,26 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
     for chunk in range(60):
         if res <= 0.5 * tol:
             break
-        cfg = RunConfig(method="saga", epochs=chunk_epochs, seed=0, table_mode="scalar")
+        # 1/L_max is the theory stepsize run() would work out from smoothness again
+        cfg = RunConfig(method="saga", epochs=chunk_epochs, seed=0, table_mode="scalar",
+                        gamma=1.0 / info.l_max)
         x = run(cfg, obj, x0=x).x
         new_res = composite_residual(obj, x, info)
         if new_res >= res * 0.9:  # stalled at the floating-point floor
             res = min(res, new_res)
             break
         res = new_res
-    # pinned polish loop: full (prox-)gradient descent at gamma = 1/L
+    # pinned polish loop: full (prox-)gradient descent at gamma = 1/L; the
+    # residual test and the step share one gradient, so x moves to the step
+    # the test just computed
     gamma = 1.0 / info.l_full
+    step, res = _prox_grad(obj, x, gamma)
     iters = 0
-    while composite_residual(obj, x, info) > tol:
+    while res > tol:
         if iters >= max_iter:
             raise RuntimeError("reference solve exceeded %d iterations" % max_iter)
-        x = obj.prox(gamma, x - gamma * obj.full_grad(x)) if obj.l1 else x - gamma * obj.full_grad(x)
+        x = step
+        step, res = _prox_grad(obj, x, gamma)
         iters += 1
     f = obj.objective_value(x)
     if cache:

@@ -193,7 +193,7 @@ class GlmObjective:
     def loss_grad_full(self, x):
         """(1/n) sum_i loss'_i a_i, the loss part of the full gradient."""
         s = self.loss_scalars(x)
-        return (self.data.to_csr().T @ s) / self.n
+        return self.data.weighted_sum(s) / self.n
 
     def full_grad(self, x):
         return self.loss_grad_full(x) + self.l2 * x

@@ -35,6 +35,7 @@ from .schedules import (
 
 METHODS = ("gd", "sgd", "sgd_momentum", "sgd_star", "sag", "saga", "svrg", "sarah", "sdca")
 TABLE_METHODS = ("sag", "saga")
+DRAW_BLOCK = 1024  # uniform single draws taken per generator call
 
 
 class DivergenceError(RuntimeError):
@@ -104,7 +105,7 @@ class GradientTable:
     def mean_from_scratch(self, obj):
         """Recomputed (1/n) sum_i v^i, bypassing the running sum."""
         if self.mode == "scalar":
-            total = obj.data.to_csr().T @ self.s
+            total = obj.data.weighted_sum(self.s)
         else:
             total = self.v.sum(axis=0)
         return total / self.n
@@ -172,7 +173,7 @@ class DualState:
         self.w = np.zeros(obj.d)
 
     def recompute_w(self, obj):
-        return (obj.data.to_csr().T @ self.v) / (obj.l2 * obj.n)
+        return obj.data.weighted_sum(self.v) / (obj.l2 * obj.n)
 
     def w_rel_error(self, obj):
         ref = self.recompute_w(obj)
@@ -277,7 +278,7 @@ def svrg_outer_refresh(state, obj, x):
     """Re-anchor at x: store the snapshot, its loss scalars, and gradients."""
     state.x_ref = x.copy()
     state.s_ref = obj.loss.deriv_vec(obj.data.margins(x), obj.labels)
-    state.loss_ref = (obj.data.to_csr().T @ state.s_ref) / obj.n
+    state.loss_ref = obj.data.weighted_sum(state.s_ref) / obj.n
     state.grad_ref = state.loss_ref + obj.l2 * state.x_ref
     return state
 
@@ -443,6 +444,19 @@ def svrg_estimator(obj, state):
 # run driver
 
 
+def index_batches(scheme, rng, n):
+    """Endless index batches (lists of ints) for one run, in the order
+    sample() would draw them. Uniform single draws come DRAW_BLOCK at a time
+    from one generator call, which continues the stream exactly as that many
+    single draws; mini-batch and Lipschitz batches call sample per batch."""
+    if scheme.kind == "uniform" and scheme.batch == 1:
+        while True:
+            for i in rng.integers(n, size=DRAW_BLOCK).tolist():
+                yield [i]
+    while True:
+        yield sample(scheme, rng, n).tolist()
+
+
 @dataclass
 class RunConfig:
     """Everything one run needs besides the objective itself.
@@ -499,8 +513,10 @@ def _validate(config, obj):
             raise ConfigError("sdca supports uniform sampling only")
     if config.method == "sdca" and config.warm_start_sgd_epochs:
         raise ConfigError("sdca has no primal step to warm-start with sgd")
-    if config.epochs < 0:
-        raise ConfigError("epochs must be nonnegative")
+    if not 0 <= config.epochs < np.inf:
+        raise ConfigError("epochs must be nonnegative and finite")
+    if not 0 <= config.warm_start_sgd_epochs < np.inf:
+        raise ConfigError("warm_start_sgd_epochs must be nonnegative and finite")
     if not 0 < config.checkpoint_every < np.inf:
         raise ConfigError("checkpoint_every must be positive and finite")
     if config.seed < 0:
@@ -608,7 +624,7 @@ def run(config, obj, x0=None):
     method = config.method
     n = obj.n
     scheme = config.scheme or uniform_scheme()
-    rng = RandomSource(config.seed)
+    draws = index_batches(scheme, RandomSource(config.seed), n)
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=np.float64)
 
     gamma = None
@@ -681,7 +697,7 @@ def run(config, obj, x0=None):
         """Sampled steps until evals reaches until; True once the stop rule is met."""
         nonlocal evals, steps
         while evals < until:
-            batch = sample(scheme, rng, n).tolist()
+            batch = next(draws)
             g = gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux)
             stepper(x, batch, g)
             evals += len(batch)
@@ -697,7 +713,7 @@ def run(config, obj, x0=None):
         # optional plain-SGD warm phase, charged to the same counters
         stopped = per_example(partial(shift_step, obj), warm_budget)
         if lazy:
-            evals, lazy_x = sparse_jit.run_jit(recorder, x, scheme, rng, budget)
+            evals, lazy_x = sparse_jit.run_jit(recorder, x, draws, budget)
             aux.update(jit=True, lazy=lazy_x, touched_coords=lazy_x.touched)
         elif method == "gd":
             while evals < budget and not stopped:
@@ -722,7 +738,7 @@ def run(config, obj, x0=None):
                         recorder.checkpoint(x, evals, force=True)
                         break
                 for _ in range(state.t):
-                    batch = sample(scheme, rng, n).tolist()
+                    batch = next(draws)
                     g = gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux)
                     step(x, batch, g)
                     evals += 2 * len(batch)
@@ -732,8 +748,7 @@ def run(config, obj, x0=None):
         elif method == "sdca":
             min_gain = np.inf
             while evals < budget and not stopped:
-                i = sample(scheme, rng, n)[0]
-                gain = sdca_step(dual, obj, int(i))
+                gain = sdca_step(dual, obj, next(draws)[0])
                 if gain < min_gain:
                     min_gain = gain
                 evals += 1

@@ -20,7 +20,8 @@ this engine targets.
 import numpy as np
 
 from .diag import enum_stats  # noqa: F401 -- perfbench/tracing.py wraps this name here
-from .schedules import sample, uniform_scheme
+from .schedules import sample  # noqa: F401 -- perfbench/tracing.py wraps this name here
+from .schedules import uniform_scheme
 
 
 class LazyIterate:
@@ -95,23 +96,23 @@ def jit_compatible(config, obj, gamma):
     return None
 
 
-def run_jit(recorder, x, scheme, rng, budget):
+def run_jit(recorder, x, draws, budget):
     """Lazy sag/saga loop over x in place, for optimizers.run.
 
     run() has validated the configuration, built the scalar table and taken
-    the first checkpoint; recorder carries them. Returns (evals, the
-    LazyIterate, whose touched counter is the work actually performed).
+    the first checkpoint; recorder carries them, draws is the run's
+    optimizers.index_batches source. Returns (evals, the LazyIterate, whose
+    touched counter is the work actually performed).
     """
     from .optimizers import _check_finite
 
     config, obj, gamma, table = recorder.config, recorder.obj, recorder.gamma, recorder.table
     method = config.method
-    n = obj.n
     lazy = LazyIterate(x, 1.0 - gamma * obj.l2)
     recorder.sync = lambda: lazy.materialize(table.gsum)
     evals = 0
     while evals < budget:
-        i = int(sample(scheme, rng, n)[0])
+        i = next(draws)[0]
         idx, vals = obj.data.row(i)
         lazy.catch_up(idx, table.gsum)
         m = float(np.dot(vals, x[idx]))

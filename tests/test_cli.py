@@ -59,6 +59,12 @@ def test_usage_exit_codes(capsys, tmp_path):
     assert _run("run", "--data", "synth:tiny", "--method", "sgd",
                 "--gamma", "0.1", "--stop", "loss:1") == 1
     assert _run("run", "--data", "synth:tiny", "--method", "sgd") == 1  # no gamma
+    for flag, value in (("--epochs", "inf"), ("--epochs", "nan"), ("--warm-start-sgd-epochs", "inf")):
+        out = tmp_path / "never.csv"
+        assert _run("run", "--data", "synth:tiny", "--l2", "0.1", "--method", "saga",
+                    flag, value, "--out", str(out)) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
     with pytest.raises(SystemExit) as exc:
         _run("run", "--data", "synth:tiny", "--method", "nope")
     assert exc.value.code == 1
@@ -141,11 +147,15 @@ def test_compare_spec_errors(tmp_path, capsys):
         assert _run("compare", str(zero)) == 1
         assert "positive integer" in capsys.readouterr().err
         assert not (tmp_path / "zero").exists()  # rejected before any run
-    for line, msg in (("seeds = 0 -1", "nonnegative"), ("checkpoint_every = 0", "positive"),
-                      ("checkpoint_every = -1", "positive"), ("checkpoint_every = inf", "finite")):
+    for line, entry, msg in (("seeds = 0 -1", "", "nonnegative"), ("checkpoint_every = 0", "", "positive"),
+                             ("checkpoint_every = -1", "", "positive"),
+                             ("checkpoint_every = inf", "", "finite"), ("epochs = inf", "", "finite"),
+                             ("epochs = nan", "", "finite"), ("epochs = -1", "", "nonnegative"),
+                             ("", "warm_start_sgd_epochs = inf", "finite"),
+                             ("", "warm_start_sgd_epochs = nan", "finite")):
         spec = tmp_path / "neg.spec"
-        spec.write_text("data = synth:tiny\nout = %s\n%s\n[method]\nname = saga\n"
-                        % (tmp_path / "neg", line))
+        spec.write_text("data = synth:tiny\nout = %s\n%s\n[method]\nname = saga\n%s\n"
+                        % (tmp_path / "neg", line, entry))
         assert _run("compare", str(spec)) == 1
         assert msg in capsys.readouterr().err
         assert not (tmp_path / "neg").exists()  # no partial grid

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vropt import bench_data
+from vropt import bench_data, data
 from vropt.bench_data import load_dataset
 from vropt.data import Dataset, ParseError, RandomSource, dataset_hash, parse_libsvm, write_libsvm
 
@@ -123,6 +123,12 @@ def test_csr_matches_rows():
     assert np.array_equal(m, dense)
     x = np.array([1.0, -2.0, 0.5])
     assert np.allclose(ds.margins(x), dense @ x)
+    # A^T s from the cached transpose: the same product as a fresh csr.T,
+    # over the CSR arrays themselves
+    s = np.array([0.5, -3.0, 2.0])
+    assert np.array_equal(ds.weighted_sum(s), ds.to_csr().T @ s)
+    assert np.allclose(ds.weighted_sum(s), dense.T @ s)
+    assert np.shares_memory(ds._csr_t.data, ds.to_csr().data)
 
 
 def test_random_source_streams():
@@ -157,6 +163,14 @@ def test_dataset_hash_pinned():
     text = "# header\n+1 1:0.5 3:2 4:0\n-1 2:-1.25e-3 # tail\n0\n1 4:7\n"
     assert dataset_hash(parse_libsvm(io.StringIO(text))) == (
         "c0323b30b5b0c1f439d94a7baf2df2f540b3ea7f3853331fe7c0e75166f3934c")
+
+
+def test_dataset_hash_once(monkeypatch):
+    # a Dataset is immutable, so its digest is serialized once and kept
+    ds = load_dataset("synth:tiny")
+    first = dataset_hash(ds)
+    monkeypatch.setattr(data, "_libsvm_lines", lambda _: pytest.fail("serialized twice"))
+    assert dataset_hash(ds) == first
 
 
 def test_mushrooms_env_file(tmp_path, monkeypatch):

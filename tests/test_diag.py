@@ -1,10 +1,11 @@
+import hashlib
 import io
 import os
 
 import numpy as np
 import pytest
 
-from vropt.bench_data import tiny, toy_classification
+from vropt.bench_data import tiny, toy_classification, toy_regression
 from vropt.data import Dataset
 from vropt.diag import (
     StopRule,
@@ -71,6 +72,23 @@ def test_golden_section_parabola():
     # boundary maximum
     arg = golden_section_max(lambda v: v, 0.0, 2.0, tol=1e-14)
     assert arg == pytest.approx(2.0, abs=1e-6)
+
+
+def test_solve_reference_pinned():
+    # x* bytes and f* must not move: every suboptimality figure is measured
+    # against them; a cap one short of the polish iterations needed raises
+    cases = [
+        (GlmObjective(toy_classification(seed=0, n=30, d=6), "logistic", l2=0.1), 18,
+         "f0c9eeda2002e7ad1d56b99e33e65d54c3a265baffe47b74547662b395cc04e1", 0.6336334678319744),
+        (GlmObjective(toy_regression(seed=0), "half_squared", l2=0.1, l1=0.05), 22,
+         "a7aef561a75f57f1798fbdb4f6a9ac84ec31581e265315ade3e82ab0168e325b", 0.5386007815911933),
+    ]
+    for obj, iters, digest, f_star in cases:
+        for max_iter in (iters, 1_000_000):
+            x, f = solve_reference(obj, tol=1e-12, cache=False, max_iter=max_iter)
+            assert (hashlib.sha256(x.tobytes()).hexdigest(), f) == (digest, f_star)
+        with pytest.raises(RuntimeError):
+            solve_reference(obj, tol=1e-12, cache=False, max_iter=iters - 1)
 
 
 def test_solve_reference_analytic():

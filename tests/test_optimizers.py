@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from vropt.bench_data import sparse_gaussian, tiny, toy_classification, toy_regression
-from vropt.data import Dataset
+from vropt.data import Dataset, RandomSource
 from vropt.diag import dual_objective, solve_reference
 from vropt.objectives import GlmObjective, smoothness
 from vropt.optimizers import (
+    DRAW_BLOCK,
     ConfigError,
     DivergenceError,
     DualState,
@@ -14,6 +17,7 @@ from vropt.optimizers import (
     RunConfig,
     SarahState,
     SvrgState,
+    index_batches,
     momentum_step,
     run,
     sarah_refresh,
@@ -24,7 +28,7 @@ from vropt.optimizers import (
     svrg_outer_refresh,
     table_step,
 )
-from vropt.schedules import armijo_policy, lipschitz_scheme, uniform_scheme
+from vropt.schedules import armijo_policy, lipschitz_scheme, sample, uniform_scheme
 
 
 def _one_example(a=2.0, b=1.0, l2=0.0):
@@ -280,6 +284,11 @@ def test_config_validation():
         (RunConfig(method="sgd_star", gamma=0.1), obj),
         (RunConfig(method="sdca", scheme=uniform_scheme(batch=2)), obj),
         (RunConfig(method="saga", epochs=-1.0), obj),
+        (RunConfig(method="saga", epochs=float("inf")), obj),
+        (RunConfig(method="saga", epochs=float("nan")), obj),
+        (RunConfig(method="saga", gamma=0.1, warm_start_sgd_epochs=float("inf")), obj),
+        (RunConfig(method="saga", gamma=0.1, warm_start_sgd_epochs=float("nan")), obj),
+        (RunConfig(method="saga", gamma=0.1, warm_start_sgd_epochs=-1.0), obj),
         (RunConfig(method="svrg", inner_t=0), obj),
         (RunConfig(method="svrg", inner_t=-3), obj),
         (RunConfig(method="saga", checkpoint_every=0.0), obj),
@@ -360,3 +369,43 @@ def test_minibatch_run():
     assert res.records[-1].f < res.records[0].f
     assert res.records[-1].grad_norm < 0.05
     assert res.grad_evals >= 12 * 48
+
+
+def test_index_batches_match_sample():
+    # block draws continue the stream exactly as one sample() call per draw,
+    # across block boundaries; other schemes are sample's batches as drawn
+    k = 2 * DRAW_BLOCK + 5
+    cases = [(uniform_scheme(), n) for n in (1, 7, 8124, 2**33)]
+    cases += [(uniform_scheme(batch=3), 7), (lipschitz_scheme([1.0, 2.0, 3.0, 4.0], batch=2), 4)]
+    for scheme, n in cases:
+        draws = index_batches(scheme, RandomSource(3), n)
+        rng = RandomSource(3)
+        for _ in range(k):
+            assert next(draws) == sample(scheme, rng, n).tolist()
+
+
+def test_run_final_iterates_pinned():
+    # sha256 of the final iterate and the eval count, pinned: block draws
+    # must replay the one-draw-per-call index stream. Each run draws more
+    # than DRAW_BLOCK indices, so leftovers cross the warm phase, svrg stages
+    # (inner_t does not divide the block) and the sdca and lazy loops
+    cls = GlmObjective(toy_classification(seed=0, n=300, d=8), "logistic", l2=0.01)
+    sp = GlmObjective(sparse_gaussian(seed=0), "logistic", l2=1e-3)
+    lip = lipschitz_scheme(smoothness(cls).per_example)
+    cases = [
+        (cls, dict(method="saga", epochs=3.0, warm_start_sgd_epochs=1.5, gamma=0.2, seed=1), 1350,
+         "06628be951f6caafbf8f4b64474e72fcd6a02f7c2fd77198b1c478336a4a7c99"),
+        (cls, dict(method="svrg", epochs=20.0, inner_t=300, seed=2), 6300,
+         "4918d58685c5445d8271cd907813ac2ff4969548f562507e659e87941b608af9"),
+        (cls, dict(method="sdca", epochs=5.0, seed=3), 1500,
+         "a586a3e9395927bdaf25ea65b565d6aed8c0cddf9ff4e7788866e986c8a33d12"),
+        (sp, dict(method="saga", epochs=30.0, seed=4, table_mode="scalar", jit="on", stop="grad:1e-3"),
+         9000, "15159e29ac78141756379be61a9ddd4a308a06eac9f56971f406d771d4befe16"),
+        (cls, dict(method="saga", epochs=5.0, seed=5, scheme=uniform_scheme(batch=3)), 1500,
+         "6104fdba9b10a284c6b919f4a68802f1b0bfe858e8ae7ada7b992ba8fa2820c6"),
+        (cls, dict(method="sag", epochs=5.0, seed=6, scheme=lip), 1500,
+         "74bf1b91a548012ed1374a9042187231ee7dae1ea64e75da8c9653e0de211173"),
+    ]
+    for obj, kw, evals, digest in cases:
+        res = run(RunConfig(**kw), obj)
+        assert (res.grad_evals, hashlib.sha256(res.x.tobytes()).hexdigest()) == (evals, digest), kw
