@@ -209,26 +209,25 @@ def parse_libsvm(source, dim=None):
                    np.frombuffer(col_values, dtype=np.float64), labels, d)
 
 
-def _libsvm_lines(dataset):
-    for i in range(dataset.n):
-        idx, vals = dataset.row(i)
-        parts = ["%.17g" % dataset.labels[i]]
-        for j, v in zip(idx, vals):
-            parts.append("%d:%.17g" % (j + 1, v))
-        yield " ".join(parts) + "\n"
-
-
 def write_libsvm(dataset):
     """Canonical LIBSVM text (17 significant digits, 1-based indices)."""
-    return "".join(_libsvm_lines(dataset))
+    lines = []
+    for i, label in enumerate(dataset.labels.tolist()):
+        idx, vals = dataset.row(i)
+        parts = ["%.17g" % label]
+        parts.extend("%d:%.17g" % (j + 1, v) for j, v in zip(idx.tolist(), vals.tolist()))
+        lines.append(" ".join(parts) + "\n")
+    return "".join(lines)
 
 
 def dataset_hash(dataset):
-    """sha256 of the canonical serialization, fed one line at a time; keys
-    the reference cache. Computed once per Dataset (it is immutable)."""
+    """sha256 of a little-endian (n, d, nnz) header, then the raw indptr,
+    col_indices, col_values and labels bytes; keys the reference cache.
+    Computed once per Dataset (it is immutable)."""
     if dataset._hash is None:
-        h = hashlib.sha256()
-        for line in _libsvm_lines(dataset):
-            h.update(line.encode())
+        h = hashlib.sha256(np.array([dataset.n, dataset.d, dataset.col_indices.size], dtype="<i8"))
+        for a, dtype in ((dataset.indptr, "<i8"), (dataset.col_indices, "<i8"),
+                         (dataset.col_values, "<f8"), (dataset.labels, "<f8")):
+            h.update(np.ascontiguousarray(a, dtype=dtype))
         dataset._hash = h.hexdigest()
     return dataset._hash

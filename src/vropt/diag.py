@@ -3,8 +3,9 @@
 Everything here either measures a run (traces, rate fits, duality gaps) or
 checks an analytic claim by a dumb independent route (finite differences,
 exhaustive enumeration over examples, golden-section maximization, a
-reference solver certified by its residual). Oracles deliberately avoid the
-fast code paths they are used to test.
+deterministic FISTA reference solver certified by its residual). Oracles
+deliberately avoid the fast code paths they are used to test; nothing here
+runs the stochastic methods.
 """
 
 import hashlib
@@ -244,6 +245,7 @@ def golden_section_max(fn, lo, hi, tol=1e-12, max_iter=200):
 # reference solver
 
 
+REF_SOLVER = "fista-restart"  # part of the cache key: a new solver never reads old entries
 _REF_MEMO = {}
 
 
@@ -252,9 +254,8 @@ def cache_dir():
 
 
 def _ref_key(obj, tol):
-    raw = "|".join(
-        [dataset_hash(obj.data), obj.loss.name, "%.17g" % obj.l2, "%.17g" % obj.l1, "%.17g" % tol]
-    )
+    raw = "|".join([REF_SOLVER, dataset_hash(obj.data), "%d" % obj.d, obj.loss.name,
+                    "%.17g" % obj.l2, "%.17g" % obj.l1, "%.17g" % tol])
     return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
 
@@ -269,29 +270,26 @@ def _prox_grad(obj, x, gamma):
     return step, float(np.linalg.norm(x - step) / gamma)
 
 
-def composite_residual(obj, x, info=None):
-    """||grad f(x)|| when l1=0, else the prox-gradient mapping norm at 1/L."""
-    if not obj.l1:
-        return _prox_grad(obj, x, 1.0)[1]  # the residual does not depend on gamma
-    return _prox_grad(obj, x, 1.0 / (info or smoothness(obj)).l_full)[1]
-
-
 def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
     """Deterministic reference solution (x*, f*) certified by its residual.
 
-    A fixed-seed averaged-gradient warm phase drives the composite residual
-    toward machine level, then plain (prox-)gradient descent at gamma = 1/L
-    runs until the residual is <= tol; only that final test certifies x*.
-    Results are cached under $VROPT_CACHE keyed by dataset hash and
+    Accelerated (prox-)gradient descent from 0 at gamma = 1/L, one full
+    gradient per iteration, until the residual (||grad f||, or the
+    prox-gradient mapping norm when l1 > 0) is <= tol at the point returned;
+    only that test certifies x*. No stochastic method is involved. Results
+    are cached under $VROPT_CACHE keyed by solver, dataset hash, d and
     (loss, l2, l1, tol).
 
     Raises:
-        RuntimeError: the iteration cap is hit before the residual passes.
+        ValueError: l2 <= 0, or tol outside (0, inf).
+        RuntimeError: more than max_iter iterations are needed.
     """
     if not obj.loss.smooth:
         raise NonSmoothError("reference solver needs a smooth loss")
     if obj.l2 <= 0:
         raise ValueError("reference solver needs l2 > 0")
+    if not 0 < tol < math.inf:
+        raise ValueError("reference tolerance must lie in (0, inf), got %r" % tol)
     key = _ref_key(obj, tol)
     if cache and key in _REF_MEMO:
         x, f = _REF_MEMO[key]
@@ -306,37 +304,25 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
         _REF_MEMO[key] = (x.copy(), f)
         return x, f
 
-    from .optimizers import RunConfig, run  # deferred: avoids an import cycle
-
-    info = smoothness(obj)
-    x = np.zeros(obj.d)
-    # warm phase: fixed-seed stochastic passes until progress stalls
-    res = composite_residual(obj, x, info)
-    chunk_epochs = 10.0
-    for chunk in range(60):
-        if res <= 0.5 * tol:
-            break
-        # 1/L_max is the theory stepsize run() would work out from smoothness again
-        cfg = RunConfig(method="saga", epochs=chunk_epochs, seed=0, table_mode="scalar",
-                        gamma=1.0 / info.l_max)
-        x = run(cfg, obj, x0=x).x
-        new_res = composite_residual(obj, x, info)
-        if new_res >= res * 0.9:  # stalled at the floating-point floor
-            res = min(res, new_res)
-            break
-        res = new_res
-    # pinned polish loop: full (prox-)gradient descent at gamma = 1/L; the
-    # residual test and the step share one gradient, so x moves to the step
-    # the test just computed
-    gamma = 1.0 / info.l_full
-    step, res = _prox_grad(obj, x, gamma)
+    # FISTA (Beck & Teboulle 2009) at gamma = 1/L with gradient restart
+    # (O'Donoghue & Candes 2012): y is the extrapolated point, x the last
+    # step; the residual at y certifies y, the point returned
+    gamma = 1.0 / smoothness(obj).l_full
+    x = y = np.zeros(obj.d)
+    t = 1.0
+    step, res = _prox_grad(obj, y, gamma)
     iters = 0
     while res > tol:
         if iters >= max_iter:
             raise RuntimeError("reference solve exceeded %d iterations" % max_iter)
-        x = step
-        step, res = _prox_grad(obj, x, gamma)
+        if np.dot(y - step, step - x) > 0:  # momentum points uphill: restart
+            t = 1.0
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = step + ((t - 1.0) / t_next) * (step - x)
+        x, t = step, t_next
+        step, res = _prox_grad(obj, y, gamma)
         iters += 1
+    x = y
     f = obj.objective_value(x)
     if cache:
         os.makedirs(cdir, exist_ok=True)

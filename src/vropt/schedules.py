@@ -58,11 +58,15 @@ def sample(scheme, rng, n):
             raise ValueError("batch %d exceeds n=%d without replacement" % (b, n))
         if b == 1:
             return np.array([draw_index(rng, n)], dtype=np.int64)
-        pool = np.arange(n)
-        for t in range(b):
-            j = t + rng.integers(0, n - t)
-            pool[t], pool[j] = pool[j], pool[t]
-        return pool[:b].copy()
+        # partial Fisher-Yates over a virtual pool 0..n-1: only swapped slots
+        # are stored, so a batch costs O(b) whatever n is
+        ts = np.arange(b)
+        pool = {}
+        out = []
+        for t, j in enumerate((ts + rng.integers(0, n - ts, b)).tolist()):
+            out.append(pool.get(j, j))
+            pool[j] = pool.get(t, t)
+        return np.array(out, dtype=np.int64)
     if len(scheme.probs) != n:
         raise ValueError("weight vector length %d != n=%d" % (len(scheme.probs), n))
     cum = scheme.cumprobs

@@ -107,6 +107,16 @@ def test_solve_ref_idempotent(tmp_path, monkeypatch):
     assert os.path.exists(prefix + ".fstar.txt")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_solve_ref_bad_tol(tol, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path / "cache"))
+    prefix = str(tmp_path / "ref")
+    assert _run("solve-ref", "--data", "synth:tiny", "--l2", "0.1", "--tol", tol,
+                "--out", prefix) == cli.EXIT_IO
+    assert "reference solve failed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_compare_grid(tmp_path):
     outdir = str(tmp_path / "grid")
     spec = tmp_path / "cmp.spec"

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -154,22 +156,28 @@ def test_dataset_hash_sensitivity():
 def test_dataset_hash_pinned():
     """dataset_hash keys VROPT_CACHE entries; these digests must not move."""
     pinned = {
-        "synth:mushrooms:0": "96eec80bfd84b63d286062cf1aae28680b380a6b272580869e35893aa844ec4b",
-        "synth:sparse:0": "3c7dd0eac404a2c15e7d5a9fa690875c401580a7aea14797c003b133123349c9",
-        "synth:tiny": "0ab6bd35aa934ec6e2c8b9e424b4c575868ff04e8e3bf33a391f5ca14bf81be0",
+        "synth:mushrooms:0": "8a66dbf0f2522406823dd4f77bfa8550cbdf8ce22f2ed9c81e6f946d1ccf9571",
+        "synth:sparse:0": "765c53e0a01d648228766b18a93211855a307d9bee7b9b1d196d9a60c2883f8d",
+        "synth:tiny": "d6a01eb61b940095c9024d98993e279ed90b3a5ed9e1c2765ae09f217b88e019",
     }
     for path, digest in pinned.items():
         assert dataset_hash(load_dataset(path)) == digest, path
     text = "# header\n+1 1:0.5 3:2 4:0\n-1 2:-1.25e-3 # tail\n0\n1 4:7\n"
-    assert dataset_hash(parse_libsvm(io.StringIO(text))) == (
-        "c0323b30b5b0c1f439d94a7baf2df2f540b3ea7f3853331fe7c0e75166f3934c")
+    ds = parse_libsvm(io.StringIO(text))
+    assert dataset_hash(ds) == (
+        "236756b6fddc1fda6bd65f53155a530c13fa6f54164a41533e2bcb9d0d0735a9")
+    # the digest is over (n, d, nnz) and the raw arrays, all little-endian
+    raw = struct.pack("<3q", 4, 4, 4) + struct.pack("<5q", 0, 2, 3, 3, 4)
+    raw += struct.pack("<4q", 0, 2, 1, 3) + struct.pack("<4d", 0.5, 2, -1.25e-3, 7)
+    raw += struct.pack("<4d", 1, -1, 0, 1)
+    assert dataset_hash(ds) == hashlib.sha256(raw).hexdigest()
 
 
 def test_dataset_hash_once(monkeypatch):
-    # a Dataset is immutable, so its digest is serialized once and kept
+    # a Dataset is immutable, so its digest is computed once and kept
     ds = load_dataset("synth:tiny")
     first = dataset_hash(ds)
-    monkeypatch.setattr(data, "_libsvm_lines", lambda _: pytest.fail("serialized twice"))
+    monkeypatch.setattr(data.hashlib, "sha256", lambda *a: pytest.fail("hashed twice"))
     assert dataset_hash(ds) == first
 
 

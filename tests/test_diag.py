@@ -5,14 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from vropt.bench_data import tiny, toy_classification, toy_regression
-from vropt.data import Dataset
+from vropt import diag, optimizers
+from vropt.bench_data import load_dataset, tiny, toy_classification, toy_regression
+from vropt.data import Dataset, dataset_hash, parse_libsvm
 from vropt.diag import (
     StopRule,
     TraceRecord,
     check_contraction,
     check_lemma1,
-    composite_residual,
     dual_objective,
     duality_gap,
     enum_stats,
@@ -76,12 +76,15 @@ def test_golden_section_parabola():
 
 def test_solve_reference_pinned():
     # x* bytes and f* must not move: every suboptimality figure is measured
-    # against them; a cap one short of the polish iterations needed raises
+    # against them; a cap one short of the iterations needed raises
+    sparse = load_dataset("synth:sparse:0")
     cases = [
-        (GlmObjective(toy_classification(seed=0, n=30, d=6), "logistic", l2=0.1), 18,
-         "f0c9eeda2002e7ad1d56b99e33e65d54c3a265baffe47b74547662b395cc04e1", 0.6336334678319744),
-        (GlmObjective(toy_regression(seed=0), "half_squared", l2=0.1, l1=0.05), 22,
-         "a7aef561a75f57f1798fbdb4f6a9ac84ec31581e265315ade3e82ab0168e325b", 0.5386007815911933),
+        (GlmObjective(toy_classification(seed=0, n=30, d=6), "logistic", l2=0.1), 20,
+         "2016b128640e849bbeb75594c15d8225ea9859db31fb0ab94a6d8673af2f8b2b", 0.6336334678319745),
+        (GlmObjective(toy_regression(seed=0), "half_squared", l2=0.1, l1=0.05), 20,
+         "18ee339aa0ca0e6cf53d761a578119207ceaf118d01fe194cd1a33823fa7fb29", 0.5386007815911933),
+        (GlmObjective(sparse, "logistic", l2=1.0 / sparse.n, l1=1e-3), 67,
+         "fe1501db7d6024b22f58d66d4fb825cfd7e9716fdbfe4f762d7ae1a1356c4041", 0.5877601814450515),
     ]
     for obj, iters, digest, f_star in cases:
         for max_iter in (iters, 1_000_000):
@@ -91,6 +94,21 @@ def test_solve_reference_pinned():
             solve_reference(obj, tol=1e-12, cache=False, max_iter=iters - 1)
 
 
+def test_solve_reference_runs_no_method(monkeypatch):
+    # the oracle must not certify the stochastic code it is used to test
+    monkeypatch.setattr(optimizers, "run", lambda *a, **k: pytest.fail("solver ran a method"))
+    x, _ = solve_reference(_toy(), tol=1e-12, cache=False)
+    assert np.linalg.norm(_toy().full_grad(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_solve_reference_rejects_bad_tol(tol, tmp_path, monkeypatch):
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path))
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_reference(_toy(), tol=tol)
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_reference_analytic():
     # f(x) = 0.5(x-2)^2 + 0.25 x^2 has the stationary point 4/3
     ds = Dataset([0, 1], [0], [1.0], [2.0], 1)
@@ -98,7 +116,7 @@ def test_solve_reference_analytic():
     x, f = solve_reference(obj, tol=1e-13, cache=False)
     assert x[0] == pytest.approx(4.0 / 3.0, rel=1e-10)
     assert f == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert composite_residual(obj, x) <= 1e-12
+    assert np.linalg.norm(obj.full_grad(x)) <= 1e-12
 
 
 def test_solve_reference_l1_analytic():
@@ -121,6 +139,19 @@ def test_solve_reference_cache(tmp_path, monkeypatch):
     # different l2 keys a different entry
     solve_reference(_toy(l2=0.2), tol=1e-12)
     assert len(os.listdir(tmp_path)) > len(files)
+
+
+def test_solve_reference_cache_keys_dim(tmp_path, monkeypatch):
+    # the same rows padded to d=5 are a different problem with a length-5 x*
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path))
+    text = "1 1:0.5 2:1\n-1 2:-1\n1 1:2\n"
+    narrow, wide = parse_libsvm(text), parse_libsvm(text, dim=5)
+    assert dataset_hash(narrow) != dataset_hash(wide)
+    solve_reference(GlmObjective(narrow, "logistic", l2=0.1), tol=1e-12)
+    obj = GlmObjective(wide, "logistic", l2=0.1)
+    assert solve_reference(obj, tol=1e-12)[0].shape == (5,)
+    monkeypatch.setattr(diag, "_REF_MEMO", {})  # the next call reads the files
+    assert solve_reference(obj, tol=1e-12)[0].shape == (5,)
 
 
 def test_trace_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,25 @@ def test_sample_uniform_batches():
         assert all(0 <= int(i) < 10 for i in batch)
     with pytest.raises(ValueError):
         sample(uniform_scheme(batch=11), rng, 10)
+
+
+def test_sample_uniform_batches_pinned():
+    # three batches per (n, b, seed) and the draw after them, taken from the
+    # O(n) pool shuffle this sampler replaced: same indices, same stream
+    pinned = [
+        (2, 2, 0, "bca9717af5ebb0430ac1154bce6e80f06e8f11cb0330304605503fdfa0df0fde", 269786713),
+        (7, 3, 1, "4d2854d04794c44378ddbe2132efc1baac9f374bd21918247405ec9a61588cc8", 311831451),
+        (8124, 16, 2, "e746ca1202fcfec5fe182354320a0131bf1503de445c94bc8766e469ba5f6011", 976606707),
+        (50000, 64, 3, "1ac68bc3f9c2df1bd65d58b9cd762363d7560a2ed9a8b243fca21c53b42e9fd8", 304567239),
+        (100, 100, 4, "3b78ed1bba7c323904da7d683de95609f1fcdc69253a8bb8f2d4f1b778ff19e1", 391786130),
+    ]
+    for n, b, seed, digest, after in pinned:
+        rng = RandomSource(seed)
+        batches = np.array([sample(uniform_scheme(b), rng, n) for _ in range(3)], dtype=np.int64)
+        assert (hashlib.sha256(batches.tobytes()).hexdigest(), rng.integers(10**9)) == (digest, after)
+    # a pool of 2**33 slots would take 64 GB; the batch needs only its own b
+    batch = sample(uniform_scheme(16), RandomSource(0), 2**33)
+    assert len(set(batch.tolist())) == 16 and 0 <= batch.min() and batch.max() < 2**33
 
 
 def test_sample_deterministic():
