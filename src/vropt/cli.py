@@ -7,17 +7,22 @@ grid for 2-feature problems), validate (oracle suite).
 Exit codes are a stable contract: 0 success, 1 usage, 2 I/O, 3 divergence.
 Identical invocations produce byte-identical output files; wall-clock times
 are only written under --times.
+
+$VROPT_CACHE (default ~/.cache/vropt) holds the reference solutions and the
+parsed CSR arrays of each LIBSVM file read through --data, so a file is
+parsed once per cache; deleting the directory clears both.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 
 import numpy as np
 
 from .bench_data import load_dataset
-from .data import ParseError
-from .diag import StopRule, fit_linear_rate, solve_reference, write_trace
+from .data import ParseError, read_csr, write_csr
+from .diag import StopRule, cache_dir, fit_linear_rate, solve_reference, write_trace
 from .objectives import GlmObjective, smoothness
 from .optimizers import METHODS, ConfigError, DivergenceError, RunConfig, _resolve_gamma, run
 from .schedules import StepsizePolicy, lipschitz_scheme, uniform_scheme
@@ -30,6 +35,10 @@ EXIT_IO = 2
 EXIT_DIVERGED = 3
 
 LOSSES = ("half_squared", "logistic", "hinge")
+
+# leads the data-cache key: change it whenever parse_libsvm would read a file
+# differently or the entry layout (data.write_csr) changes
+DATA_CACHE_TAG = b"libsvm-csr-1"
 
 
 class UsageError(Exception):
@@ -53,9 +62,31 @@ class _Parser(argparse.ArgumentParser):
 # shared helpers
 
 
+def _data_entry(path, dim):
+    """Data-cache path of a LIBSVM file: a sha256 over the tag, the dim
+    override and the file's bytes, read 1 MiB at a time."""
+    h = hashlib.sha256(DATA_CACHE_TAG + b"|%s|" % str(dim).encode())
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return os.path.join(cache_dir(), h.hexdigest()[:24] + ".csr")
+
+
 def _load_data(path, dim=None):
+    """The Dataset behind --data. A LIBSVM file that parses is kept in the
+    data cache, and a later load of the same bytes and dim reads it back
+    instead of parsing; an absent, short or unreadable entry is parsed and
+    written again. Synthetic data, and what is not a regular file (a pipe,
+    say, which hashing would drain), is never cached."""
     try:
-        return load_dataset(path, dim=dim)
+        if path.startswith("synth:") or not os.path.isfile(path):
+            return load_dataset(path, dim=dim)
+        entry = _data_entry(path, dim)
+        try:
+            return read_csr(entry)
+        except (OSError, ValueError):
+            pass
+        data = load_dataset(path, dim=dim)
     except FileNotFoundError as e:
         raise IoError("dataset not found: %s" % (e.filename or path))
     except OSError as e:
@@ -64,6 +95,12 @@ def _load_data(path, dim=None):
         raise IoError("%s: %s" % (path, e))
     except ValueError as e:
         raise UsageError(str(e))
+    try:
+        os.makedirs(os.path.dirname(entry), exist_ok=True)
+        write_csr(entry, data)
+    except OSError:
+        pass  # an unwritable cache costs the next load a parse, nothing more
+    return data
 
 
 def _policy_from_text(text):

@@ -6,10 +6,14 @@ shifted at parse time.
 """
 
 import hashlib
+import math
+import struct
 from array import array
 from collections import namedtuple
 
 import numpy as np
+
+from . import vecio
 
 
 class ParseError(ValueError):
@@ -24,7 +28,8 @@ class Dataset:
 
     Held as CSR only: row i is col_indices/col_values[indptr[i]:indptr[i+1]],
     indices strictly increasing within a row and in [0, d), no stored zeros
-    (dropped here). The arrays are read-only views; the caller's stay writable.
+    (dropped here), values and labels finite. The arrays are read-only views;
+    the caller's stay writable.
     """
 
     def __init__(self, indptr, col_indices, col_values, labels, d):
@@ -48,13 +53,16 @@ class Dataset:
                 raise ValueError("indices must be strictly increasing")
             if indices.min() < 0 or indices.max() >= d:
                 raise ValueError("index out of range for dim=%d" % d)
+        labels = np.array(labels, dtype=np.float64)
+        if not (np.isfinite(values).all() and np.isfinite(labels).all()):
+            raise ValueError("values and labels must be finite")
         keep = values != 0.0
         if not keep.all():
             indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
             indices = indices[keep]
             values = values[keep]
         self.indptr, self.col_indices, self.col_values = indptr.view(), indices.view(), values.view()
-        self.labels = np.array(labels, dtype=np.float64)
+        self.labels = labels
         for a in (self.indptr, self.col_indices, self.col_values, self.labels):
             a.setflags(write=False)
         self.n = n
@@ -150,9 +158,9 @@ def parse_libsvm(source, dim=None):
         {0,1} -> {-1,+1} coercion happens when an objective is built.
 
     Raises:
-        ParseError: malformed token, non-increasing or sub-1 index, an empty
-            stream, or dim smaller than an observed index. Messages carry the
-            1-based line number.
+        ParseError: malformed token, non-finite label or value, non-increasing
+            or sub-1 index, an empty stream, or dim smaller than an observed
+            index. Messages carry the 1-based line number.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -163,6 +171,7 @@ def parse_libsvm(source, dim=None):
     col_values = array("d")
     labels = []
     max_idx = 0
+    isfinite = math.isfinite
     for ln, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -172,6 +181,8 @@ def parse_libsvm(source, dim=None):
             label = float(parts[0])
         except ValueError:
             raise ParseError("line %d: bad label %r" % (ln, parts[0]))
+        if not isfinite(label):
+            raise ParseError("line %d: non-finite label %r" % (ln, parts[0]))
         prev = 0
         for tok in parts[1:]:
             if tok.startswith("#"):
@@ -184,6 +195,8 @@ def parse_libsvm(source, dim=None):
                 val = float(val_s)
             except ValueError:
                 raise ParseError("line %d: bad token %r" % (ln, tok))
+            if not isfinite(val):
+                raise ParseError("line %d: non-finite value %r" % (ln, tok))
             if idx < 1:
                 raise ParseError("line %d: index %d < 1" % (ln, idx))
             if idx <= prev:
@@ -220,14 +233,54 @@ def write_libsvm(dataset):
     return "".join(lines)
 
 
+def _csr_chunks(dataset):
+    """A little-endian (n, d, nnz) int64 header, then the raw indptr and
+    col_indices (int64), col_values and labels (float64) arrays: the bytes
+    dataset_hash digests and write_csr stores."""
+    yield np.array([dataset.n, dataset.d, dataset.col_indices.size], dtype="<i8")
+    for a, dtype in ((dataset.indptr, "<i8"), (dataset.col_indices, "<i8"),
+                     (dataset.col_values, "<f8"), (dataset.labels, "<f8")):
+        yield np.ascontiguousarray(a, dtype=dtype)
+
+
 def dataset_hash(dataset):
-    """sha256 of a little-endian (n, d, nnz) header, then the raw indptr,
-    col_indices, col_values and labels bytes; keys the reference cache.
-    Computed once per Dataset (it is immutable)."""
+    """sha256 of the header and raw arrays (_csr_chunks); keys the reference
+    cache. Computed once per Dataset (it is immutable)."""
     if dataset._hash is None:
-        h = hashlib.sha256(np.array([dataset.n, dataset.d, dataset.col_indices.size], dtype="<i8"))
-        for a, dtype in ((dataset.indptr, "<i8"), (dataset.col_indices, "<i8"),
-                         (dataset.col_values, "<f8"), (dataset.labels, "<f8")):
-            h.update(np.ascontiguousarray(a, dtype=dtype))
+        h = hashlib.sha256()
+        for chunk in _csr_chunks(dataset):
+            h.update(chunk)
         dataset._hash = h.hexdigest()
     return dataset._hash
+
+
+def write_csr(path, dataset):
+    """Store a Dataset as its header and raw arrays (_csr_chunks), written
+    to a temp file and renamed into place."""
+    vecio.atomic_write_bytes(path, *_csr_chunks(dataset))
+
+
+def read_csr(path):
+    """The Dataset write_csr stored, rebuilt through the validating
+    constructor (no copy of the index and value arrays).
+
+    Raises:
+        OSError: the file cannot be read.
+        ValueError: it is shorter or longer than its header says, or its
+            arrays do not form a valid Dataset.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < 24:
+        raise ValueError("%s: truncated header" % path)
+    n, d, nnz = struct.unpack_from("<3q", raw)
+    if n < 0 or nnz < 0 or len(raw) != 8 * (4 + 2 * n + 2 * nnz):
+        raise ValueError("%s: %d bytes do not hold (n, d, nnz) = (%d, %d, %d)" % (path, len(raw), n, d, nnz))
+    arrays = []
+    offset = 24
+    for dtype, count in (("<i8", n + 1), ("<i8", nnz), ("<f8", nnz), ("<f8", n)):
+        # one buffer per array: a view into one array holding them all would
+        # look like a slice to scipy, which copies such slices
+        arrays.append(np.frombuffer(raw, dtype=dtype, count=count, offset=offset))
+        offset += 8 * count
+    return Dataset(*arrays, d)

@@ -282,7 +282,8 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
 
     Raises:
         ValueError: l2 <= 0, or tol outside (0, inf).
-        RuntimeError: more than max_iter iterations are needed.
+        RuntimeError: more than max_iter iterations are needed, or the
+            residual is not finite; nothing is cached then.
     """
     if not obj.loss.smooth:
         raise NonSmoothError("reference solver needs a smooth loss")
@@ -312,7 +313,10 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
     t = 1.0
     step, res = _prox_grad(obj, y, gamma)
     iters = 0
-    while res > tol:
+    while not res <= tol:
+        if not math.isfinite(res):
+            raise RuntimeError("reference solve reached a non-finite residual (%r) at iteration %d"
+                               % (res, iters))
         if iters >= max_iter:
             raise RuntimeError("reference solve exceeded %d iterations" % max_iter)
         if np.dot(y - step, step - x) > 0:  # momentum points uphill: restart

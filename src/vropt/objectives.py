@@ -5,7 +5,11 @@ An optional l1 term enters only through the proximal map, never through
 gradients. Least squares uses the 1/2 convention, so L_i = ||a_i||^2 + l2.
 """
 
-from dataclasses import dataclass
+import math
+from array import array
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -52,7 +56,12 @@ class LogisticLoss:
 
     @staticmethod
     def deriv(alpha, b):
-        return -b * expit(-b * alpha)
+        # -b * expit(-b*alpha) through libm's exp, as scipy's expit computes
+        # it, without the ufunc call; exp overflowing is expit's 0
+        try:
+            return -b * (1.0 / (1.0 + math.exp(b * alpha)))
+        except OverflowError:
+            return -b * 0.0
 
     @staticmethod
     def value_vec(m, b):
@@ -145,6 +154,10 @@ class GlmObjective:
         # order, so L_max (and with it the default stepsize) is reproducible
         self.row_sq = np.array([float(np.dot(v, v)) for _, v in map(data.row, range(data.n))])
         self.row_sq.setflags(write=False)
+        # indptr and labels as Python ints/floats for the per-example loops,
+        # which read one row at a time (typed arrays: lists would cost ~4x the memory)
+        self.py_indptr = array("q", data.indptr.tobytes())
+        self.py_labels = array("d", self.labels.tobytes())
 
     # -- per-example quantities ------------------------------------------
 
@@ -217,14 +230,32 @@ def prox_l1(z, t):
 
 @dataclass(frozen=True)
 class SmoothnessInfo:
-    """L_i, L_max, L-bar, global L (exact-to-tolerance or an upper bound), mu."""
+    """L_i, L_max, L-bar, mu, and the global L (exact-to-tolerance or an
+    upper bound, as l_full_exact says).
+
+    global_l() returns (l_full, l_full_exact). It runs a power iteration
+    that batch-1, Lipschitz-sampled and dual runs never read, so it is
+    called on the first read of l_full or l_full_exact, and only once.
+    """
 
     per_example: np.ndarray
     l_max: float
     l_mean: float
-    l_full: float
-    l_full_exact: bool
     mu_lower: float
+    global_l: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def _global(self):
+        l_full, exact = self.global_l()
+        return float(l_full), bool(exact)
+
+    @property
+    def l_full(self):
+        return self._global[0]
+
+    @property
+    def l_full_exact(self):
+        return self._global[1]
 
 
 def power_iteration_sq(A, tol=1e-10, max_iter=10_000, seed=12345):
@@ -268,8 +299,9 @@ def smoothness(obj, tol=1e-10, max_iter=10_000):
     """SmoothnessInfo for a smooth objective.
 
     L_i = M ||a_i||^2 + l2 with M the loss curvature bound; the global L is
-    M * lam_max((1/n) A A^T) + l2 via power iteration, falling back to the
-    trace bound L-bar (flagged inexact) if the iteration fails to converge.
+    M * lam_max((1/n) A A^T) + l2 via power iteration (tol, max_iter), run on
+    first read, falling back to the trace bound L-bar (flagged inexact) if
+    the iteration fails to converge.
     """
     if not obj.loss.smooth:
         raise NonSmoothError("non-smooth loss: %s" % obj.loss.name)
@@ -277,17 +309,13 @@ def smoothness(obj, tol=1e-10, max_iter=10_000):
     per = M * obj.row_sq + obj.l2
     l_max = float(per.max())
     l_mean = float(per.mean())
-    lam, ok = power_iteration_sq(obj.data.to_csr(), tol=tol, max_iter=max_iter)
-    if ok:
+
+    def global_l():
+        lam, ok = power_iteration_sq(obj.data.to_csr(), tol=tol, max_iter=max_iter)
+        if not ok:
+            return l_mean, False  # trace bound: lam_max <= mean ||a_i||^2
         # L <= L_max holds mathematically; min() only strips float dust
-        l_full = min(M * lam + obj.l2, l_max)
-    else:
-        l_full = l_mean  # trace bound: lam_max <= mean ||a_i||^2
-    return SmoothnessInfo(
-        per_example=per,
-        l_max=l_max,
-        l_mean=l_mean,
-        l_full=float(l_full),
-        l_full_exact=bool(ok),
-        mu_lower=obj.l2,
-    )
+        return min(M * lam + obj.l2, l_max), True
+
+    return SmoothnessInfo(per_example=per, l_max=l_max, l_mean=l_mean, mu_lower=obj.l2,
+                          global_l=global_l)

@@ -13,6 +13,7 @@ expectation matters is always (loss covariates) + l2*x, which averages to the
 true full gradient.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -28,6 +29,7 @@ from .schedules import (
     StepsizePolicy,
     armijo_stochastic,
     default_stepsize,
+    lipschitz_draws,
     sample,
     theory_policy,
     uniform_scheme,
@@ -35,7 +37,7 @@ from .schedules import (
 
 METHODS = ("gd", "sgd", "sgd_momentum", "sgd_star", "sag", "saga", "svrg", "sarah", "sdca")
 TABLE_METHODS = ("sag", "saga")
-DRAW_BLOCK = 1024  # uniform single draws taken per generator call
+DRAW_BLOCK = 1024  # batches drawn per generator call (uniform b = 1, Lipschitz)
 
 
 class DivergenceError(RuntimeError):
@@ -52,7 +54,7 @@ class ConfigError(ValueError):
 
 
 def _check_finite(value, gamma):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DivergenceError("non-finite value encountered (gamma=%g)" % (gamma if gamma else 0.0), gamma=gamma)
 
 
@@ -191,12 +193,15 @@ class DualState:
 def _pull(obj, x, batch, gamma):
     """(j, indices, values, loss'(a_j^T x, b_j)) per sampled j; every margin
     is checked before the caller changes any state."""
+    indptr, labels, deriv = obj.py_indptr, obj.py_labels, obj.loss.deriv
+    cols, values = obj.data.col_indices, obj.data.col_values
     pulls = []
     for j in batch:
-        idx, vals = obj.data.row(j)
+        lo, hi = indptr[j], indptr[j + 1]
+        idx, vals = cols[lo:hi], values[lo:hi]
         m = float(np.dot(vals, x[idx]))
         _check_finite(m, gamma)
-        pulls.append((j, idx, vals, obj.loss.deriv(m, obj.labels[j])))
+        pulls.append((j, idx, vals, deriv(m, labels[j])))
     return pulls
 
 
@@ -446,13 +451,20 @@ def svrg_estimator(obj, state):
 
 def index_batches(scheme, rng, n):
     """Endless index batches (lists of ints) for one run, in the order
-    sample() would draw them. Uniform single draws come DRAW_BLOCK at a time
-    from one generator call, which continues the stream exactly as that many
-    single draws; mini-batch and Lipschitz batches call sample per batch."""
-    if scheme.kind == "uniform" and scheme.batch == 1:
+    sample() would draw them. Uniform single draws and Lipschitz batches come
+    DRAW_BLOCK batches at a time from one generator call, which continues the
+    stream exactly as that many sample() calls; uniform mini-batches call
+    sample per batch."""
+    b = scheme.batch
+    if scheme.kind == "uniform" and b == 1:
         while True:
             for i in rng.integers(n, size=DRAW_BLOCK).tolist():
                 yield [i]
+    if scheme.kind == "lipschitz":
+        while True:
+            block = lipschitz_draws(scheme, rng, n, DRAW_BLOCK * b).tolist()
+            for k in range(0, len(block), b):
+                yield block[k:k + b]
     while True:
         yield sample(scheme, rng, n).tolist()
 

@@ -67,15 +67,18 @@ def sample(scheme, rng, n):
             out.append(pool.get(j, j))
             pool[j] = pool.get(t, t)
         return np.array(out, dtype=np.int64)
+    return lipschitz_draws(scheme, rng, n, b)
+
+
+def lipschitz_draws(scheme, rng, n, count):
+    """count indices drawn with replacement by the scheme's weights, from one
+    generator call: the indices, and the stream after them, of count single
+    draws."""
     if len(scheme.probs) != n:
         raise ValueError("weight vector length %d != n=%d" % (len(scheme.probs), n))
-    cum = scheme.cumprobs
-    out = np.empty(b, dtype=np.int64)
-    for t in range(b):
-        out[t] = np.searchsorted(cum, rng.random(), side="right")
+    out = np.searchsorted(scheme.cumprobs, rng.random(count), side="right")
     # guard against u == 1.0 rounding past the end
-    np.clip(out, 0, n - 1, out=out)
-    return out
+    return np.clip(out, 0, n - 1, out=out)
 
 
 @dataclass(frozen=True)

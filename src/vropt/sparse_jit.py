@@ -61,11 +61,17 @@ class LazyIterate:
         """Bring x[idx] current through step k, given the (constant-on-idx
         since their last touch) table sums."""
         ci = self.c[idx]
-        m = self.k - ci
-        if not m.any():
+        if ci.min(initial=self.k) == self.k:  # all current (or idx empty)
             return
-        pm = self.rho ** m
+        pm = self.rho ** (self.k - ci)
         self.x[idx] = pm * self.x[idx] - gsum[idx] * (self._g[self.k] - pm * self._g[ci])
+        self.c[idx] = self.k
+
+    def catch_up_one(self, idx, gsum):
+        """catch_up for indices all current through step k-1: m = 1 for
+        each, so the update has one scalar coefficient (same arithmetic)."""
+        rho = self.rho
+        self.x[idx] = rho * self.x[idx] - gsum[idx] * (self._g[self.k] - rho * self._g[self.k - 1])
         self.c[idx] = self.k
 
     def materialize(self, gsum):
@@ -109,28 +115,34 @@ def run_jit(recorder, x, draws, budget):
     config, obj, gamma, table = recorder.config, recorder.obj, recorder.gamma, recorder.table
     method = config.method
     lazy = LazyIterate(x, 1.0 - gamma * obj.l2)
-    recorder.sync = lambda: lazy.materialize(table.gsum)
+    gsum = table.gsum
+    recorder.sync = lambda: lazy.materialize(gsum)
+    indptr, labels, deriv = obj.py_indptr, obj.py_labels, obj.loss.deriv
+    cols, values = obj.data.col_indices, obj.data.col_values
     evals = 0
     while evals < budget:
         i = next(draws)[0]
-        idx, vals = obj.data.row(i)
-        lazy.catch_up(idx, table.gsum)
+        lo, hi = indptr[i], indptr[i + 1]
+        idx, vals = cols[lo:hi], values[lo:hi]
+        lazy.catch_up(idx, gsum)
         m = float(np.dot(vals, x[idx]))
         _check_finite(m, gamma)
-        s_new = obj.loss.deriv(m, obj.labels[i])
+        s_new = deriv(m, labels[i])
         delta = s_new * vals - table.cov_vals(i, idx, vals)
+        # idx is current through step k here, so after the push below it is
+        # one step behind: catch_up_one
         if method == "sag":
             table.store(i, idx, None, s_new)
-            table.gsum[idx] += delta
+            gsum[idx] += delta
             denom = table.seen_count if config.seen_norm else table.n
             lazy.push_weight(gamma / denom)
-            lazy.catch_up(idx, table.gsum)
+            lazy.catch_up_one(idx, gsum)
         else:
             lazy.push_weight(gamma / table.n)
-            lazy.catch_up(idx, table.gsum)
+            lazy.catch_up_one(idx, gsum)
             x[idx] -= gamma * delta
             table.store(i, idx, None, s_new)
-            table.gsum[idx] += delta
+            gsum[idx] += delta
         lazy.touched += idx.size
         evals += 1
         if recorder.checkpoint(x, evals):

@@ -59,13 +59,15 @@ def read_scalar_text(path):
         return float(fh.read().strip())
 
 
-def atomic_write_bytes(path, payload):
-    """Write via temp file + rename so readers never see partial files."""
+def atomic_write_bytes(path, *payload):
+    """Write the payload (bytes-like chunks, in order) via temp file + rename
+    so readers never see partial files."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vropt-tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in payload:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

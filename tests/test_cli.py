@@ -2,9 +2,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from vropt import cli
+from vropt import cli, diag, objectives
+from vropt.bench_data import load_dataset, sparse_gaussian
+from vropt.data import dataset_hash, parse_libsvm, write_libsvm
 from vropt.diag import read_trace
 
 
@@ -232,3 +235,144 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "epoch,grad_evals" in proc.stdout
+
+
+NON_FINITE = "1 1:0.5 2:nan\n-1 2:1\n1 1:inf\n"
+
+
+def test_non_finite_data_rejected(tmp_path, monkeypatch, capsys):
+    # bad input exits 2 before any solve or run, and nothing is cached
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VROPT_CACHE", str(cache))
+    data = tmp_path / "nan.svm"
+    data.write_text(NON_FINITE)
+    prefix = tmp_path / "ref"
+    assert _run("solve-ref", "--data", str(data), "--l2", "0.1", "--out", str(prefix)) == cli.EXIT_IO
+    assert "line 1: non-finite value" in capsys.readouterr().err
+    out = tmp_path / "t.csv"
+    assert _run("run", "--data", str(data), "--l2", "0.1", "--method", "saga",
+                "--out", str(out)) == cli.EXIT_IO
+    assert sorted(os.listdir(tmp_path)) == ["nan.svm"]
+
+
+def _write_svm(tmp_path, name="d.svm", text="1 1:0.5 3:2\n-1 2:1.25\n1 1:-1 2:4 3:0.5\n"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _no_parse(monkeypatch):
+    monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("parsed a cached file"))
+
+
+def test_data_cache_hit_matches_parse(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VROPT_CACHE", str(cache))
+    path = _write_svm(tmp_path)
+    for dim in (None, 9):
+        fresh = cli._load_data(path, dim)
+        with monkeypatch.context() as m:
+            _no_parse(m)
+            hit = cli._load_data(path, dim)
+        assert (hit.n, hit.d) == (fresh.n, fresh.d)
+        for name in ("indptr", "col_indices", "col_values", "labels"):
+            assert np.array_equal(getattr(hit, name), getattr(fresh, name)), name
+        with open(path) as fh:
+            assert dataset_hash(hit) == dataset_hash(fresh) == dataset_hash(parse_libsvm(fh, dim))
+    assert len(os.listdir(cache)) == 2  # dim is part of the key
+
+
+def test_data_cache_misses_on_changed_bytes_or_dim(tmp_path, monkeypatch):
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path / "cache"))
+    path = _write_svm(tmp_path)
+    cli._load_data(path)
+    calls = []
+    real = cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: calls.append(a) or real(*a, **k))
+    with open(path, "r+") as fh:  # one byte: 1.25 -> 1.35
+        text = fh.read()
+        fh.seek(text.index("1.25") + 2)
+        fh.write("3")
+    assert cli._load_data(path).col_values.tolist() == [0.5, 2.0, 1.35, -1.0, 4.0, 0.5]
+    assert cli._load_data(path, 4).d == 4
+    assert len(calls) == 2
+    cli._load_data(path)
+    cli._load_data(path, 4)
+    assert len(calls) == 2
+
+
+def test_data_cache_rewrites_bad_entry(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VROPT_CACHE", str(cache))
+    path = _write_svm(tmp_path)
+    fresh = cli._load_data(path)
+    (entry,) = cache.iterdir()
+    good = entry.read_bytes()
+    for bad in (good[:-8], good[:10], b""):
+        entry.write_bytes(bad)
+        assert dataset_hash(cli._load_data(path)) == dataset_hash(fresh)  # parsed again
+        assert entry.read_bytes() == good  # and rewritten
+
+
+def test_data_cache_failures_and_exclusions(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VROPT_CACHE", str(cache))
+    out = str(tmp_path / "t.csv")
+    # a malformed file still exits 2 and leaves no entry
+    bad = _write_svm(tmp_path, "bad.svm", "1 1:1\n-1 2:x\n")
+    assert _run("run", "--data", bad, "--l2", "0.1", "--method", "gd", "--out", out) == cli.EXIT_IO
+    assert "line 2" in capsys.readouterr().err
+    # synthetic data and the library loader never touch the cache
+    assert _run("run", "--data", "synth:tiny", "--l2", "0.1", "--method", "gd",
+                "--epochs", "1", "--out", out) == 0
+    load_dataset(_write_svm(tmp_path))
+    # nor does a stream, which is read once, by the parser
+    proc = subprocess.run([sys.executable, "-m", "vropt.cli", "run", "--data", "/dev/stdin", "--l2", "0.1",
+                           "--method", "gd", "--epochs", "1"], input="1 1:1\n-1 2:1\n",
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and "epoch,grad_evals" in proc.stdout
+    assert not cache.exists()
+    # a cache that cannot be written costs a parse, not the command
+    cache.write_text("not a directory")
+    assert _run("run", "--data", _write_svm(tmp_path), "--l2", "0.1", "--method", "gd",
+                "--epochs", "1", "--out", out) == 0
+    assert cache.read_text() == "not a directory"
+
+
+def _no_power_iteration(monkeypatch):
+    monkeypatch.setattr(objectives, "power_iteration_sq",
+                        lambda *a, **k: pytest.fail("computed the global L"))
+
+
+@pytest.mark.parametrize("method", ["sag", "saga", "svrg"])
+def test_run_hit_needs_no_parse_and_no_global_l(method, tmp_path, monkeypatch):
+    # batch-1 theory steps are 1/L_max: the global L is never computed, and
+    # a cached file is never parsed; the trace is the same bytes either way
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path / "cache"))
+    path = str(tmp_path / "s.svm")
+    with open(path, "w") as fh:
+        fh.write(write_libsvm(sparse_gaussian(seed=2, n=80, d=40)))
+    args = ["run", "--data", path, "--l2", "0.01", "--method", method, "--epochs", "2"]
+    _no_power_iteration(monkeypatch)
+    assert _run(*args, "--out", str(tmp_path / "a.csv")) == 0
+    _no_parse(monkeypatch)
+    assert _run(*args, "--out", str(tmp_path / "b.csv")) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert _run(*args, "--sampling", "lipschitz", "--out", str(tmp_path / "c.csv")) == 0
+
+
+def test_global_l_computed_where_read(tmp_path, monkeypatch):
+    # gd's 1/L, the mini-batch L(b) and the reference solver read the global L
+    calls = []
+    real = objectives.power_iteration_sq
+    monkeypatch.setattr(objectives, "power_iteration_sq",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    base = ["--data", "synth:toyclass", "--l2", "0.1"]
+    assert _run("run", *base, "--method", "gd", "--epochs", "1", "--out", str(tmp_path / "g.csv")) == 0
+    assert len(calls) == 1
+    assert _run("run", *base, "--method", "saga", "--batch", "4", "--gamma-policy", "minibatch",
+                "--epochs", "1", "--out", str(tmp_path / "m.csv")) == 0
+    assert len(calls) == 2
+    monkeypatch.setattr(diag, "_REF_MEMO", {})  # solve, not recall
+    assert _run("solve-ref", *base, "--out", str(tmp_path / "ref")) == 0
+    assert len(calls) == 3

@@ -82,6 +82,48 @@ def test_parse_dim_override_and_errors():
         parse_libsvm(io.StringIO("1 1:one\n"))  # bad value
 
 
+@pytest.mark.parametrize("text, line", [
+    ("1 1:0.5 2:nan\n-1 2:1\n1 1:inf\n", 1),
+    ("1 1:0.5\n-1 2:1\n1 1:inf\n", 3),
+    ("1 1:0.5\n# note\n-1 2:-Infinity\n", 3),
+    ("nan 1:1\n", 1),
+    ("1 1:1\n-inf 2:1\n", 2),
+])
+def test_parse_rejects_non_finite(text, line):
+    with pytest.raises(ParseError, match="line %d: non-finite" % line):
+        parse_libsvm(text)
+
+
+def test_dataset_rejects_non_finite():
+    for vals, labels in (([1.0, np.nan], [1.0]), ([np.inf, 1.0], [1.0]),
+                         ([1.0, 1.0], [np.nan]), ([1.0, 1.0], [-np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset([0, 2], [0, 1], vals, labels, 2)
+
+
+def test_csr_file_round_trip(tmp_path):
+    ds = parse_libsvm("1 1:0.25 4:-3\n-1\n1 2:1.5\n", dim=6)
+    path = str(tmp_path / "ds.csr")
+    data.write_csr(path, ds)
+    with open(path, "rb") as fh:  # the file holds the bytes dataset_hash digests
+        assert hashlib.sha256(fh.read()).hexdigest() == dataset_hash(ds)
+    again = data.read_csr(path)
+    assert (again.n, again.d) == (ds.n, ds.d)
+    for name in ("indptr", "col_indices", "col_values", "labels"):
+        assert np.array_equal(getattr(again, name), getattr(ds, name)), name
+    # each array owns its own buffer: scipy copies arrays that look like slices
+    assert again.to_csr().data.base is again.col_values.base
+    raw = (tmp_path / "ds.csr").read_bytes()
+    for bad in (raw[:-1], raw + b"\0" * 8, raw[:20], b""):
+        (tmp_path / "bad.csr").write_bytes(bad)
+        with pytest.raises(ValueError):
+            data.read_csr(str(tmp_path / "bad.csr"))
+    # a well-sized file whose arrays are no dataset fails validation
+    (tmp_path / "bad.csr").write_bytes(raw[:24] + struct.pack("<q", 1) + raw[32:])
+    with pytest.raises(ValueError, match="indptr"):
+        data.read_csr(str(tmp_path / "bad.csr"))
+
+
 def test_round_trip():
     text = "1 1:0.25 4:-3\n-1 2:1.5\n1\n"
     ds = parse_libsvm(io.StringIO(text))

@@ -109,6 +109,17 @@ def test_solve_reference_rejects_bad_tol(tol, tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def test_solve_reference_rejects_non_finite_residual(tmp_path, monkeypatch):
+    # finite data whose gradient at 0 overflows: NaN must not pass for a
+    # residual below tol (NaN > tol is false), nor be cached as f*
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path))
+    ds = Dataset([0, 1, 2], [0, 0], [1.0, 1.0], [1.7e308, 1.7e308], 1)
+    obj = GlmObjective(ds, "half_squared", l2=0.1)
+    with pytest.raises(RuntimeError, match="non-finite residual"):
+        solve_reference(obj, tol=1e-12)
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_reference_analytic():
     # f(x) = 0.5(x-2)^2 + 0.25 x^2 has the stationary point 4/3
     ds = Dataset([0, 1], [0], [1.0], [2.0], 1)

@@ -1,12 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
-from vropt.bench_data import tiny, toy_classification
+from vropt import objectives
+from vropt.bench_data import load_dataset, tiny, toy_classification
 from vropt.objectives import (
+    LOGISTIC,
     GlmObjective,
     NonSmoothError,
     get_loss,
@@ -118,3 +122,43 @@ def test_smoothness_constants():
     assert info.l_full_exact
     log_info = smoothness(GlmObjective(ds, "logistic", l2=0.25))
     assert log_info.l_max == pytest.approx(0.25 * max(sq) + 0.25, rel=1e-15)
+
+
+def test_smoothness_pinned_on_mushrooms(monkeypatch):
+    # the same constants as before the global L became lazy, bit for bit;
+    # the power iteration runs on the first read of l_full, with the
+    # call's tol and max_iter, and only once
+    calls = []
+    real = objectives.power_iteration_sq
+    monkeypatch.setattr(objectives, "power_iteration_sq",
+                        lambda *a, **k: calls.append(k) or real(*a, **k))
+    data = load_dataset("synth:mushrooms:0")
+    pinned = {
+        "logistic": ("7ad3867544c47db2b244bce00e95a5e765b8847ccae2233772e361d71648d26e",
+                     0.2501230920728704, 0.25012309207287053, 0.07866808382857493),
+        "half_squared": ("3aa5a0366bea4b69ede7a06df03d964eaa6b7bfa73918bf920f58287c716a36c",
+                         1.00012309207287, 1.0001230920728703, 0.31430305909568823),
+    }
+    for loss, (digest, l_max, l_mean, l_full) in pinned.items():
+        info = smoothness(GlmObjective(data, loss, l2=1.0 / data.n))
+        got = (hashlib.sha256(info.per_example.tobytes()).hexdigest(), info.l_max, info.l_mean,
+               info.mu_lower)
+        assert got == (digest, l_max, l_mean, 0.00012309207287050715)
+        assert not calls
+        assert (info.l_full, info.l_full_exact, info.l_full) == (l_full, True, l_full)
+        assert calls == [{"tol": 1e-10, "max_iter": 10_000}]
+        calls.clear()
+    # an iteration cut short falls back to the trace bound L-bar
+    info = smoothness(GlmObjective(data, "logistic", l2=1.0 / data.n), tol=1e-9, max_iter=3)
+    assert (info.l_full_exact, info.l_full) == (False, 0.25012309207287053)
+    assert calls == [{"tol": 1e-9, "max_iter": 3}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-800.0, 800.0), st.sampled_from([-1.0, 1.0]))
+def test_logistic_deriv_is_expit(alpha, b):
+    # the scalar derivative matches scipy's expit bit for bit, sign of zero
+    # included, at random margins and where exp overflows or underflows
+    for a in (alpha, 709.78, 709.79, -709.79, 745.0, -745.0, 746.0, -746.0, 1e308, -0.0):
+        got, want = LOGISTIC.deriv(a, b), -b * expit(-b * a)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (a, b)

@@ -373,15 +373,20 @@ def test_minibatch_run():
 
 def test_index_batches_match_sample():
     # block draws continue the stream exactly as one sample() call per draw,
-    # across block boundaries; other schemes are sample's batches as drawn
+    # across block boundaries (k batches span three blocks); uniform
+    # mini-batches are sample's batches as drawn
     k = 2 * DRAW_BLOCK + 5
     cases = [(uniform_scheme(), n) for n in (1, 7, 8124, 2**33)]
-    cases += [(uniform_scheme(batch=3), 7), (lipschitz_scheme([1.0, 2.0, 3.0, 4.0], batch=2), 4)]
+    cases += [(uniform_scheme(batch=3), 7), (lipschitz_scheme([1.0, 2.0, 3.0, 4.0], batch=2), 4),
+              (lipschitz_scheme([5.0, 1.0, 0.5, 3.0, 2.0], batch=3), 5), (lipschitz_scheme([1.0, 9.0]), 2)]
     for scheme, n in cases:
         draws = index_batches(scheme, RandomSource(3), n)
         rng = RandomSource(3)
         for _ in range(k):
             assert next(draws) == sample(scheme, rng, n).tolist()
+    # a weight vector of the wrong length fails as sample() does
+    with pytest.raises(ValueError, match="weight vector length"):
+        next(index_batches(lipschitz_scheme([1.0, 2.0]), RandomSource(0), 3))
 
 
 def test_run_final_iterates_pinned():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vropt.bench_data import sparse_gaussian, toy_classification
 from vropt.objectives import GlmObjective
@@ -32,6 +34,28 @@ def test_lazy_iterate_matches_dense(rho):
     assert np.linalg.norm(out - dense) <= 1e-11 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1.0, 0.999, 0.97, 0.5]), st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_catch_up_one_is_catch_up(rho, seed, steps):
+    # after a push, coordinates current through the previous step catch up
+    # by one step: catch_up_one must give catch_up's bits
+    rng = np.random.default_rng(seed)
+    d = 12
+    x0 = rng.normal(size=d)
+    one, ref = LazyIterate(x0.copy(), rho), LazyIterate(x0.copy(), rho)
+    gsum = rng.normal(size=d)
+    for _ in range(steps):
+        idx = np.flatnonzero(rng.random(d) < 0.4)  # others stay stale, some for many steps
+        w = float(rng.normal() * 0.1)
+        for lazy in (one, ref):
+            lazy.catch_up(idx, gsum)
+            lazy.push_weight(w)
+        one.catch_up_one(idx, gsum)
+        ref.catch_up(idx, gsum)
+        assert one.x.tobytes() == ref.x.tobytes() and np.array_equal(one.c, ref.c)
+        gsum[idx] += rng.normal(size=idx.size)
+
+
 def test_lazy_iterate_exact_small():
     # hand-driven: one coordinate left stale across three pushes
     x0 = np.array([1.0, 2.0])
@@ -44,6 +68,7 @@ def test_lazy_iterate_exact_small():
     lazy.catch_up(np.array([1]), gsum)
     expect = 2.0 * rho**3 - 3.0 * (0.25 * rho**2 + 0.125 * rho + 0.0625)
     assert lazy.x[1] == pytest.approx(expect, rel=1e-15)
+    lazy.catch_up(np.array([], dtype=np.int64), gsum)  # an empty row is a no-op
     out = lazy.materialize(gsum)
     assert out[0] == pytest.approx(1.0 * rho**3 - 0.0, rel=1e-15)
 
