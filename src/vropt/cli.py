@@ -27,7 +27,7 @@ from .objectives import GlmObjective, smoothness
 from .optimizers import METHODS, ConfigError, DivergenceError, RunConfig, _resolve_gamma, run
 from .schedules import StepsizePolicy, lipschitz_scheme, uniform_scheme
 from .validate import run_checks
-from . import vecio
+from . import sparse_jit, vecio
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,18 +164,26 @@ def _fmt(v):
     return str(v)
 
 
-def _run_meta(ns, extra=None):
+def _resolve(config, obj):
+    """Set config.gamma to the stepsize run() would resolve (the header
+    prints it and run() takes it as given); returns the header's engine
+    lines, the engine run() will pick and why."""
+    if config.method != "sdca":
+        try:
+            config.gamma = _resolve_gamma(config, obj, config.scheme)[0]
+        except ValueError:
+            pass  # run() raises it again, after its own validation
+    return dict(zip(("engine", "engine_reason"), sparse_jit.choose_engine(config, obj, config.gamma)))
+
+
+def _run_meta(ns, config, obj):
     """Fixed-order resolved settings, printed into every output header."""
     keys = ("data", "dim", "loss", "l2", "l1", "method", "gamma", "gamma_policy",
             "beta", "batch", "sampling", "inner_t", "epochs", "seed",
-            "checkpoint_every", "table", "jit", "warm_start_sgd_epochs", "stop")
-    meta = {}
-    for k in keys:
-        if extra and k in extra:
-            meta[k] = _fmt(extra[k])
-        else:
-            meta[k] = _fmt(getattr(ns, k.replace("-", "_"), None))
-    return meta
+            "checkpoint_every", "engine", "engine_reason", "jit", "warm_start_sgd_epochs", "stop")
+    resolved = _resolve(config, obj)
+    resolved["gamma"] = config.gamma
+    return {k: _fmt(resolved[k] if k in resolved else getattr(ns, k, None)) for k in keys}
 
 
 def _atomic_text(path, text):
@@ -237,7 +245,6 @@ def _build_config(ns, obj):
         scheme=_scheme(ns, obj),
         beta=ns.beta,
         inner_t=ns.inner_t,
-        table_mode=ns.table,
         jit=ns.jit,
         x_star=x_star,
         warm_start_sgd_epochs=ns.warm_start_sgd_epochs,
@@ -246,13 +253,6 @@ def _build_config(ns, obj):
         f_star=f_star,
         record_iterates=getattr(ns, "record_iterates", False),
     )
-    if config.method != "sdca":
-        # resolved once: the header prints it and run() takes it as given
-        # instead of computing smoothness again
-        try:
-            config.gamma = _resolve_gamma(config, obj, config.scheme)[0]
-        except ValueError:
-            pass  # run() raises it again, after its own validation
     return config
 
 
@@ -260,7 +260,7 @@ def cmd_run(ns):
     data = _load_data(ns.data, ns.dim)
     obj = GlmObjective(data, ns.loss, l2=ns.l2, l1=ns.l1)
     config = _build_config(ns, obj)
-    meta = _run_meta(ns, extra={"gamma": config.gamma})
+    meta = _run_meta(ns, config, obj)
     try:
         res = run(config, obj)
     except DivergenceError as e:
@@ -350,9 +350,9 @@ def parse_compare_spec(text):
                 raise UsageError("method %s: %s must be a positive integer" % (label, k))
         if entry.get("sampling", "uniform") not in ("uniform", "lipschitz"):
             raise UsageError("method %s: bad sampling %r" % (label, entry["sampling"]))
-        if entry.get("table", "dense") not in ("dense", "scalar"):
-            raise UsageError("method %s: bad table %r" % (label, entry["table"]))
-        if entry.get("jit", "auto") not in ("auto", "on", "off"):
+        if entry.get("table", "scalar") != "scalar":
+            raise UsageError("method %s: bad table %r (only scalar)" % (label, entry["table"]))
+        if entry.get("jit", "auto") not in sparse_jit.JIT_MODES:
             raise UsageError("method %s: bad jit %r" % (label, entry["jit"]))
         if "stop" in entry:
             try:
@@ -426,7 +426,7 @@ def cmd_compare(ns):
                 method=name, epochs=epochs, seed=seed, gamma=gamma, policy=policy,
                 scheme=scheme, beta=float(entry.get("beta", "0")),
                 inner_t=int(entry["inner_t"]) if "inner_t" in entry else None,
-                table_mode=entry.get("table", "dense"), jit=entry.get("jit", "auto"),
+                jit=entry.get("jit", "auto"),
                 x_star=x_star if name == "sgd_star" else None,
                 warm_start_sgd_epochs=float(entry.get("warm_start_sgd_epochs", "0")),
                 checkpoint_every=cp, stop=entry.get("stop"), f_star=f_star,
@@ -438,7 +438,7 @@ def cmd_compare(ns):
                 "batch": str(batch), "sampling": entry.get("sampling", "uniform"),
                 "inner_t": entry.get("inner_t", ""), "epochs": _fmt(epochs),
                 "seed": str(seed), "checkpoint_every": _fmt(cp),
-                "table": entry.get("table", "dense"), "jit": entry.get("jit", "auto"),
+                **_resolve(config, obj), "jit": entry.get("jit", "auto"),
                 "stop": entry.get("stop", "epochs"),
             }
             out = os.path.join(outdir, "%s_seed%d.csv" % (entry["label"], seed))
@@ -480,7 +480,7 @@ def cmd_trace2d(ns):
     obj = GlmObjective(data, ns.loss, l2=ns.l2, l1=ns.l1)
     ns.record_iterates = True
     config = _build_config(ns, obj)
-    meta = _run_meta(ns, extra={"gamma": config.gamma})
+    meta = _run_meta(ns, config, obj)
     diverged = False
     try:
         res = run(config, obj)
@@ -559,8 +559,9 @@ def _add_run_flags(p):
     p.add_argument("--checkpoint-every", type=float, default=1.0)
     p.add_argument("--xstar", default=None, help="vector file with the reference point")
     p.add_argument("--fstar", default=None, help="reference value or scalar file")
-    p.add_argument("--jit", choices=("auto", "on", "off"), default="auto")
-    p.add_argument("--table", choices=("dense", "scalar"), default="dense")
+    p.add_argument("--jit", choices=sparse_jit.JIT_MODES, default="auto")
+    # one table layout; the flag stays so command lines that name it still run
+    p.add_argument("--table", choices=("scalar",), default="scalar")
     p.add_argument("--warm-start-sgd-epochs", type=float, default=0.0)
     p.add_argument("--stop", default="epochs", help="grad:EPS | gbar:EPS | gap:EPS | epochs")
     p.add_argument("--times", action="store_true", help="record wall-clock times")

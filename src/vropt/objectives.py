@@ -158,6 +158,7 @@ class GlmObjective:
         # which read one row at a time (typed arrays: lists would cost ~4x the memory)
         self.py_indptr = array("q", data.indptr.tobytes())
         self.py_labels = array("d", self.labels.tobytes())
+        self._smoothness = {}  # smoothness() results by (tol, max_iter)
 
     # -- per-example quantities ------------------------------------------
 
@@ -301,12 +302,17 @@ def smoothness(obj, tol=1e-10, max_iter=10_000):
     L_i = M ||a_i||^2 + l2 with M the loss curvature bound; the global L is
     M * lam_max((1/n) A A^T) + l2 via power iteration (tol, max_iter), run on
     first read, falling back to the trace bound L-bar (flagged inexact) if
-    the iteration fails to converge.
+    the iteration fails to converge. The result is kept on obj, so every
+    caller with the same (tol, max_iter) shares one power iteration.
     """
     if not obj.loss.smooth:
         raise NonSmoothError("non-smooth loss: %s" % obj.loss.name)
+    key = (tol, max_iter)
+    if key in obj._smoothness:
+        return obj._smoothness[key]
     M = obj.loss.curvature_bound
     per = M * obj.row_sq + obj.l2
+    per.setflags(write=False)  # shared by every caller of the kept result
     l_max = float(per.max())
     l_mean = float(per.mean())
 
@@ -317,5 +323,6 @@ def smoothness(obj, tol=1e-10, max_iter=10_000):
         # L <= L_max holds mathematically; min() only strips float dust
         return min(M * lam + obj.l2, l_max), True
 
-    return SmoothnessInfo(per_example=per, l_max=l_max, l_mean=l_mean, mu_lower=obj.l2,
-                          global_l=global_l)
+    info = obj._smoothness[key] = SmoothnessInfo(
+        per_example=per, l_max=l_max, l_mean=l_mean, mu_lower=obj.l2, global_l=global_l)
+    return info

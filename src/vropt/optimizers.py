@@ -63,40 +63,25 @@ def _check_finite(value, gamma):
 
 
 class GradientTable:
-    """Per-example loss-gradient memory v^i plus the running sum.
+    """Per-example loss-gradient memory v^i plus the running sum gsum.
 
-    mode "dense" stores each v^i = loss'_i * a_i as a dense vector; mode
-    "scalar" stores only the scalar loss'_i (valid because the loss gradient
-    is a scalar multiple of a_i). Both modes perform identical arithmetic:
-    the dense entries are exactly the products the scalar mode recomputes,
-    so trajectories match bit for bit.
+    The loss gradient of example i is loss'_i * a_i, a scalar multiple of
+    its row, so the table stores only the scalar s[i] = loss'_i (n floats,
+    not an n x d array) and a step recomputes v^i = s[i] * a_i on the row's
+    support. The steppers update gsum = sum_i v^i themselves.
     """
 
-    def __init__(self, obj, mode="dense"):
-        if mode not in ("dense", "scalar"):
-            raise ConfigError("table mode must be dense or scalar, not %r" % mode)
-        self.mode = mode
+    mode = "scalar"  # kept with s, gsum and seen: perfbench/tracing.py run_result reads them
+
+    def __init__(self, obj):
         self.n = obj.n
-        self.d = obj.d
-        if mode == "scalar":
-            self.s = np.zeros(self.n)
-        else:
-            self.v = np.zeros((self.n, self.d))
-        self.gsum = np.zeros(self.d)
-        self.seen = np.zeros(self.n, dtype=bool)
+        self.s = np.zeros(obj.n)
+        self.gsum = np.zeros(obj.d)
+        self.seen = np.zeros(obj.n, dtype=bool)
         self.seen_count = 0
 
-    def cov_vals(self, i, idx, vals):
-        """Stored v^i restricted to row i's support (idx, vals = data.row(i))."""
-        if self.mode == "scalar":
-            return self.s[i] * vals
-        return self.v[i, idx]
-
-    def store(self, i, idx, new_vals, new_scalar):
-        if self.mode == "scalar":
-            self.s[i] = new_scalar
-        else:
-            self.v[i, idx] = new_vals
+    def store(self, i, s):
+        self.s[i] = s
         if not self.seen[i]:
             self.seen[i] = True
             self.seen_count += 1
@@ -104,16 +89,10 @@ class GradientTable:
     def mean(self):
         return self.gsum / self.n
 
-    def mean_from_scratch(self, obj):
-        """Recomputed (1/n) sum_i v^i, bypassing the running sum."""
-        if self.mode == "scalar":
-            total = obj.data.weighted_sum(self.s)
-        else:
-            total = self.v.sum(axis=0)
-        return total / self.n
-
     def mean_rel_error(self, obj):
-        ref = self.mean_from_scratch(obj)
+        """Relative gap between the running mean and (1/n) sum_i v^i
+        recomputed from s."""
+        ref = obj.data.weighted_sum(self.s) / self.n
         err = np.linalg.norm(self.mean() - ref)
         return float(err / (1.0 + np.linalg.norm(ref)))
 
@@ -251,14 +230,13 @@ def table_step(table, obj, x, batch, gamma, saga=False, seen_norm=False):
     fresh = {}
     for j, idx, vals, s in _pull(obj, x, batch, gamma):
         if j not in fresh:
-            new_vals = s * vals
-            fresh[j] = (idx, new_vals, s, new_vals - table.cov_vals(j, idx, vals))
+            fresh[j] = (idx, s, s * vals - table.s[j] * vals)
     if saga:
         c = gamma / len(batch)
-        rows = [(fresh[j][0], c * fresh[j][3]) for j in batch]  # every draw, repeats too
+        rows = [(fresh[j][0], c * fresh[j][2]) for j in batch]  # every draw, repeats too
         _move(obj, x, gamma, -(gamma / table.n), table.gsum, rows)
-    for j, (idx, new_vals, s, delta) in fresh.items():
-        table.store(j, idx, new_vals, s)
+    for j, (idx, s, delta) in fresh.items():
+        table.store(j, s)
         table.gsum[idx] += delta
     if not saga:
         denom = table.seen_count if seen_norm else table.n
@@ -410,7 +388,7 @@ def saga_estimator(obj, table):
         idx, vals = obj.data.row(i)
         g = table.mean() + obj.l2 * x
         s = obj.loss.deriv(float(np.dot(vals, x[idx])), obj.labels[i])
-        g[idx] += s * vals - table.cov_vals(i, idx, vals)
+        g[idx] += s * vals - table.s[i] * vals
         return g
 
     return est
@@ -426,7 +404,7 @@ def sag_estimator(obj, table, seen_norm=False):
         seen = table.seen_count + (0 if table.seen[i] else 1)
         denom = seen if seen_norm else table.n
         num = table.gsum.copy()
-        num[idx] += s * vals - table.cov_vals(i, idx, vals)
+        num[idx] += s * vals - table.s[i] * vals
         return num / denom + obj.l2 * x
 
     return est
@@ -487,9 +465,8 @@ class RunConfig:
     scheme: SamplingScheme | None = None
     beta: float = 0.0
     inner_t: int | None = None
-    table_mode: str = "dense"
     seen_norm: bool = False
-    jit: str = "off"  # "auto" | "on" | "off"
+    jit: str = "auto"  # "auto" | "on" | "off": sparse_jit.choose_engine
     x_star: np.ndarray | None = None
     warm_start_sgd_epochs: float = 0.0
     checkpoint_every: float = 1.0
@@ -535,6 +512,8 @@ def _validate(config, obj):
         raise ConfigError("seed must be a nonnegative integer")
     if config.inner_t is not None and config.inner_t < 1:
         raise ConfigError("inner_t must be a positive integer")
+    if config.jit not in sparse_jit.JIT_MODES:
+        raise ConfigError("jit must be one of %s, not %r" % (", ".join(sparse_jit.JIT_MODES), config.jit))
     rule = StopRule.parse(config.stop)
     if rule.kind == "gap" and config.method != "sdca":
         raise ConfigError("gap stop rule is only available for sdca")
@@ -563,7 +542,7 @@ def _resolve_gamma(config, obj, scheme):
 
 
 class Recorder:
-    """The checkpoints of one run, shared by the dense loops and the lazy
+    """The checkpoints of one run, shared by the eager loops and the lazy
     engine: stride, record fields, stop test and closing record.
 
     A checkpoint is due whenever the evaluation count reaches the next
@@ -627,8 +606,8 @@ def run(config, obj, x0=None):
 
     The one driver for both engines: it validates the configuration,
     resolves the stepsize, builds the method state and hands sag/saga to the
-    lazy engine (sparse_jit.run_jit) when config.jit allows and
-    jit_compatible passes.
+    lazy engine (sparse_jit.run_jit) when sparse_jit.choose_engine picks it;
+    aux["engine"] and aux["engine_reason"] say which engine ran and why.
 
     Raises DivergenceError (carrying the partial trace) on non-finite values.
     """
@@ -644,17 +623,14 @@ def run(config, obj, x0=None):
     if method != "sdca":
         gamma, armijo = _resolve_gamma(config, obj, scheme)
 
-    lazy = False
-    if config.jit != "off":
-        reason = sparse_jit.jit_compatible(config, obj, gamma)
-        if reason is not None and config.jit == "on":
-            raise ConfigError("jit mode unavailable: %s" % reason)
-        lazy = reason is None
+    engine, reason = sparse_jit.choose_engine(config, obj, gamma)
+    if config.jit == "on" and engine != "lazy":
+        raise ConfigError("jit mode unavailable: %s" % reason)
 
     warm_budget = int(round(config.warm_start_sgd_epochs * n))
     budget = warm_budget + int(round(config.epochs * n))
     iterates = []
-    aux = {}
+    aux = {"engine": engine, "engine_reason": reason}
     evals = 0
     steps = 0
 
@@ -666,7 +642,7 @@ def run(config, obj, x0=None):
     estimator = None
     step = None
     if method in TABLE_METHODS:
-        table = GradientTable(obj, config.table_mode)
+        table = GradientTable(obj)
         aux["table"] = table
         step = partial(table_step, table, obj, saga=method == "saga", seen_norm=config.seen_norm)
         if method == "saga":
@@ -724,7 +700,7 @@ def run(config, obj, x0=None):
     try:
         # optional plain-SGD warm phase, charged to the same counters
         stopped = per_example(partial(shift_step, obj), warm_budget)
-        if lazy:
+        if engine == "lazy":
             evals, lazy_x = sparse_jit.run_jit(recorder, x, draws, budget)
             aux.update(jit=True, lazy=lazy_x, touched_coords=lazy_x.touched)
         elif method == "gd":

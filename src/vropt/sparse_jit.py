@@ -23,6 +23,14 @@ from .diag import enum_stats  # noqa: F401 -- perfbench/tracing.py wraps this na
 from .schedules import sample  # noqa: F401 -- perfbench/tracing.py wraps this name here
 from .schedules import uniform_scheme
 
+JIT_MODES = ("auto", "on", "off")
+
+# auto picks the lazy engine from this many features up. An eager step costs
+# O(d) (it decays and shifts all of x), a lazy one O(nnz(a_i)) plus a fixed
+# overhead; over 5-60 nonzeros per row, sag and saga cross near d = 15k
+# (tools/engine_sweep.py).
+LAZY_MIN_D = 15_000
+
 
 class LazyIterate:
     """Iterate vector with per-coordinate staleness bookkeeping."""
@@ -80,32 +88,40 @@ class LazyIterate:
         return self.x
 
 
-def jit_compatible(config, obj, gamma):
-    """None when the lazy engine applies, else a human-readable reason."""
+def choose_engine(config, obj, gamma):
+    """("lazy" or "eager", reason) for a run with this config and resolved
+    stepsize. jit "off" forces eager; "on" forces lazy, and run() raises the
+    reason when it cannot apply; "auto" picks lazy where it applies and
+    d >= LAZY_MIN_D."""
+    if config.jit == "off":
+        return "eager", "jit = off"
     if config.method not in ("sag", "saga"):
-        return "only the table methods (sag, saga) have lazy updates"
-    if config.table_mode != "scalar":
-        return "lazy updates need the scalar table (dense rows are O(d) anyway)"
-    scheme = config.scheme or uniform_scheme()
-    if scheme.batch != 1:
-        return "mini-batch steps touch too much support to stay lazy"
-    if obj.l1:
-        return "the soft-threshold prox is dense; run with l1=0 or jit off"
-    if gamma is None:
-        return "per-step (armijo) stepsizes change the decay each step"
-    if config.warm_start_sgd_epochs:
-        return "warm-start phase is not lazy; run with jit off"
-    if config.record_iterates:
-        return "recording every iterate requires materializing every step"
-    if 1.0 - gamma * obj.l2 <= 0.0:
-        return "gamma*l2 >= 1 makes the decay nonpositive; use dense mode"
-    return None
+        reason = "only the table methods (sag, saga) have lazy updates"
+    elif (config.scheme or uniform_scheme()).batch != 1:
+        reason = "mini-batch steps touch too much support to stay lazy"
+    elif obj.l1:
+        reason = "the soft-threshold prox is dense; run with l1=0 or jit off"
+    elif gamma is None:
+        reason = "per-step (armijo) stepsizes change the decay each step"
+    elif config.warm_start_sgd_epochs:
+        reason = "warm-start phase is not lazy; run with jit off"
+    elif config.record_iterates:
+        reason = "recording every iterate requires materializing every step"
+    elif 1.0 - gamma * obj.l2 <= 0.0:
+        reason = "gamma*l2 >= 1 makes the decay nonpositive; run with jit off"
+    elif config.jit == "on":
+        return "lazy", "jit = on"
+    elif obj.d < LAZY_MIN_D:
+        reason = "d = %d < %d: eager steps are faster at this width" % (obj.d, LAZY_MIN_D)
+    else:
+        return "lazy", "d = %d >= %d: lazy steps cost O(nnz(a_i)), eager ones O(d)" % (obj.d, LAZY_MIN_D)
+    return "eager", reason
 
 
 def run_jit(recorder, x, draws, budget):
     """Lazy sag/saga loop over x in place, for optimizers.run.
 
-    run() has validated the configuration, built the scalar table and taken
+    run() has validated the configuration, built the table and taken
     the first checkpoint; recorder carries them, draws is the run's
     optimizers.index_batches source. Returns (evals, the LazyIterate, whose
     touched counter is the work actually performed).
@@ -128,11 +144,11 @@ def run_jit(recorder, x, draws, budget):
         m = float(np.dot(vals, x[idx]))
         _check_finite(m, gamma)
         s_new = deriv(m, labels[i])
-        delta = s_new * vals - table.cov_vals(i, idx, vals)
+        delta = s_new * vals - table.s[i] * vals
         # idx is current through step k here, so after the push below it is
         # one step behind: catch_up_one
         if method == "sag":
-            table.store(i, idx, None, s_new)
+            table.store(i, s_new)
             gsum[idx] += delta
             denom = table.seen_count if config.seen_norm else table.n
             lazy.push_weight(gamma / denom)
@@ -141,7 +157,7 @@ def run_jit(recorder, x, draws, budget):
             lazy.push_weight(gamma / table.n)
             lazy.catch_up_one(idx, gsum)
             x[idx] -= gamma * delta
-            table.store(i, idx, None, s_new)
+            table.store(i, s_new)
             gsum[idx] += delta
         lazy.touched += idx.size
         evals += 1

@@ -30,6 +30,9 @@ from .optimizers import (
     GradientTable,
     RunConfig,
     SvrgState,
+    _move,
+    _pull,
+    index_batches,
     run,
     saga_estimator,
     sdca_step,
@@ -212,7 +215,7 @@ def check_smoothness_inequalities():
             worst = min(worst, slack)
     # lemma 2 on evolving estimator states
     lemma2_ok = True
-    table = GradientTable(obj_log, "dense")
+    table = GradientTable(obj_log)
     r = RandomSource(3)
     x = np.zeros(obj_log.d)
     est = saga_estimator(obj_log, table)
@@ -245,7 +248,7 @@ def check_unbiasedness(flip_sign=False):
         rng = RandomSource(11)
         x = np.zeros(obj.d)
         if method == "saga":
-            state = GradientTable(obj, "dense")
+            state = GradientTable(obj)
             if flip_sign:
                 table = state
 
@@ -253,7 +256,7 @@ def check_unbiasedness(flip_sign=False):
                     idx, vals = obj.data.row(i)
                     gg = table.mean() + obj.l2 * xx
                     s = obj.loss.deriv(float(np.dot(vals, xx[idx])), obj.labels[i])
-                    gg[idx] += s * vals + table.cov_vals(i, idx, vals)  # faulty sign
+                    gg[idx] += s * vals + table.s[i] * vals  # faulty sign
                     return gg
             else:
                 est = saga_estimator(obj, state)
@@ -304,29 +307,28 @@ def check_unbiasedness(flip_sign=False):
 
 def check_table_mean_identity():
     """Running table average equals the from-scratch average along 1000-step
-    runs, probed every 100 steps, both table modes."""
+    sag and saga runs, probed every 100 steps."""
     t0 = time.perf_counter()
     data = bench_data.toy_classification(seed=4, n=60, d=8)
     obj = GlmObjective(data, "logistic", l2=0.05)
     info = smoothness(obj)
     g = 1.0 / info.l_max
     worst = 0.0
-    for mode in ("dense", "scalar"):
-        for saga in (False, True):
-            table = GradientTable(obj, mode)
-            rng = RandomSource(9)
-            x = np.zeros(obj.d)
-            for k in range(1, 1001):
-                table_step(table, obj, x, [int(rng.integers(obj.n))], g, saga)
-                if k % 100 == 0:
-                    worst = max(worst, table.mean_rel_error(obj))
+    for saga in (False, True):
+        table = GradientTable(obj)
+        rng = RandomSource(9)
+        x = np.zeros(obj.d)
+        for k in range(1, 1001):
+            table_step(table, obj, x, [int(rng.integers(obj.n))], g, saga)
+            if k % 100 == 0:
+                worst = max(worst, table.mean_rel_error(obj))
     ok = worst <= 1e-10
     return CheckResult("table_mean_identity", ok, "worst_rel=%.2e" % worst, "<=1e-10",
                        seconds=time.perf_counter() - t0)
 
 
 def check_jit_equivalence():
-    """Lazy sparse updates reproduce the dense-driver trajectory, and the
+    """Lazy sparse updates reproduce the eager-driver trajectory, and the
     touched-coordinate counter equals the exact support sum of the path."""
     t0 = time.perf_counter()
     worst_x = 0.0
@@ -335,7 +337,7 @@ def check_jit_equivalence():
     for seed in range(10):
         data = bench_data.sparse_gaussian(seed=seed)
         obj = GlmObjective(data, "logistic", l2=1e-3)
-        cfg = dict(method="saga", epochs=3.0, seed=seed, table_mode="scalar")
+        cfg = dict(method="saga", epochs=3.0, seed=seed)
         plain = run(RunConfig(jit="off", **cfg), obj)
         lazy = run(RunConfig(jit="on", **cfg), obj)
         worst_x = max(worst_x, float(np.linalg.norm(lazy.x - plain.x) / (1.0 + np.linalg.norm(plain.x))))
@@ -354,20 +356,40 @@ def check_jit_equivalence():
                        seconds=time.perf_counter() - t0)
 
 
+def _dense_table_saga(obj, gamma, seed, epochs):
+    """saga keeping each v^i = loss'_i a_i as a row of an n x d table, the
+    storage the scalar table replaces: table_step's draws, pulls and moves
+    at batch 1. Returns x and f at every epoch."""
+    n = obj.n
+    v, gsum, x = np.zeros((n, obj.d)), np.zeros(obj.d), np.zeros(obj.d)
+    draws = index_batches(uniform_scheme(), RandomSource(seed), n)
+    fs = [obj.objective_value(x)]
+    for k in range(1, int(epochs * n) + 1):
+        ((j, idx, vals, s),) = _pull(obj, x, next(draws), gamma)
+        delta = s * vals - v[j, idx]
+        _move(obj, x, gamma, -(gamma / n), gsum, [(idx, gamma * delta)])
+        v[j, idx] = s * vals
+        gsum[idx] += delta
+        if k % n == 0:
+            fs.append(obj.objective_value(x))
+    return x, fs
+
+
 def check_scalar_table_equivalence():
-    """Scalar-mode and dense-mode table trajectories coincide under matched
-    seeds (they perform identical arithmetic)."""
+    """The scalar table's saga trajectory coincides with a replay that
+    stores every v^i as a dense row, under matched seeds (they perform
+    identical arithmetic)."""
     t0 = time.perf_counter()
     worst = 0.0
     for seed in (0, 1):
         data = bench_data.sparse_gaussian(seed=seed)
         obj = GlmObjective(data, "logistic", l2=1e-3)
-        cfg = dict(method="saga", epochs=3.0, seed=seed)
-        dense = run(RunConfig(table_mode="dense", **cfg), obj)
-        scal = run(RunConfig(table_mode="scalar", **cfg), obj)
-        worst = max(worst, float(np.linalg.norm(dense.x - scal.x) / (1.0 + np.linalg.norm(dense.x))))
-        for rd, rs in zip(dense.records, scal.records):
-            worst = max(worst, abs(rd.f - rs.f) / (1.0 + abs(rd.f)))
+        gamma = 1.0 / smoothness(obj).l_max  # the theory default
+        scal = run(RunConfig(method="saga", epochs=3.0, seed=seed, gamma=gamma, jit="off"), obj)
+        x, fs = _dense_table_saga(obj, gamma, seed, 3.0)
+        worst = max(worst, float(np.linalg.norm(x - scal.x) / (1.0 + np.linalg.norm(x))))
+        for f, rs in zip(fs, scal.records, strict=True):
+            worst = max(worst, abs(f - rs.f) / (1.0 + abs(f)))
     ok = worst <= 1e-12
     return CheckResult("scalar_table_equivalence", ok, "worst_rel=%.2e" % worst, "<=1e-12",
                        seconds=time.perf_counter() - t0)

@@ -1,7 +1,10 @@
 import os
 
-from vropt import optimizers, sparse_jit
-from vropt.bench_data import load_dataset
+import pytest
+
+from vropt import cli, optimizers, sparse_jit
+from vropt.bench_data import load_dataset, sparse_gaussian
+from vropt.objectives import GlmObjective
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -37,3 +40,38 @@ def test_perfbench_dataset_hooks(monkeypatch):
         "n": data.n, "d": data.d, "nnz": nnz,
         "bytes": 2 * payload + data.indptr.nbytes + data.labels.nbytes,
     }
+
+
+def test_perfbench_command_lines_still_parse(tmp_path, monkeypatch):
+    """The benchmark's compare spec and run argv are frozen with it: they must
+    keep parsing, `--table scalar` included, while --table accepts nothing else."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import inputs
+
+    top, entries = cli.parse_compare_spec(inputs.grid_spec(0, str(tmp_path / "grid")))
+    assert [e["label"] for e in entries] == [label for label, _ in inputs.GRID]
+    parser = cli.build_parser()
+    for method in inputs.SPARSE_METHODS:
+        ns = parser.parse_args(["run", "--data", "sparse.svm", "--loss", "logistic", "--l2", "2e-05",
+                                "--method", method, "--table", "scalar", "--epochs", "1", "--seed", "0",
+                                "--out", str(tmp_path / "t.csv"), "--times", "--inner-t", "10000"])
+        assert (ns.method, ns.table, ns.jit) == (method, "scalar", "auto")
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["run", "--data", "synth:tiny", "--method", "saga", "--table", "dense"])
+    assert exc.value.code == cli.EXIT_USAGE
+
+
+def test_perfbench_reads_run_results(monkeypatch):
+    """tracing.run_result reads the table's mode, s, gsum and seen and the
+    lazy engine's prefix from a RunResult."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    obj = GlmObjective(sparse_gaussian(seed=0, n=60, d=40), "logistic", l2=0.01)
+    for config, lazy in ((optimizers.RunConfig(method="sag", epochs=1.0), False),
+                         (optimizers.RunConfig(method="saga", epochs=1.0, jit="on"), True)):
+        res = optimizers.run(config, obj)
+        got = tracing.run_result((config, obj), res)
+        assert (got["method"], got["evals"], got["lazy"]) == (config.method, 60, lazy)
+        assert got["table_bytes"] == 60 * 8 + 40 * 8 + 60
+        assert (got["touched"] > 0) is lazy and (got["prefix_bytes"] > 0) is lazy

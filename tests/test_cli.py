@@ -210,6 +210,9 @@ def test_trace2d(tmp_path, capsys):
         ilines = fh.read().splitlines()
     body = [l for l in ilines if not l.startswith("#")]
     assert body[0] == "k,x1,x2"
+    # every iterate is recorded, which the lazy engine cannot do
+    assert "# engine = eager" in ilines
+    assert "# engine_reason = recording every iterate requires materializing every step" in ilines
     assert len(body) > 100
     with open(prefix + ".grid.csv") as fh:
         glines = [l for l in fh.read().splitlines() if not l.startswith("#")]
@@ -376,3 +379,44 @@ def test_global_l_computed_where_read(tmp_path, monkeypatch):
     monkeypatch.setattr(diag, "_REF_MEMO", {})  # solve, not recall
     assert _run("solve-ref", *base, "--out", str(tmp_path / "ref")) == 0
     assert len(calls) == 3
+
+
+def test_header_names_engine(tmp_path):
+    # the data's width picks the engine, and every header says which ran and why
+    out = str(tmp_path / "m.csv")
+    assert _run("run", "--data", "synth:mushrooms:0", "--l2", "1e-4", "--method", "saga",
+                "--epochs", "0", "--out", out) == 0
+    meta = read_trace(out)[1]
+    assert "table" not in meta
+    assert (meta["engine"], meta["jit"]) == ("eager", "auto")
+    assert meta["engine_reason"].startswith("d = 112 < ")
+    wide = _write_svm(tmp_path, "wide.svm", "1 1:0.5 100000:2\n-1 2:1.25\n1 1:-1 7:4\n")
+    base = ["--data", wide, "--dim", "100000", "--l2", "0.1", "--epochs", "1"]
+    for method, jit, engine in (("sag", "auto", "lazy"), ("saga", "auto", "lazy"),
+                                ("saga", "off", "eager"), ("svrg", "auto", "eager")):
+        assert _run("run", *base, "--method", method, "--jit", jit, "--out", out) == 0
+        meta = read_trace(out)[1]
+        assert meta["engine"] == engine, (method, jit, meta["engine_reason"])
+    spec = tmp_path / "wide.spec"
+    spec.write_text("data = %s\ndim = 100000\nl2 = 0.1\nepochs = 1\nout = %s\n"
+                    "[method]\nname = saga\n[method]\nname = saga\nlabel = saga-off\njit = off\n"
+                    % (wide, tmp_path / "grid"))
+    assert _run("compare", str(spec)) == 0
+    for label, engine in (("saga", "lazy"), ("saga-off", "eager")):
+        meta = read_trace(str(tmp_path / "grid" / ("%s_seed0.csv" % label)))[1]
+        assert (meta["engine"], meta["label"]) == (engine, label)
+
+
+def test_compare_shares_one_global_l(tmp_path, monkeypatch):
+    # the reference solve, gd's 1/L and svrg-b16's L(b) read one power iteration
+    calls = []
+    real = objectives.power_iteration_sq
+    monkeypatch.setattr(objectives, "power_iteration_sq",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(diag, "_REF_MEMO", {})
+    spec = tmp_path / "g.spec"
+    spec.write_text("data = synth:toyclass\nl2 = 0.1\nepochs = 2\nout = %s\n[method]\nname = gd\n"
+                    "[method]\nname = svrg\nlabel = svrg-b16\nbatch = 16\ngamma_policy = minibatch\n"
+                    % (tmp_path / "grid"))
+    assert _run("compare", str(spec)) == 0
+    assert len(calls) == 1

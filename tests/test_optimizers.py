@@ -29,6 +29,7 @@ from vropt.optimizers import (
     table_step,
 )
 from vropt.schedules import armijo_policy, lipschitz_scheme, sample, uniform_scheme
+from vropt.validate import _dense_table_saga
 
 
 def _one_example(a=2.0, b=1.0, l2=0.0):
@@ -44,7 +45,7 @@ def _two_example(l2=0.0):
 def test_saga_stores_after_step():
     # With a zero table: x1 = 2*gamma; the fresh scalar only enters step 2.
     obj = _one_example()
-    table = GradientTable(obj, "dense")
+    table = GradientTable(obj)
     x = np.zeros(1)
     g = 0.1
     table_step(table, obj, x, [0], g, saga=True)
@@ -59,17 +60,17 @@ def test_sag_refreshes_before_step():
     g = 0.1
     obj = _two_example()
     x = np.zeros(1)
-    table = GradientTable(obj, "dense")
+    table = GradientTable(obj)
     table_step(table, obj, x, [0], g)
     assert x[0] == pytest.approx(g, rel=1e-15)  # gsum/2
 
     x2 = np.zeros(1)
-    table2 = GradientTable(obj, "dense")
+    table2 = GradientTable(obj)
     table_step(table2, obj, x2, [0], g, saga=True)
     assert x2[0] == pytest.approx(2 * g, rel=1e-15)
 
     x3 = np.zeros(1)
-    table3 = GradientTable(obj, "dense")
+    table3 = GradientTable(obj)
     table_step(table3, obj, x3, [0], g, seen_norm=True)
     assert x3[0] == pytest.approx(2 * g, rel=1e-15)  # gsum/seen
 
@@ -78,11 +79,11 @@ def test_saga_repeated_row_stored_once():
     # with-replacement batches can draw a row twice: the move counts both
     # draws, the table and its running sum take the row once
     obj = _two_example()
-    table = GradientTable(obj, "dense")
+    table = GradientTable(obj)
     x = np.zeros(1)
     table_step(table, obj, x, [0, 0], 0.1, saga=True)
     assert x[0] == pytest.approx(0.2, rel=1e-15)  # (g/2)*(2 + 2)
-    assert table.gsum[0] == table.v[0, 0] == -2.0
+    assert (table.s[0], table.gsum[0]) == (-1.0, -2.0)
     # a 20-epoch Lipschitz mini-batch run keeps the running sum exact
     ds = toy_classification(seed=0, n=20, d=5)
     obj = GlmObjective(ds, "logistic", l2=0.1)
@@ -212,7 +213,7 @@ def test_warm_start_prefix():
 def test_stop_rule_gbar():
     ds = toy_classification(seed=0, n=50, d=5)
     obj = GlmObjective(ds, "logistic", l2=0.1)
-    for engine in ({}, {"table_mode": "scalar", "jit": "on"}):
+    for engine in ({}, {"jit": "on"}):
         res = run(RunConfig(method="saga", epochs=500.0, seed=0, stop="gbar:1e-6", **engine), obj)
         assert res.aux.get("jit", False) == bool(engine)
         assert res.records[-1].grad_norm <= 1e-6
@@ -266,7 +267,7 @@ def test_divergence_carries_partial_trace():
     sq = GlmObjective(sparse_gaussian(seed=0), "half_squared", l2=1e-4)
     for jit in ("off", "on"):
         with pytest.raises(DivergenceError) as exc:
-            run(RunConfig(method="saga", table_mode="scalar", jit=jit, gamma=50.0,
+            run(RunConfig(method="saga", jit=jit, gamma=50.0,
                           epochs=10.0, seed=0), sq)
         assert exc.value.gamma == 50.0
         assert [r.grad_evals for r in exc.value.records] == [0, sq.n]
@@ -300,6 +301,7 @@ def test_config_validation():
         (RunConfig(method="sgd", stop="gbar:1e-6", gamma=0.1), obj),
         (RunConfig(method="sdca", stop="grad:1e-6"), obj),
         (RunConfig(method="gd", policy=armijo_policy()), obj),
+        (RunConfig(method="saga", gamma=0.1, jit="of"), obj),
     ]
     for config, o in cases:
         with pytest.raises(ConfigError):
@@ -307,22 +309,18 @@ def test_config_validation():
 
 
 def test_scalar_table_matches_dense_storage():
+    # the scalar table against validate's replay with an explicit n x d
+    # table: the same iterates and checkpoint values, bit for bit
     ds = toy_classification(seed=2, n=25, d=6)
     obj = GlmObjective(ds, "logistic", l2=0.1)
-    ts = GradientTable(obj, "scalar")
-    td = GradientTable(obj, "dense")
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=obj.d)
-    for i in (3, 7, 3, 11):
-        idx, vals = ds.row(i)
-        s = obj.grad_i_scalar(x, i)
-        for t in (ts, td):
-            delta = s * vals - t.cov_vals(i, idx, vals)  # steppers own gsum
-            t.store(i, idx, s * vals, s)
-            t.gsum[idx] += delta
-        assert np.array_equal(ts.cov_vals(i, idx, vals), td.cov_vals(i, idx, vals))
-    assert np.allclose(ts.mean(), td.mean(), rtol=0, atol=0)
-    assert ts.mean_rel_error(obj) <= 1e-14
+    g = 0.5 / smoothness(obj).l_max
+    for seed in (0, 4):
+        res = run(RunConfig(method="saga", epochs=4.0, seed=seed, gamma=g), obj)
+        x, fs = _dense_table_saga(obj, g, seed, 4.0)
+        assert res.aux["engine"] == "eager"
+        assert np.array_equal(res.x, x)
+        assert [r.f for r in res.records] == fs
+        assert res.aux["table"].mean_rel_error(obj) <= 1e-14
 
 
 def test_sarah_descends():
@@ -404,7 +402,7 @@ def test_run_final_iterates_pinned():
          "4918d58685c5445d8271cd907813ac2ff4969548f562507e659e87941b608af9"),
         (cls, dict(method="sdca", epochs=5.0, seed=3), 1500,
          "a586a3e9395927bdaf25ea65b565d6aed8c0cddf9ff4e7788866e986c8a33d12"),
-        (sp, dict(method="saga", epochs=30.0, seed=4, table_mode="scalar", jit="on", stop="grad:1e-3"),
+        (sp, dict(method="saga", epochs=30.0, seed=4, jit="on", stop="grad:1e-3"),
          9000, "15159e29ac78141756379be61a9ddd4a308a06eac9f56971f406d771d4befe16"),
         (cls, dict(method="saga", epochs=5.0, seed=5, scheme=uniform_scheme(batch=3)), 1500,
          "6104fdba9b10a284c6b919f4a68802f1b0bfe858e8ae7ada7b992ba8fa2820c6"),

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vropt.bench_data import sparse_gaussian, toy_classification
+from vropt.data import Dataset
 from vropt.objectives import GlmObjective
 from vropt.optimizers import ConfigError, RunConfig, run
 from vropt.schedules import armijo_policy, uniform_scheme
-from vropt.sparse_jit import LazyIterate, jit_compatible
+from vropt.sparse_jit import LAZY_MIN_D, LazyIterate, choose_engine
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.97, 0.5])
@@ -91,23 +92,30 @@ def test_lazy_iterate_rho_one_long_run():
 def test_jit_compatibility_reasons():
     data = sparse_gaussian(seed=0, n=60, d=40)
     obj = GlmObjective(data, "logistic", l2=0.01)
-    good = RunConfig(method="saga", table_mode="scalar", jit="on")
-    assert jit_compatible(good, obj, 0.1) is None
+    good = RunConfig(method="saga", jit="on")
+    assert choose_engine(good, obj, 0.1) == ("lazy", "jit = on")
     bad = [
         RunConfig(method="svrg", jit="on"),
-        RunConfig(method="saga", table_mode="dense", jit="on"),
-        RunConfig(method="saga", table_mode="scalar", jit="on",
-                  scheme=uniform_scheme(batch=2)),
-        RunConfig(method="saga", table_mode="scalar", jit="on", record_iterates=True),
-        RunConfig(method="saga", table_mode="scalar", jit="on", warm_start_sgd_epochs=1.0),
-        RunConfig(method="saga", table_mode="scalar", jit="on", policy=armijo_policy()),
+        RunConfig(method="saga", jit="on", scheme=uniform_scheme(batch=2)),
+        RunConfig(method="saga", jit="on", record_iterates=True),
+        RunConfig(method="saga", jit="on", warm_start_sgd_epochs=1.0),
+        RunConfig(method="saga", jit="on", policy=armijo_policy()),
     ]
     for config in bad:
-        assert jit_compatible(config, obj, 0.1 if config.policy is None else None)
+        engine, reason = choose_engine(config, obj, 0.1 if config.policy is None else None)
+        assert engine == "eager" and reason != "jit = on"
     l1 = GlmObjective(data, "logistic", l2=0.01, l1=0.05)
-    assert jit_compatible(good, l1, 0.1)
+    assert choose_engine(good, l1, 0.1)[0] == "eager"
     # 1 - gamma*l2 <= 0 breaks the decay recurrence
-    assert jit_compatible(good, obj, 200.0)
+    assert choose_engine(good, obj, 200.0)[0] == "eager"
+    # the data's shape picks the engine under auto; off forces eager
+    engine, reason = choose_engine(RunConfig(method="saga"), obj, 0.1)
+    assert engine == "eager" and reason.startswith("d = 40 < %d" % LAZY_MIN_D)
+    assert choose_engine(RunConfig(method="saga", jit="off"), obj, 0.1) == ("eager", "jit = off")
+    for d, want in ((LAZY_MIN_D - 1, "eager"), (LAZY_MIN_D, "lazy")):
+        wide = GlmObjective(Dataset([0, 1, 2], [0, d - 1], [1.0, 1.0], [1.0, -1.0], d), "logistic", l2=0.5)
+        assert choose_engine(RunConfig(method="sag"), wide, 0.1)[0] == want
+        assert choose_engine(RunConfig(method="sag", record_iterates=True), wide, 0.1)[0] == "eager"
 
 
 def test_jit_on_raises_when_unavailable():
@@ -121,7 +129,7 @@ def test_jit_on_raises_when_unavailable():
 def test_jit_run_parity(method):
     data = sparse_gaussian(seed=3, n=120, d=80)
     obj = GlmObjective(data, "logistic", l2=0.01)
-    base = dict(method=method, epochs=4.0, seed=3, table_mode="scalar", gamma=0.3,
+    base = dict(method=method, epochs=4.0, seed=3, gamma=0.3,
                 var_epochs=frozenset({1, 3}))
     plain = run(RunConfig(jit="off", **base), obj)
     lazy = run(RunConfig(jit="on", **base), obj)
@@ -142,3 +150,4 @@ def test_jit_auto_falls_back():
     obj = GlmObjective(data, "logistic", l2=0.01)
     res = run(RunConfig(method="svrg", jit="auto", epochs=2.0, seed=0), obj)
     assert res.aux.get("jit") is not True
+    assert res.aux["engine"] == "eager" and "table methods" in res.aux["engine_reason"]
