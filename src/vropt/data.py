@@ -138,13 +138,6 @@ class RandomSource:
         return self._gen.normal(size=size)
 
 
-def draw_index(rng, n):
-    """Uniform index in {0..n-1}, advancing the generator."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return rng.integers(n)
-
-
 def parse_libsvm(source, dim=None):
     """Parse LIBSVM text ("label idx:val ...", 1-based indices) into a Dataset.
 

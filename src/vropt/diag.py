@@ -200,13 +200,10 @@ def dual_objective(obj, dual):
     """D(v) = (1/n) sum_i -loss_i*(-v_i) - (l2/2)||w||^2 for the dual state."""
     if obj.l2 <= 0:
         raise ValueError("dual objective needs l2 > 0")
-    total = 0.0
-    for i in range(obj.n):
-        c = obj.loss.conjugate(-dual.v[i], obj.labels[i])
-        if not np.isfinite(c):
-            return -np.inf
-        total -= c
-    total /= obj.n
+    c = obj.loss.conjugate_vec(-dual.v, obj.labels)
+    if not np.isfinite(c).all():
+        return -np.inf
+    total = np.subtract.reduce(c, initial=0.0) / obj.n  # total -= c_i, in order
     return total - 0.5 * obj.l2 * float(np.dot(dual.w, dual.w))
 
 

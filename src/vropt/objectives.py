@@ -6,13 +6,11 @@ gradients. Least squares uses the 1/2 convention, so L_i = ||a_i||^2 + l2.
 """
 
 import math
-from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 
 class NonSmoothError(ValueError):
@@ -40,6 +38,8 @@ class HalfSquaredLoss:
     @staticmethod
     def conjugate(u, b):
         return 0.5 * u * u + u * b
+
+    conjugate_vec = conjugate
 
 
 class LogisticLoss:
@@ -70,6 +70,7 @@ class LogisticLoss:
 
     @staticmethod
     def deriv_vec(m, b):
+        from scipy.special import expit  # imported on first use: most of the package's import time
         return -b * expit(-b * m)
 
     @staticmethod
@@ -84,6 +85,15 @@ class LogisticLoss:
         if s < 1.0:
             ent += (1.0 - s) * np.log(1.0 - s)
         return ent
+
+    @staticmethod
+    def conjugate_vec(u, b):
+        # conjugate elementwise, in its order of operations
+        s = -b * u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = (0.0 + np.where(s > 0.0, s * np.log(s), 0.0)
+                   + np.where(s < 1.0, (1.0 - s) * np.log(1.0 - s), 0.0))
+        return np.where((s < 0.0) | (s > 1.0), np.inf, ent)
 
 
 class HingeLoss:
@@ -105,6 +115,8 @@ class HingeLoss:
     @staticmethod
     def conjugate(u, b):
         return b * u if -1.0 <= b * u <= 0.0 else np.inf
+
+    conjugate_vec = staticmethod(lambda u, b: np.where((-1.0 <= b * u) & (b * u <= 0.0), b * u, np.inf))
 
 
 HALF_SQUARED = HalfSquaredLoss()
@@ -135,6 +147,8 @@ class GlmObjective:
             raise ValueError("regularization weights must be nonnegative")
         if loss is HINGE and l2 <= 0:
             raise ValueError("hinge loss requires l2 > 0")
+        if loss is LOGISTIC:  # deriv_vec's scipy.special loads with the objective, not in a solver step
+            import scipy.special  # noqa: F401
         labels = data.labels
         if loss.classification:
             vals = set(np.unique(labels))
@@ -150,14 +164,14 @@ class GlmObjective:
         self.labels.setflags(write=False)
         self.n = data.n
         self.d = data.d
+        # indptr and labels, read as Python ints/floats by the per-row loops: typed views, no copies
+        self.py_indptr = indptr = memoryview(data.indptr)
+        self.py_labels = memoryview(self.labels)
         # ||a_i||^2 one row at a time: np.dot per row fixes the summation
         # order, so L_max (and with it the default stepsize) is reproducible
-        self.row_sq = np.array([float(np.dot(v, v)) for _, v in map(data.row, range(data.n))])
+        rows = map(data.col_values.__getitem__, map(slice, indptr, indptr[1:]))
+        self.row_sq = np.fromiter((v.dot(v) for v in rows), dtype=np.float64, count=data.n)
         self.row_sq.setflags(write=False)
-        # indptr and labels as Python ints/floats for the per-example loops,
-        # which read one row at a time (typed arrays: lists would cost ~4x the memory)
-        self.py_indptr = array("q", data.indptr.tobytes())
-        self.py_labels = array("d", self.labels.tobytes())
         self._smoothness = {}  # smoothness() results by (tol, max_iter)
 
     # -- per-example quantities ------------------------------------------

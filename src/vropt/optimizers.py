@@ -16,7 +16,6 @@ true full gradient.
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -29,15 +28,15 @@ from .schedules import (
     StepsizePolicy,
     armijo_stochastic,
     default_stepsize,
-    lipschitz_draws,
-    sample,
+    draw_batches,
     theory_policy,
     uniform_scheme,
 )
+from .schedules import sample  # noqa: F401 -- perfbench/tracing.py wraps this name here
 
 METHODS = ("gd", "sgd", "sgd_momentum", "sgd_star", "sag", "saga", "svrg", "sarah", "sdca")
 TABLE_METHODS = ("sag", "saga")
-DRAW_BLOCK = 1024  # batches drawn per generator call (uniform b = 1, Lipschitz)
+DRAW_BLOCK = 1024  # batches drawn per generator call
 
 
 class DivergenceError(RuntimeError):
@@ -77,14 +76,7 @@ class GradientTable:
         self.n = obj.n
         self.s = np.zeros(obj.n)
         self.gsum = np.zeros(obj.d)
-        self.seen = np.zeros(obj.n, dtype=bool)
-        self.seen_count = 0
-
-    def store(self, i, s):
-        self.s[i] = s
-        if not self.seen[i]:
-            self.seen[i] = True
-            self.seen_count += 1
+        self.seen = np.zeros(obj.n, dtype=bool)  # never written: perfbench/tracing.py counts its bytes
 
     def mean(self):
         return self.gsum / self.n
@@ -153,50 +145,78 @@ class DualState:
         self.v = np.zeros(obj.n)
         self.w = np.zeros(obj.d)
 
-    def recompute_w(self, obj):
-        return obj.data.weighted_sum(self.v) / (obj.l2 * obj.n)
-
     def w_rel_error(self, obj):
-        ref = self.recompute_w(obj)
+        """Relative gap between w and x(v) recomputed from v."""
+        ref = obj.data.weighted_sum(self.v) / (obj.l2 * obj.n)
         return float(np.linalg.norm(self.w - ref) / (1.0 + np.linalg.norm(ref)))
 
 
 # ---------------------------------------------------------------------------
-# single steps (mutate x in place; batch is a sequence of int row indices)
+# step kernels
 #
-# Every per-example method makes the same move (_move); each step below only
-# works out its pieces: the anchor term, the per-row vectors, and whether x
-# shrinks by the l2 factor.
+# run() builds each method's step once, for batches of b rows (svrg and sarah
+# once per stage): a closure over the run's constants and state arrays. Every
+# kernel makes the same move (_mover) and only works out its pieces: the
+# anchor term, the per-row coefficients, and whether x shrinks by the l2
+# factor. The public single steps build the same kernels for one call.
 
 
-def _pull(obj, x, batch, gamma):
-    """(j, indices, values, loss'(a_j^T x, b_j)) per sampled j; every margin
-    is checked before the caller changes any state."""
-    indptr, labels, deriv = obj.py_indptr, obj.py_labels, obj.loss.deriv
-    cols, values = obj.data.col_indices, obj.data.col_values
-    pulls = []
-    for j in batch:
-        lo, hi = indptr[j], indptr[j + 1]
-        idx, vals = cols[lo:hi], values[lo:hi]
-        m = float(np.dot(vals, x[idx]))
-        _check_finite(m, gamma)
-        pulls.append((j, idx, vals, deriv(m, labels[j])))
-    return pulls
+def _puller(obj, b):
+    """pull(x, batch, gamma) -> (idx, vals, lens, ms): the rows' support and
+    values (row j's slices when b = 1, lens None; else the rows gathered in
+    batch order, lens their lengths) and margins a_j^T x, one ndarray.dot per
+    row, all checked finite before the caller changes any state."""
+    indptr, cols, values, isfinite = obj.py_indptr, obj.data.col_indices, obj.data.col_values, math.isfinite
+    np_indptr = obj.data.indptr
+
+    def pull(x, batch, gamma):
+        if b == 1:
+            lo, hi = indptr[batch[0]], indptr[batch[0] + 1]
+            idx, vals = cols[lo:hi], values[lo:hi]
+            m = float(vals.dot(x[idx]))
+            _check_finite(m, gamma)
+            return idx, vals, None, (m,)
+        rows = np.array(batch)
+        lo = np_indptr[rows]
+        lens = np_indptr[rows + 1] - lo
+        ends = lens.cumsum()
+        starts = ends - lens
+        pos = np.arange(ends[-1]) + (lo - starts).repeat(lens)
+        idx, vals = cols[pos], values[pos]
+        xg = x[idx]
+        ms = [float(vals[a:e].dot(xg[a:e])) for a, e in zip(starts.tolist(), ends.tolist())]
+        if not all(map(isfinite, ms)):
+            _check_finite(math.nan, gamma)
+        return idx, vals, lens, ms
+    return pull
 
 
-def _move(obj, x, gamma, weight, anchor, rows, decay=True):
-    """x <- (1 - gamma*l2) x + weight*anchor, then x[idx] -= vec for each
-    (idx, vec) in rows, then the l1 prox. decay=False keeps x unshrunk (the
-    direction already carries l2*x); anchor None drops that term."""
-    if decay:
-        x *= 1.0 - gamma * obj.l2
-    if anchor is not None:
-        x += weight * anchor
-    for idx, vec in rows:
-        x[idx] -= vec
-    if obj.l1:
-        x[:] = obj.prox(gamma, x)
-    return x
+def _spread(coefs, lens, vals):
+    """coefs[k] * a_k on each row's support: the rows' vectors, joined."""
+    return coefs[0] * vals if lens is None else np.array(coefs).repeat(lens) * vals
+
+
+def _mover(obj, b, decay=True):
+    """move(x, gamma, weight, anchor, idx=None, vec=None): x <- (1 - gamma*l2) x
+    + weight*anchor, then x[idx] -= vec row after row (np.subtract.at when b > 1:
+    a batch's joined support may repeat an index), then the l1 prox. decay=False
+    keeps x unshrunk (the direction carries l2*x); anchor None drops the term."""
+    l2, l1, prox = obj.l2, obj.l1, obj.prox
+    buf = np.empty(obj.d)
+
+    def move(x, gamma, weight, anchor, idx=None, vec=None):
+        if decay:
+            x *= 1.0 - gamma * l2
+        if anchor is not None:
+            x += np.multiply(weight, anchor, out=buf)
+        if idx is not None and b == 1:
+            x[idx] -= vec
+        elif idx is not None:
+            np.subtract.at(x, idx, vec)
+        if l1:
+            x[:] = prox(gamma, x)
+        return x
+    return move
 
 
 def gd_step(obj, x, gamma):
@@ -209,52 +229,86 @@ def gd_step(obj, x, gamma):
     return x
 
 
+def _shift_kernel(obj, b, ref=None, anchor=None, anchor_scale=0.0):
+    pull, move, deriv, labels = _puller(obj, b), _mover(obj, b), obj.loss.deriv, obj.py_labels
+    anchor = anchor if anchor_scale else None
+    ref = memoryview(np.zeros(obj.n)) if ref is None else ref
+
+    def step(x, batch, gamma):
+        idx, vals, lens, ms = pull(x, batch, gamma)
+        c = gamma / b
+        if lens is None:
+            j = batch[0]
+            vec = (c * (deriv(ms[0], labels[j]) - ref[j])) * vals
+        else:
+            vec = _spread([c * (deriv(m, labels[j]) - ref[j]) for j, m in zip(batch, ms)], lens, vals)
+        return move(x, gamma, gamma * anchor_scale, anchor, idx, vec)
+    return step
+
+
 def shift_step(obj, x, batch, gamma, ref=None, anchor=None, anchor_scale=0.0):
     """Control-variate step
     x <- (1 - gamma*l2) x + gamma*anchor_scale*anchor - (gamma/b) sum_j (s_j - ref_j) a_j
-    with s_j = loss'(a_j^T x). Plain sgd has no ref and no anchor; sgd_star
-    shifts by ref = loss'(a_j^T x*) with anchor (l2, x*); the svrg inner step
-    by the snapshot scalars with anchor (-1, loss part of grad f(x_ref))."""
-    c = gamma / len(batch)
-    rows = [(idx, (c * (s if ref is None else s - ref[j])) * vals)
-            for j, idx, vals, s in _pull(obj, x, batch, gamma)]
-    return _move(obj, x, gamma, gamma * anchor_scale, anchor if anchor_scale else None, rows)
+    with s_j = loss'(a_j^T x). Plain sgd has ref 0 (None; s - 0.0 is s) and no
+    anchor; sgd_star has ref loss'(a_j^T x*), anchor (l2, x*); the svrg inner
+    step the snapshot scalars, anchor (-1, loss part of grad f(x_ref))."""
+    return _shift_kernel(obj, len(batch), ref, anchor, anchor_scale)(x, batch, gamma)
 
 
-def table_step(table, obj, x, batch, gamma, saga=False, seen_norm=False):
+def _table_kernel(obj, b, table, saga):
+    pull, move, deriv, labels = _puller(obj, b), _mover(obj, b), obj.loss.deriv, obj.py_labels
+    tab, gsum, n = table.s, table.gsum, table.n
+
+    def step(x, batch, gamma):
+        idx, vals, lens, ms = pull(x, batch, gamma)
+        if lens is None:
+            j = batch[0]
+            s = deriv(ms[0], labels[j])
+            delta = s * vals - tab[j] * vals
+            tab[j] = s
+        else:
+            s = [deriv(m, labels[j]) for j, m in zip(batch, ms)]
+            delta = _spread(s, lens, vals) - _spread(tab[batch], lens, vals)
+            tab[batch] = s  # a repeated row repeats its value
+        if saga:
+            move(x, gamma, -(gamma / n), gsum, idx, (gamma / b) * delta)
+        if lens is None:
+            gsum[idx] += delta
+        else:  # a row drawn twice enters the table once
+            first = np.repeat([j not in batch[:k] for k, j in enumerate(batch)], lens)
+            np.add.at(gsum, idx[first], delta[first])
+        if not saga:
+            move(x, gamma, -(gamma / n), gsum)
+        return x
+    return step
+
+
+def table_step(table, obj, x, batch, gamma, saga=False):
     """Averaged-gradient step. sag refreshes the sampled entries first, then
-    moves along the refreshed average (gsum over n, or over the seen count
-    when seen_norm). saga moves with the pre-step average plus (gamma/b)
-    Delta_j per draw, Delta_j = fresh minus stored entry, and stores after
-    the move. A row drawn twice is stored once: its second Delta is 0."""
-    fresh = {}
-    for j, idx, vals, s in _pull(obj, x, batch, gamma):
-        if j not in fresh:
-            fresh[j] = (idx, s, s * vals - table.s[j] * vals)
-    if saga:
-        c = gamma / len(batch)
-        rows = [(fresh[j][0], c * fresh[j][2]) for j in batch]  # every draw, repeats too
-        _move(obj, x, gamma, -(gamma / table.n), table.gsum, rows)
-    for j, (idx, s, delta) in fresh.items():
-        table.store(j, s)
-        table.gsum[idx] += delta
-    if not saga:
-        denom = table.seen_count if seen_norm else table.n
-        _move(obj, x, gamma, -(gamma / denom), table.gsum, ())
-    return x
+    moves along the refreshed average gsum/n. saga moves with the pre-step
+    average plus (gamma/b) Delta_j per draw, Delta_j = fresh minus stored
+    entry (the move reads gsum, not the entries). A row drawn twice moves x
+    twice but enters gsum once."""
+    return _table_kernel(obj, len(batch), table, saga)(x, batch, gamma)
+
+
+def _momentum_kernel(obj, b, state):
+    pull, move, deriv, labels = _puller(obj, b), _mover(obj, b, decay=False), obj.loss.deriv, obj.py_labels
+    beta, l2 = state.beta, obj.l2
+
+    def step(x, batch, gamma):
+        idx, vals, lens, ms = pull(x, batch, gamma)
+        state.m *= beta
+        if l2:
+            state.m += l2 * x
+        np.add.at(state.m, idx, _spread([deriv(m, labels[j]) / b for j, m in zip(batch, ms)], lens, vals))
+        return move(x, gamma, -gamma, state.m)
+    return step
 
 
 def momentum_step(state, obj, x, batch, gamma):
     """Heavy ball: m <- beta*m + grad f_B(x), then x <- x - gamma*m."""
-    b = len(batch)
-    mv = state.m
-    pulls = _pull(obj, x, batch, gamma)
-    mv *= state.beta
-    if obj.l2:
-        mv += obj.l2 * x
-    for _, idx, vals, s in pulls:
-        mv[idx] += (s / b) * vals
-    return _move(obj, x, gamma, -gamma, mv, (), decay=False)
+    return _momentum_kernel(obj, len(batch), state)(x, batch, gamma)
 
 
 def svrg_outer_refresh(state, obj, x):
@@ -272,27 +326,28 @@ def sarah_refresh(state, obj, x):
     return state
 
 
+def _sarah_kernel(obj, b, state):
+    if state.g is None:
+        raise RuntimeError("inner step before any refresh")
+    pull, move, deriv, labels = _puller(obj, b), _mover(obj, b, decay=False), obj.loss.deriv, obj.py_labels
+    x_prev, l2 = state.x_prev, obj.l2
+
+    def step(x, batch, gamma):
+        idx, vals, lens, ms = pull(x, batch, gamma)
+        ps = pull(x_prev, batch, gamma)[3]
+        ds = [(deriv(m, labels[j]) - deriv(p, labels[j])) / b for j, m, p in zip(batch, ms, ps)]
+        if l2:
+            state.g += l2 * (x - x_prev)
+        np.add.at(state.g, idx, _spread(ds, lens, vals))
+        x_prev[:] = x
+        return move(x, gamma, -gamma, state.g)
+    return step
+
+
 def sarah_step(state, obj, x, batch, gamma):
     """Continuous correction g += grad f_B(x) - grad f_B(x_prev), then
     x <- x - gamma*g; biased."""
-    if state.g is None:
-        raise RuntimeError("inner step before any refresh")
-    b = len(batch)
-    lam = obj.l2
-    pulls = []
-    for j in batch:
-        idx, vals = obj.data.row(j)
-        m_now = float(np.dot(vals, x[idx]))
-        m_prev = float(np.dot(vals, state.x_prev[idx]))
-        _check_finite(m_now, gamma)
-        ds = obj.loss.deriv(m_now, obj.labels[j]) - obj.loss.deriv(m_prev, obj.labels[j])
-        pulls.append((idx, vals, ds))
-    if lam:
-        state.g += lam * (x - state.x_prev)
-    for idx, vals, ds in pulls:
-        state.g[idx] += (ds / b) * vals
-    state.x_prev[:] = x
-    return _move(obj, x, gamma, -gamma, state.g, (), decay=False)
+    return _sarah_kernel(obj, len(batch), state)(x, batch, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +355,14 @@ def sarah_step(state, obj, x, batch, gamma):
 
 
 def _logistic_dual_root(rho, bmt, tol=1e-12, max_iter=100):
-    """Root of g(s) = log(s/(1-s)) + rho*s + bmt on (0,1), safeguarded Newton."""
+    """Root of g(s) = log(s/(1-s)) + rho*s + bmt on (0,1), safeguarded Newton.
+    numpy's exp and log, in Python floats (math's differ in the last bit)."""
     lo, hi = 0.0, 1.0
     # the rho=0 solution is exact and an excellent start otherwise
-    s = 1.0 / (1.0 + np.exp(min(max(bmt, -700.0), 700.0)))
+    s = 1.0 / (1.0 + float(np.exp(min(max(bmt, -700.0), 700.0))))
     s = min(max(s, 1e-300), 1.0 - 1e-16)
     for _ in range(max_iter):
-        g = np.log(s / (1.0 - s)) + rho * s + bmt
+        g = float(np.log(s / (1.0 - s))) + rho * s + bmt
         if abs(g) <= tol:
             return s
         if g > 0:
@@ -321,47 +377,54 @@ def _logistic_dual_root(rho, bmt, tol=1e-12, max_iter=100):
     raise RuntimeError("dual line search did not converge in %d iterations" % max_iter)
 
 
+def _sdca_kernel(obj, dual):
+    # solve(b, mt, rho): the maximizing v_i for label b, margin mt without
+    # example i, and rho = ||a_i||^2 / (l2 n)
+    kind = obj.loss.name
+    if kind == "half_squared":
+        def solve(b, mt, rho):
+            return (b - mt) / (1.0 + rho)
+    elif kind == "hinge":
+        def solve(b, mt, rho):
+            if rho == 0.0:
+                return b if (1.0 - b * mt) > 0 else 0.0
+            return b * min(1.0, max(0.0, (1.0 - b * mt) / rho))
+    elif kind == "logistic":
+        def solve(b, mt, rho):
+            if rho == 0.0:
+                return b * (1.0 / (1.0 + np.exp(min(max(b * mt, -700.0), 700.0))))
+            return b * _logistic_dual_root(rho, b * mt)
+    else:
+        raise ConfigError("dual ascent does not support loss %r" % kind)
+    pull, conj, labels = _puller(obj, 1), obj.loss.conjugate, obj.py_labels
+    lam_n, w, v, row_sq = obj.l2 * obj.n, dual.w, memoryview(dual.v), memoryview(obj.row_sq)
+    conj_v = memoryview(obj.loss.conjugate_vec(-dual.v, obj.labels))  # conj(-v_i, b_i)
+
+    def step(i):
+        idx, vals, _, (m,) = pull(w, (i,), None)
+        b = labels[i]
+        rho = row_sq[i] / lam_n
+        v_old = v[i]
+        mt = m - rho * v_old  # margin excluding example i's own contribution
+        v_new = solve(b, mt, rho)
+        dv = v_new - v_old
+        c_old, c_new = conj_v[i], conj(-v_new, b)
+        if dv != 0.0:
+            w[idx] += (dv / lam_n) * vals
+            v[i] = v_new
+            conj_v[i] = c_new
+        return float(c_old - c_new - dv * m - 0.5 * rho * dv * dv)
+    return step
+
+
 def sdca_step(dual, obj, i):
     """Exact coordinate maximization of the dual at index i.
 
     Updates v_i and w in place and returns the (scaled by n) increase of the
-    dual objective, which is nonnegative up to solver tolerance.
-    """
-    idx, vals = obj.data.row(i)
-    b = obj.labels[i]
-    lam_n = obj.l2 * obj.n
-    m = float(np.dot(vals, dual.w[idx]))
-    rho = obj.row_sq[i] / lam_n
-    v_old = float(dual.v[i])
-    mt = m - rho * v_old  # margin excluding example i's own contribution
-    kind = obj.loss.name
-    if kind == "half_squared":
-        v_new = (b - mt) / (1.0 + rho)
-    elif kind == "hinge":
-        if rho == 0.0:
-            v_new = b if (1.0 - b * mt) > 0 else 0.0
-        else:
-            s = (1.0 - b * mt) / rho
-            v_new = b * min(1.0, max(0.0, s))
-    elif kind == "logistic":
-        if rho == 0.0:
-            s = 1.0 / (1.0 + np.exp(min(max(b * mt, -700.0), 700.0)))
-        else:
-            s = _logistic_dual_root(rho, b * mt)
-        v_new = b * s
-    else:
-        raise ConfigError("dual ascent does not support loss %r" % kind)
-    dv = v_new - v_old
-    if dv != 0.0:
-        dual.w[idx] += (dv / lam_n) * vals
-        dual.v[i] = v_new
-    gain = (
-        obj.loss.conjugate(-v_old, b)
-        - obj.loss.conjugate(-v_new, b)
-        - dv * m
-        - 0.5 * rho * dv * dv
-    )
-    return float(gain)
+    dual objective, which is nonnegative up to solver tolerance. The kernel
+    picks the loss's solver once and keeps each conj(-v_i, b_i) until v_i
+    moves."""
+    return _sdca_kernel(obj, dual)(i)
 
 
 # ---------------------------------------------------------------------------
@@ -373,51 +436,52 @@ def sgd_estimator(obj):
 
 
 def sgd_star_estimator(obj, star):
+    pull = _puller(obj, 1)
+
     def est(x, i):
-        idx, vals = obj.data.row(i)
+        idx, vals, _, (m,) = pull(x, [i], None)
         g = obj.l2 * (x - star.x_star)
-        s = obj.loss.deriv(float(np.dot(vals, x[idx])), obj.labels[i])
-        g[idx] += (s - star.scalars[i]) * vals
+        g[idx] += (obj.loss.deriv(m, obj.labels[i]) - star.scalars[i]) * vals
         return g
 
     return est
 
 
 def saga_estimator(obj, table):
+    pull = _puller(obj, 1)
+
     def est(x, i):
-        idx, vals = obj.data.row(i)
+        idx, vals, _, (m,) = pull(x, [i], None)
         g = table.mean() + obj.l2 * x
-        s = obj.loss.deriv(float(np.dot(vals, x[idx])), obj.labels[i])
-        g[idx] += s * vals - table.s[i] * vals
+        g[idx] += obj.loss.deriv(m, obj.labels[i]) * vals - table.s[i] * vals
         return g
 
     return est
 
 
-def sag_estimator(obj, table, seen_norm=False):
+def sag_estimator(obj, table):
     """Direction the averaged-gradient method would move along after sampling
     i (biased: its mean is not the gradient until the table is current)."""
+    pull = _puller(obj, 1)
 
     def est(x, i):
-        idx, vals = obj.data.row(i)
-        s = obj.loss.deriv(float(np.dot(vals, x[idx])), obj.labels[i])
-        seen = table.seen_count + (0 if table.seen[i] else 1)
-        denom = seen if seen_norm else table.n
+        idx, vals, _, (m,) = pull(x, [i], None)
         num = table.gsum.copy()
-        num[idx] += s * vals - table.s[i] * vals
-        return num / denom + obj.l2 * x
+        num[idx] += obj.loss.deriv(m, obj.labels[i]) * vals - table.s[i] * vals
+        return num / table.n + obj.l2 * x
 
     return est
 
 
 def svrg_estimator(obj, state):
+    pull = _puller(obj, 1)
+
     def est(x, i):
         if state.x_ref is None:
             return obj.grad_i(x, i)  # no anchor yet: plain stochastic gradient
-        idx, vals = obj.data.row(i)
+        idx, vals, _, (m,) = pull(x, [i], None)
         g = state.loss_ref + obj.l2 * x
-        s = obj.loss.deriv(float(np.dot(vals, x[idx])), obj.labels[i])
-        g[idx] += (s - state.s_ref[i]) * vals
+        g[idx] += (obj.loss.deriv(m, obj.labels[i]) - state.s_ref[i]) * vals
         return g
 
     return est
@@ -429,22 +493,9 @@ def svrg_estimator(obj, state):
 
 def index_batches(scheme, rng, n):
     """Endless index batches (lists of ints) for one run, in the order
-    sample() would draw them. Uniform single draws and Lipschitz batches come
-    DRAW_BLOCK batches at a time from one generator call, which continues the
-    stream exactly as that many sample() calls; uniform mini-batches call
-    sample per batch."""
-    b = scheme.batch
-    if scheme.kind == "uniform" and b == 1:
-        while True:
-            for i in rng.integers(n, size=DRAW_BLOCK).tolist():
-                yield [i]
-    if scheme.kind == "lipschitz":
-        while True:
-            block = lipschitz_draws(scheme, rng, n, DRAW_BLOCK * b).tolist()
-            for k in range(0, len(block), b):
-                yield block[k:k + b]
+    sample() would draw them, DRAW_BLOCK batches per generator call."""
     while True:
-        yield sample(scheme, rng, n).tolist()
+        yield from draw_batches(scheme, rng, n, DRAW_BLOCK)
 
 
 @dataclass
@@ -465,7 +516,6 @@ class RunConfig:
     scheme: SamplingScheme | None = None
     beta: float = 0.0
     inner_t: int | None = None
-    seen_norm: bool = False
     jit: str = "auto"  # "auto" | "on" | "off": sparse_jit.choose_engine
     x_star: np.ndarray | None = None
     warm_start_sgd_epochs: float = 0.0
@@ -500,8 +550,8 @@ def _validate(config, obj):
             raise ConfigError("sdca is a single-coordinate method (batch=1)")
         if (config.scheme or uniform_scheme()).kind != "uniform":
             raise ConfigError("sdca supports uniform sampling only")
-    if config.method == "sdca" and config.warm_start_sgd_epochs:
-        raise ConfigError("sdca has no primal step to warm-start with sgd")
+        if config.warm_start_sgd_epochs:
+            raise ConfigError("sdca has no primal step to warm-start with sgd")
     if not 0 <= config.epochs < np.inf:
         raise ConfigError("epochs must be nonnegative and finite")
     if not 0 <= config.warm_start_sgd_epochs < np.inf:
@@ -584,8 +634,7 @@ class Recorder:
         if dual is not None:
             rec.gap = duality_gap(obj, dual)
         elif self.rule.kind == "gbar":
-            gbar = table.gsum / (table.seen_count if config.seen_norm and table.seen_count else table.n)
-            rec.grad_norm = float(np.linalg.norm(gbar + obj.l2 * x))
+            rec.grad_norm = float(np.linalg.norm(table.gsum / table.n + obj.l2 * x))
         elif obj.loss.smooth:
             rec.grad_norm = float(np.linalg.norm(obj.full_grad(cur)))
         if config.var_epochs is not None and self.estimator is not None:
@@ -618,10 +667,7 @@ def run(config, obj, x0=None):
     draws = index_batches(scheme, RandomSource(config.seed), n)
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=np.float64)
 
-    gamma = None
-    armijo = None
-    if method != "sdca":
-        gamma, armijo = _resolve_gamma(config, obj, scheme)
+    gamma, armijo = (None, None) if method == "sdca" else _resolve_gamma(config, obj, scheme)
 
     engine, reason = sparse_jit.choose_engine(config, obj, gamma)
     if config.jit == "on" and engine != "lazy":
@@ -631,67 +677,47 @@ def run(config, obj, x0=None):
     budget = warm_budget + int(round(config.epochs * n))
     iterates = []
     aux = {"engine": engine, "engine_reason": reason}
-    evals = 0
-    steps = 0
+    evals = steps = 0
 
-    # method state, and the per-example step step(x, batch, gamma)
-    table = None
-    svrg = None
-    sarah = None
-    dual = None
-    estimator = None
-    step = None
+    # method state, and the per-example kernel step(x, batch, gamma)
+    b = scheme.batch
+    table = stage = dual = estimator = step = None  # stage: the svrg or sarah state
     if method in TABLE_METHODS:
-        table = GradientTable(obj)
-        aux["table"] = table
-        step = partial(table_step, table, obj, saga=method == "saga", seen_norm=config.seen_norm)
-        if method == "saga":
-            estimator = saga_estimator(obj, table)
-        else:
-            estimator = sag_estimator(obj, table, config.seen_norm)
+        table = aux["table"] = GradientTable(obj)
+        step = _table_kernel(obj, b, table, method == "saga")
+        estimator = (saga_estimator if method == "saga" else sag_estimator)(obj, table)
     elif method == "sgd":
-        step = partial(shift_step, obj)
+        step = _shift_kernel(obj, b)
         estimator = sgd_estimator(obj)
     elif method == "sgd_momentum":
-        step = partial(momentum_step, MomentumState(m=np.zeros(obj.d), beta=config.beta), obj)
+        step = _momentum_kernel(obj, b, MomentumState(m=np.zeros(obj.d), beta=config.beta))
         estimator = sgd_estimator(obj)
     elif method == "sgd_star":
-        star = star_table(obj, config.x_star)
-        step = partial(shift_step, obj, ref=star.scalars, anchor=star.x_star, anchor_scale=obj.l2)
+        star = aux["star"] = star_table(obj, config.x_star)
+        step = _shift_kernel(obj, b, memoryview(star.scalars), star.x_star, obj.l2)
         estimator = sgd_star_estimator(obj, star)
-        aux["star"] = star
-    elif method == "svrg":
-        svrg = SvrgState(config.inner_t or n)
-        aux["svrg"] = svrg
-        estimator = svrg_estimator(obj, svrg)
-
-        def step(x, batch, g):
-            return shift_step(obj, x, batch, g, svrg.s_ref, svrg.loss_ref, -1.0)
-    elif method == "sarah":
-        sarah = SarahState(config.inner_t or n)
-        aux["sarah"] = sarah
-        step = partial(sarah_step, sarah, obj)
+    elif method in ("svrg", "sarah"):
+        stage = aux[method] = (SvrgState if method == "svrg" else SarahState)(config.inner_t or n)
+        estimator = svrg_estimator(obj, stage) if method == "svrg" else None
     elif method == "sdca":
-        dual = DualState(obj)
-        aux["dual"] = dual
-        aux["min_dual_gain"] = np.inf
+        dual = aux["dual"] = DualState(obj)
     recorder = Recorder(config, obj, rule, gamma, estimator, table, dual)
 
     def note_iterate():
         if config.record_iterates:
             iterates.append((steps, x.copy()))
 
-    def per_example(stepper, until):
-        """Sampled steps until evals reaches until; True once the stop rule is met."""
+    def per_example(stepper, until, cost=b, stoppable=True):
+        """Sampled steps, each charged cost evals, until evals reaches until;
+        True once the stop rule is met (unless not stoppable)."""
         nonlocal evals, steps
         while evals < until:
             batch = next(draws)
-            g = gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux)
-            stepper(x, batch, g)
-            evals += len(batch)
+            stepper(x, batch, gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux))
+            evals += cost
             steps += 1
             note_iterate()
-            if recorder.checkpoint(x, evals):
+            if evals >= recorder.next_cp and recorder.checkpoint(x, evals) and stoppable:
                 return True
         return False
 
@@ -699,7 +725,7 @@ def run(config, obj, x0=None):
     note_iterate()
     try:
         # optional plain-SGD warm phase, charged to the same counters
-        stopped = per_example(partial(shift_step, obj), warm_budget)
+        stopped = warm_budget > 0 and per_example(_shift_kernel(obj, b), warm_budget)
         if engine == "lazy":
             evals, lazy_x = sparse_jit.run_jit(recorder, x, draws, budget)
             aux.update(jit=True, lazy=lazy_x, touched_coords=lazy_x.touched)
@@ -712,36 +738,30 @@ def run(config, obj, x0=None):
                 stopped = recorder.checkpoint(x, evals)
         elif method in ("svrg", "sarah"):
             # the stop rule is tested only at outer boundaries, on the
-            # full gradient the refresh computes
-            state = svrg if method == "svrg" else sarah
+            # full gradient the refresh computes; the kernel binds the
+            # stage's anchor, so it is built after each refresh
             while evals < budget and not stopped:
                 if method == "svrg":
-                    svrg_outer_refresh(state, obj, x)
+                    svrg_outer_refresh(stage, obj, x)
+                    step = _shift_kernel(obj, b, memoryview(stage.s_ref), stage.loss_ref, -1.0)
                 else:
-                    sarah_refresh(state, obj, x)
+                    sarah_refresh(stage, obj, x)
+                    step = _sarah_kernel(obj, b, stage)
                 evals += n
                 if rule.kind == "grad":
-                    ref_norm = float(np.linalg.norm(state.grad_ref if method == "svrg" else state.g))
+                    ref_norm = float(np.linalg.norm(stage.grad_ref if method == "svrg" else stage.g))
                     if ref_norm <= rule.eps:
                         recorder.checkpoint(x, evals, force=True)
                         break
-                for _ in range(state.t):
-                    batch = next(draws)
-                    g = gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux)
-                    step(x, batch, g)
-                    evals += 2 * len(batch)
-                    steps += 1
-                    note_iterate()
-                    recorder.checkpoint(x, evals)
+                per_example(step, evals + 2 * b * stage.t, 2 * b, stoppable=False)  # the whole stage
         elif method == "sdca":
+            step = _sdca_kernel(obj, dual)
             min_gain = np.inf
             while evals < budget and not stopped:
-                gain = sdca_step(dual, obj, next(draws)[0])
-                if gain < min_gain:
-                    min_gain = gain
+                min_gain = min(min_gain, step(next(draws)[0]))
                 evals += 1
                 steps += 1
-                stopped = recorder.checkpoint(x, evals)
+                stopped = evals >= recorder.next_cp and recorder.checkpoint(x, evals)
             aux["min_dual_gain"] = min_gain
         elif not stopped:
             per_example(step, budget)

@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import draw_index
-
 ARMIJO_FLOOR = 1e-12
 ARMIJO_SKIP_NORM = 1e-8
 
@@ -52,33 +50,36 @@ def lipschitz_scheme(weights, batch=1):
 
 def sample(scheme, rng, n):
     """Draw one index set B_k of size scheme.batch from {0..n-1}."""
+    return np.array(next(draw_batches(scheme, rng, n, 1)), dtype=np.int64)
+
+
+def draw_batches(scheme, rng, n, count):
+    """Yields count index batches (lists of ints) drawn by one generator call:
+    the batches, and the stream after them, of count sample() calls. A uniform
+    batch is a partial Fisher-Yates over a virtual pool 0..n-1 that stores
+    only the swapped slots, so it costs O(b) whatever n is."""
     b = scheme.batch
-    if scheme.kind == "uniform":
-        if b > n:
-            raise ValueError("batch %d exceeds n=%d without replacement" % (b, n))
-        if b == 1:
-            return np.array([draw_index(rng, n)], dtype=np.int64)
-        # partial Fisher-Yates over a virtual pool 0..n-1: only swapped slots
-        # are stored, so a batch costs O(b) whatever n is
+    if scheme.kind == "lipschitz":
+        if len(scheme.probs) != n:
+            raise ValueError("weight vector length %d != n=%d" % (len(scheme.probs), n))
+        flat = np.searchsorted(scheme.cumprobs, rng.random(count * b), side="right")
+        flat = np.clip(flat, 0, n - 1, out=flat).tolist()  # u == 1.0 can round past the end
+        for k in range(0, count * b, b):
+            yield flat[k:k + b]
+    elif b == 1:
+        for i in rng.integers(n, size=count).tolist():
+            yield [i]
+    elif b > n:
+        raise ValueError("batch %d exceeds n=%d without replacement" % (b, n))
+    else:
         ts = np.arange(b)
-        pool = {}
-        out = []
-        for t, j in enumerate((ts + rng.integers(0, n - ts, b)).tolist()):
-            out.append(pool.get(j, j))
-            pool[j] = pool.get(t, t)
-        return np.array(out, dtype=np.int64)
-    return lipschitz_draws(scheme, rng, n, b)
-
-
-def lipschitz_draws(scheme, rng, n, count):
-    """count indices drawn with replacement by the scheme's weights, from one
-    generator call: the indices, and the stream after them, of count single
-    draws."""
-    if len(scheme.probs) != n:
-        raise ValueError("weight vector length %d != n=%d" % (len(scheme.probs), n))
-    out = np.searchsorted(scheme.cumprobs, rng.random(count), side="right")
-    # guard against u == 1.0 rounding past the end
-    return np.clip(out, 0, n - 1, out=out)
+        for row in ts + rng.integers(0, n - ts, (count, b)):
+            pool = {}
+            batch = []
+            for t, j in enumerate(row.tolist()):
+                batch.append(pool.get(j, j))
+                pool[j] = pool.get(t, t)
+            yield batch
 
 
 @dataclass(frozen=True)

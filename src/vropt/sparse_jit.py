@@ -3,7 +3,7 @@
 Between touches of coordinate j, the table sum gsum_j is constant (it only
 changes when a sampled row has support there, and then j is touched). Every
 step multiplies x_j by rho = 1 - gamma*l2 and subtracts w_t * gsum_j, where
-w_t is gamma/n (or gamma/seen_t). Unrolling m such steps:
+w_t is gamma/n. Unrolling m such steps:
 
     x_j(k) = rho^m x_j(c) - gsum_j * sum_{t=c+1..k} rho^(k-t) w_t
 
@@ -145,19 +145,17 @@ def run_jit(recorder, x, draws, budget):
         _check_finite(m, gamma)
         s_new = deriv(m, labels[i])
         delta = s_new * vals - table.s[i] * vals
-        # idx is current through step k here, so after the push below it is
-        # one step behind: catch_up_one
+        # idx is current through step k here, so after this push it is one
+        # step behind: catch_up_one
+        lazy.push_weight(gamma / table.n)
         if method == "sag":
-            table.store(i, s_new)
+            table.s[i] = s_new
             gsum[idx] += delta
-            denom = table.seen_count if config.seen_norm else table.n
-            lazy.push_weight(gamma / denom)
             lazy.catch_up_one(idx, gsum)
         else:
-            lazy.push_weight(gamma / table.n)
             lazy.catch_up_one(idx, gsum)
             x[idx] -= gamma * delta
-            table.store(i, s_new)
+            table.s[i] = s_new
             gsum[idx] += delta
         lazy.touched += idx.size
         evals += 1

@@ -30,8 +30,8 @@ from .optimizers import (
     GradientTable,
     RunConfig,
     SvrgState,
-    _move,
-    _pull,
+    _mover,
+    _puller,
     index_batches,
     run,
     saga_estimator,
@@ -67,10 +67,6 @@ class CheckResult:
 
 
 _MEMO = {}
-
-
-def clear_fixtures():
-    _MEMO.clear()
 
 
 def _bench():
@@ -358,16 +354,19 @@ def check_jit_equivalence():
 
 def _dense_table_saga(obj, gamma, seed, epochs):
     """saga keeping each v^i = loss'_i a_i as a row of an n x d table, the
-    storage the scalar table replaces: table_step's draws, pulls and moves
+    storage the scalar table replaces: the table kernel's draws, pulls and moves
     at batch 1. Returns x and f at every epoch."""
     n = obj.n
     v, gsum, x = np.zeros((n, obj.d)), np.zeros(obj.d), np.zeros(obj.d)
     draws = index_batches(uniform_scheme(), RandomSource(seed), n)
+    pull, move = _puller(obj, 1), _mover(obj, 1)
     fs = [obj.objective_value(x)]
     for k in range(1, int(epochs * n) + 1):
-        ((j, idx, vals, s),) = _pull(obj, x, next(draws), gamma)
+        (j,) = batch = next(draws)
+        idx, vals, _, (m,) = pull(x, batch, gamma)
+        s = obj.loss.deriv(m, obj.labels[j])
         delta = s * vals - v[j, idx]
-        _move(obj, x, gamma, -(gamma / n), gsum, [(idx, gamma * delta)])
+        move(x, gamma, -(gamma / n), gsum, idx, gamma * delta)
         v[j, idx] = s * vals
         gsum[idx] += delta
         if k % n == 0:
@@ -393,28 +392,6 @@ def check_scalar_table_equivalence():
     ok = worst <= 1e-12
     return CheckResult("scalar_table_equivalence", ok, "worst_rel=%.2e" % worst, "<=1e-12",
                        seconds=time.perf_counter() - t0)
-
-
-def _conj_longdouble(loss_name, u, b):
-    ld = np.longdouble
-    if loss_name == "half_squared":
-        return ld(0.5) * u * u + b * u
-    if loss_name == "logistic":
-        s = -b * u
-        if s < 0 or s > 1:
-            return ld(np.inf)
-        ent = ld(0.0)
-        if s > 0:
-            ent += s * np.log(s)
-        if s < 1:
-            ent += (ld(1.0) - s) * np.log(ld(1.0) - s)
-        return ent
-    if loss_name == "hinge":
-        bu = b * u
-        if bu < -1 or bu > 0:
-            return ld(np.inf)
-        return bu
-    raise ValueError(loss_name)
 
 
 def check_sdca_certificates():
@@ -448,8 +425,8 @@ def check_sdca_certificates():
             sdca_step(dual, tob, i)
             v_new = dual.v[i]
 
-            def h(v):
-                return -_conj_longdouble(loss_name, -v, b_i) - mt * v - ld(0.5) * rho * v * v
+            def h(v):  # the coordinate's dual objective, in long double
+                return -tob.loss.conjugate_vec(-v, b_i) - mt * v - ld(0.5) * rho * v * v
 
             if loss_name == "half_squared":
                 lo, hi = v_old - ld(8.0), v_old + ld(8.0)

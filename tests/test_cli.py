@@ -240,6 +240,16 @@ def test_console_entry_point():
     assert "epoch,grad_evals" in proc.stdout
 
 
+def test_import_cli_without_scipy():
+    # scipy loads when a logistic objective is built or a sparse product
+    # first runs, not at import: most of the import time every process pays
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, vropt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 NON_FINITE = "1 1:0.5 2:nan\n-1 2:1\n1 1:inf\n"
 
 

@@ -238,6 +238,22 @@ def test_duality_helpers():
         sdca_step(dual, obj, int(rng.integers(obj.n)))
     assert dual_objective(obj, dual) >= d0
     assert 0.0 <= duality_gap(obj, dual) < gap0
+    # one numpy pass, bit for bit the per-example loop it replaced, at n
+    # large enough for a pairwise sum to differ from it; a v_i outside the
+    # conjugate's domain makes the dual -inf (the gap +inf)
+    for loss in ("logistic", "half_squared", "hinge"):
+        obj = GlmObjective(toy_classification(seed=1, n=500, d=6), loss, l2=0.3)
+        dual = DualState(obj)
+        dual.v[:] = obj.labels * np.random.default_rng(3).uniform(0.0, 1.0, obj.n)
+        dual.w[:] = obj.data.weighted_sum(dual.v) / (obj.l2 * obj.n)
+        total = 0.0
+        for i in range(obj.n):
+            total -= obj.loss.conjugate(-dual.v[i], obj.labels[i])
+        want = total / obj.n - 0.5 * obj.l2 * float(np.dot(dual.w, dual.w))
+        assert dual_objective(obj, dual).tobytes() == np.float64(want).tobytes(), loss
+        dual.v[3] = 2.0 * obj.labels[3]
+        if loss != "half_squared":
+            assert (dual_objective(obj, dual), duality_gap(obj, dual)) == (-np.inf, np.inf)
 
 
 def test_contraction_refuses_bad_inputs():

@@ -11,6 +11,7 @@ from vropt import objectives
 from vropt.bench_data import load_dataset, tiny, toy_classification
 from vropt.objectives import (
     LOGISTIC,
+    LOSSES,
     GlmObjective,
     NonSmoothError,
     get_loss,
@@ -162,3 +163,22 @@ def test_logistic_deriv_is_expit(alpha, b):
     for a in (alpha, 709.78, 709.79, -709.79, 745.0, -745.0, 746.0, -746.0, 1e308, -0.0):
         got, want = LOGISTIC.deriv(a, b), -b * expit(-b * a)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (a, b)
+
+
+EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2**-53, -(1.0 - 2**-53), 1.0 + 2**-52,
+         -(1.0 + 2**-52), 0.5, 1e-300, np.inf, -np.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from(EDGES)), min_size=1, max_size=30),
+       st.lists(st.sampled_from([-1.0, 1.0]), min_size=30, max_size=30))
+def test_conjugate_vec_is_conjugate(us, bs):
+    # elementwise and bit for bit, sign of zero and inf outside the domain
+    # included, at random points and at the domain's edges (s = -b*u in
+    # {0, 1} for logistic, b*u in {-1, 0} for hinge) and just past them
+    u, b = np.array(us), np.array(bs[:len(us)])
+    for loss in LOSSES.values():
+        want = np.array([loss.conjugate(ui, bi) for ui, bi in zip(u.tolist(), b.tolist())], dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # half_squared at u = inf: inf - inf
+            got = loss.conjugate_vec(u, b)
+        assert got.tobytes() == want.tobytes(), loss.name

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from vropt.bench_data import sparse_gaussian, tiny, toy_classification, toy_regression
+from vropt.bench_data import blobs_2d, sparse_gaussian, tiny, toy_classification, toy_regression
 from vropt.data import Dataset, RandomSource
 from vropt.diag import dual_objective, solve_reference
 from vropt.objectives import GlmObjective, smoothness
@@ -28,7 +28,7 @@ from vropt.optimizers import (
     svrg_outer_refresh,
     table_step,
 )
-from vropt.schedules import armijo_policy, lipschitz_scheme, sample, uniform_scheme
+from vropt.schedules import armijo_policy, lipschitz_scheme, minibatch_policy, sample, uniform_scheme
 from vropt.validate import _dense_table_saga
 
 
@@ -68,11 +68,6 @@ def test_sag_refreshes_before_step():
     table2 = GradientTable(obj)
     table_step(table2, obj, x2, [0], g, saga=True)
     assert x2[0] == pytest.approx(2 * g, rel=1e-15)
-
-    x3 = np.zeros(1)
-    table3 = GradientTable(obj)
-    table_step(table3, obj, x3, [0], g, seen_norm=True)
-    assert x3[0] == pytest.approx(2 * g, rel=1e-15)  # gsum/seen
 
 
 def test_saga_repeated_row_stored_once():
@@ -371,11 +366,12 @@ def test_minibatch_run():
 
 def test_index_batches_match_sample():
     # block draws continue the stream exactly as one sample() call per draw,
-    # across block boundaries (k batches span three blocks); uniform
-    # mini-batches are sample's batches as drawn
+    # across block boundaries (k batches span three blocks), mini-batches
+    # (b = n included) as well as single draws
     k = 2 * DRAW_BLOCK + 5
     cases = [(uniform_scheme(), n) for n in (1, 7, 8124, 2**33)]
-    cases += [(uniform_scheme(batch=3), 7), (lipschitz_scheme([1.0, 2.0, 3.0, 4.0], batch=2), 4),
+    cases += [(uniform_scheme(batch=3), 7), (uniform_scheme(batch=16), 8124), (uniform_scheme(batch=5), 5)]
+    cases += [(lipschitz_scheme([1.0, 2.0, 3.0, 4.0], batch=2), 4),
               (lipschitz_scheme([5.0, 1.0, 0.5, 3.0, 2.0], batch=3), 5), (lipschitz_scheme([1.0, 9.0]), 2)]
     for scheme, n in cases:
         draws = index_batches(scheme, RandomSource(3), n)
@@ -395,6 +391,8 @@ def test_run_final_iterates_pinned():
     cls = GlmObjective(toy_classification(seed=0, n=300, d=8), "logistic", l2=0.01)
     sp = GlmObjective(sparse_gaussian(seed=0), "logistic", l2=1e-3)
     lip = lipschitz_scheme(smoothness(cls).per_example)
+    lip4 = lipschitz_scheme(smoothness(cls).per_example, batch=4)
+    cls_l1 = GlmObjective(toy_classification(seed=0, n=300, d=8), "logistic", l2=0.01, l1=0.02)
     cases = [
         (cls, dict(method="saga", epochs=3.0, warm_start_sgd_epochs=1.5, gamma=0.2, seed=1), 1350,
          "06628be951f6caafbf8f4b64474e72fcd6a02f7c2fd77198b1c478336a4a7c99"),
@@ -408,7 +406,46 @@ def test_run_final_iterates_pinned():
          "6104fdba9b10a284c6b919f4a68802f1b0bfe858e8ae7ada7b992ba8fa2820c6"),
         (cls, dict(method="sag", epochs=5.0, seed=6, scheme=lip), 1500,
          "74bf1b91a548012ed1374a9042187231ee7dae1ea64e75da8c9653e0de211173"),
+        (cls, dict(method="svrg", epochs=120.0, seed=7, scheme=uniform_scheme(batch=16),
+                   policy=minibatch_policy()), 39600,
+         "fa345d4a045b738c7b53e101a0d5edd08193a6e283f645d1ec495406f5666d90"),
+        (cls, dict(method="sgd", epochs=5.0, seed=8, gamma=0.05), 1500,
+         "eceebc4560ab3ef5db9d99a06b48a2b3664aa68c56db6c8cba12040472cf2a26"),
+        (cls, dict(method="sgd_momentum", epochs=5.0, seed=9, gamma=0.02, beta=0.5), 1500,
+         "87d25fcc138a12f298d4e5f434326c2aede4aa3bcf7d4484090328085c12706e"),
+        (cls, dict(method="sgd_star", epochs=5.0, seed=10, x_star=np.linspace(-0.5, 0.5, 8)), 1500,
+         "1e4d3a4c24dace780e8ee69678510d7f03f0a51eabc877182bb7ff9b48d7128d"),
+        (cls, dict(method="sarah", epochs=10.0, inner_t=200, seed=11), 3500,
+         "56e599a86d8dceb95d2f97a288a5384c9c204051bd5b12999681f64d5637bd28"),
+        (cls, dict(method="sarah", epochs=40.0, inner_t=100, seed=12, scheme=uniform_scheme(batch=3)), 12600,
+         "b0ba62b382b1d386b12866f5541161b6c15728b84b9cbc28666df8ae1b5cf5ff"),
+        (cls, dict(method="sag", epochs=12.0, seed=13, scheme=uniform_scheme(batch=3)), 3600,
+         "0cc7ccdfcd26f0038994f0c565e84716457ceb6368b12315e29cfe847f12c2de"),
+        (cls_l1, dict(method="saga", epochs=5.0, seed=14), 1500,
+         "389c348839ea41ab3965ccd3710536cb148c85b108f523fcddc866f1a60f6f20"),
+        (cls, dict(method="sgd", epochs=5.0, seed=15, policy=armijo_policy(gamma_max=10.0)), 1500,
+         "2b222e2fddf0053ceb6b03f9ac8ccf141b2ed9723d83a90df1bc2d3c068502c7"),
+        (cls, dict(method="saga", epochs=15.0, seed=16, scheme=lip4), 4500,
+         "e233eb767a3c40bf1c6deea85d0407e7d721d43cc23dcf2590ba015396820ac1"),
     ]
     for obj, kw, evals, digest in cases:
         res = run(RunConfig(**kw), obj)
         assert (res.grad_evals, hashlib.sha256(res.x.tobytes()).hexdigest()) == (evals, digest), kw
+    # sdca under each loss: the iterate, every checkpoint gap and the
+    # smallest dual gain, bit for bit
+    reg = GlmObjective(toy_regression(seed=0), "half_squared", l2=0.05)
+    hinge = GlmObjective(blobs_2d(seed=3, n=200, flip=0.05), "hinge", l2=0.1)
+    sdca_cases = [
+        (cls, dict(seed=3, epochs=5.0), 1500, "a586a3e9395927bdaf25ea65b565d6aed8c0cddf9ff4e7788866e986c8a33d12",
+         "0c08757d02f6c8b7355d79512eab123a83f52ca26b127d9a4819bcc13ce73f55", 0.0),
+        (reg, dict(seed=17, epochs=60.0), 2400, "56df8f0a93b5e8bceda70c7d3bf3cb088a19e1473c264d8ddaed25f7b3b103ae",
+         "a58641bd9111bb2b04bdb30d7d845dcfa4293f5db647adf7b20f3c149156ab3b", -float.fromhex("0x1.0b373087ef508p-51")),
+        (hinge, dict(seed=18, epochs=12.0), 2400, "98b56437d4bbd4c49b15b8c7dd90fc8cc1c78cb15dbf28716a9db7ae5fca1a93",
+         "520bf0f9b9f6ecfbd9da30a0b9e7dbb7d7934d01be0003e67eeadadcbab60b25", 0.0),
+    ]
+    for obj, kw, evals, digest, gaps, min_gain in sdca_cases:
+        res = run(RunConfig(method="sdca", **kw), obj)
+        assert (res.grad_evals, hashlib.sha256(res.x.tobytes()).hexdigest()) == (evals, digest), kw
+        gap_bytes = np.array([r.gap for r in res.records]).tobytes()
+        assert hashlib.sha256(gap_bytes).hexdigest() == gaps, kw
+        assert res.aux["min_dual_gain"] == min_gain, kw
