@@ -22,9 +22,9 @@ import numpy as np
 
 from .bench_data import load_dataset
 from .data import ParseError, read_csr, write_csr
-from .diag import StopRule, cache_dir, fit_linear_rate, solve_reference, write_trace
+from .diag import cache_dir, fit_linear_rate, solve_reference, write_trace
 from .objectives import GlmObjective, smoothness
-from .optimizers import METHODS, ConfigError, DivergenceError, RunConfig, _resolve_gamma, run
+from .optimizers import METHODS, ConfigError, DivergenceError, RunConfig, resolve, run
 from .schedules import StepsizePolicy, lipschitz_scheme, uniform_scheme
 from .validate import run_checks
 from . import sparse_jit, vecio
@@ -164,26 +164,16 @@ def _fmt(v):
     return str(v)
 
 
-def _resolve(config, obj):
-    """Set config.gamma to the stepsize run() would resolve (the header
-    prints it and run() takes it as given); returns the header's engine
-    lines, the engine run() will pick and why."""
-    if config.method != "sdca":
-        try:
-            config.gamma = _resolve_gamma(config, obj, config.scheme)[0]
-        except ValueError:
-            pass  # run() raises it again, after its own validation
-    return dict(zip(("engine", "engine_reason"), sparse_jit.choose_engine(config, obj, config.gamma)))
-
-
-def _run_meta(ns, config, obj):
-    """Fixed-order resolved settings, printed into every output header."""
-    keys = ("data", "dim", "loss", "l2", "l1", "method", "gamma", "gamma_policy",
+def _run_meta(ns, plan):
+    """Fixed-order settings printed into every output header: the flags as
+    parsed (label only for compare blocks), with the stepsize and engine
+    that resolve() settled."""
+    keys = ("data", "dim", "loss", "l2", "l1", "method", "label", "gamma", "gamma_policy",
             "beta", "batch", "sampling", "inner_t", "epochs", "seed",
             "checkpoint_every", "engine", "engine_reason", "jit", "warm_start_sgd_epochs", "stop")
-    resolved = _resolve(config, obj)
-    resolved["gamma"] = config.gamma
-    return {k: _fmt(resolved[k] if k in resolved else getattr(ns, k, None)) for k in keys}
+    resolved = {"gamma": plan.gamma, "engine": plan.engine, "engine_reason": plan.engine_reason}
+    return {k: _fmt(resolved[k] if k in resolved else getattr(ns, k))
+            for k in keys if k in resolved or hasattr(ns, k)}
 
 
 def _atomic_text(path, text):
@@ -206,13 +196,72 @@ def _write_run_trace(records, out, meta, times):
         raise IoError("cannot write %s: %s" % (out, e))
 
 
+def _write_iterates(iterates, path, meta):
+    lines = ["# %s = %s" % (k, v) for k, v in meta.items()]
+    lines.append("k,x1,x2")
+    for k, x in iterates:
+        lines.append("%d,%s,%s" % (k, _fmt(float(x[0])), _fmt(float(x[1]))))
+    _atomic_text(path, "\n".join(lines) + "\n")
+
+
+def _run_and_write(ns, config, obj, meta, out, where=""):
+    """run() once and write what it recorded to out (stdout when None): its
+    trace, or its iterates under record_iterates. On divergence the header
+    gains diverged = gamma=G, a file out still gets the partial record,
+    stderr names the error (where says which run), and the result is None."""
+    try:
+        res = run(config, obj)
+        records, iterates = res.records, res.iterates
+    except DivergenceError as e:
+        meta["diverged"] = "gamma=%s" % _fmt(e.gamma)
+        sys.stderr.write("diverged: %s%s\n" % (e, where))
+        if out is None:
+            return None
+        res, records, iterates = None, e.records, []
+    if config.record_iterates:
+        _write_iterates(iterates, out, meta)
+    else:
+        _write_run_trace(records, out, meta, ns.times)
+    return res
+
+
+def _objective(ns):
+    """The objective of --data, --dim, --loss, --l2 and --l1; an l2 of None
+    (a spec's l2 = 1/n) becomes 1/n once the data are loaded."""
+    data = _load_data(ns.data, ns.dim)
+    if ns.l2 is None:
+        ns.l2 = 1.0 / data.n
+    return GlmObjective(data, ns.loss, l2=ns.l2, l1=ns.l1)
+
+
+def _build_config(ns, obj, x_star=None, f_star=None):
+    """The RunConfig of a parsed run namespace. compare passes its reference
+    in memory; --xstar and --fstar read one from files."""
+    return RunConfig(
+        method=ns.method,
+        epochs=ns.epochs,
+        seed=ns.seed,
+        gamma=ns.gamma,
+        policy=_policy_from_text(ns.gamma_policy) if ns.gamma_policy else None,
+        scheme=_scheme(ns, obj),
+        beta=ns.beta,
+        inner_t=ns.inner_t,
+        jit=ns.jit,
+        x_star=_read_xstar(ns.xstar, obj.d) if ns.xstar else x_star,
+        warm_start_sgd_epochs=ns.warm_start_sgd_epochs,
+        checkpoint_every=ns.checkpoint_every,
+        stop=ns.stop,
+        f_star=_read_fstar(ns.fstar) if ns.fstar is not None else f_star,
+        record_iterates=getattr(ns, "record_iterates", False),
+    )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_solve_ref(ns):
-    data = _load_data(ns.data, ns.dim)
-    obj = GlmObjective(data, ns.loss, l2=ns.l2, l1=ns.l1)
+    obj = _objective(ns)
     try:
         x_star, f_star = solve_reference(obj, tol=ns.tol)
     except (ValueError, RuntimeError) as e:
@@ -228,48 +277,12 @@ def cmd_solve_ref(ns):
     return EXIT_OK
 
 
-def _build_config(ns, obj):
-    policy = _policy_from_text(ns.gamma_policy) if ns.gamma_policy else None
-    x_star = _read_xstar(ns.xstar, obj.d) if ns.xstar else None
-    f_star = _read_fstar(ns.fstar) if ns.fstar is not None else None
-    try:
-        StopRule.parse(ns.stop)
-    except ValueError as e:
-        raise UsageError(str(e))
-    config = RunConfig(
-        method=ns.method,
-        epochs=ns.epochs,
-        seed=ns.seed,
-        gamma=ns.gamma,
-        policy=policy,
-        scheme=_scheme(ns, obj),
-        beta=ns.beta,
-        inner_t=ns.inner_t,
-        jit=ns.jit,
-        x_star=x_star,
-        warm_start_sgd_epochs=ns.warm_start_sgd_epochs,
-        checkpoint_every=ns.checkpoint_every,
-        stop=ns.stop,
-        f_star=f_star,
-        record_iterates=getattr(ns, "record_iterates", False),
-    )
-    return config
-
-
 def cmd_run(ns):
-    data = _load_data(ns.data, ns.dim)
-    obj = GlmObjective(data, ns.loss, l2=ns.l2, l1=ns.l1)
+    obj = _objective(ns)
     config = _build_config(ns, obj)
-    meta = _run_meta(ns, config, obj)
-    try:
-        res = run(config, obj)
-    except DivergenceError as e:
-        meta["diverged"] = "gamma=%s" % _fmt(e.gamma)
-        if ns.out:
-            _write_run_trace(e.records or [], ns.out, meta, ns.times)
-        sys.stderr.write("diverged: %s\n" % e)
+    res = _run_and_write(ns, config, obj, _run_meta(ns, resolve(config, obj)), ns.out)
+    if res is None:
         return EXIT_DIVERGED
-    _write_run_trace(res.records, ns.out, meta, ns.times)
     if ns.out:
         print("wrote %s (%d checkpoints, %d gradient evals)"
               % (ns.out, len(res.records), res.grad_evals))
@@ -284,8 +297,26 @@ _ENTRY_KEYS = {"name", "label", "gamma", "gamma_policy", "sampling", "batch",
                "inner_t", "beta", "table", "jit", "warm_start_sgd_epochs", "stop"}
 
 
+class _BlockParser(_Parser):
+    """Reads a compare block as `vropt run` flags; a bad one is a usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _flags(keys):
+    """Spec keys as run flags: key k is --k with _ written -."""
+    return ["--%s=%s" % (k.replace("_", "-"), v) for k, v in keys.items()]
+
+
 def parse_compare_spec(text):
-    """Parse and fully validate a compare spec; no partial grids on errors."""
+    """Parse a compare spec: its syntax, and every [method] block as the
+    flags `vropt run` would parse from the top keys (out and seeds aside)
+    and the block's keys. Returns (top, blocks): top as written, with seeds
+    a list of ints and epochs defaulting to 30; each block a run namespace
+    plus its label, whose l2 is None under l2 = 1/n until the data are
+    loaded. cmd_compare then puts every block and seed through run()'s own
+    checks, so a spec is validated in full before any run starts."""
     top = {}
     entries = []
     current = None
@@ -317,64 +348,37 @@ def parse_compare_spec(text):
         raise UsageError("spec needs an out = line")
     if not entries:
         raise UsageError("spec lists no [method] blocks")
-    loss = top.get("loss", "logistic")
-    if loss not in LOSSES:
-        raise UsageError("unknown loss %r (valid: %s)" % (loss, ", ".join(LOSSES)))
-    labels = set()
-    for entry in entries:
-        name = entry.get("name")
-        if name is None:
-            raise UsageError("every [method] block needs a name = line")
-        if name not in METHODS:
-            raise UsageError("unknown method %r (valid: %s)" % (name, ", ".join(METHODS)))
-        if loss == "hinge" and name != "sdca":
-            raise UsageError("hinge loss supports sdca only; got %r" % name)
-        if name == "sgd_momentum" and "beta" not in entry:
-            raise UsageError("method sgd_momentum needs beta =")
-        label = entry.get("label", name)
-        if label in labels:
-            raise UsageError("duplicate method label %r; set label = to disambiguate" % label)
-        labels.add(label)
-        entry["label"] = label
-        if "gamma" in entry and "gamma_policy" in entry:
-            raise UsageError("method %s sets both gamma and gamma_policy" % label)
-        if "gamma_policy" in entry:
-            _policy_from_text(entry["gamma_policy"])
-        for k in ("gamma", "beta", "warm_start_sgd_epochs"):
-            if k in entry:
-                _number(entry[k], k)
-        if not 0 <= float(entry.get("warm_start_sgd_epochs", "0")) < np.inf:
-            raise UsageError("method %s: warm_start_sgd_epochs must be nonnegative and finite" % label)
-        for k in ("batch", "inner_t"):
-            if k in entry and not (entry[k].isdigit() and int(entry[k]) >= 1):
-                raise UsageError("method %s: %s must be a positive integer" % (label, k))
-        if entry.get("sampling", "uniform") not in ("uniform", "lipschitz"):
-            raise UsageError("method %s: bad sampling %r" % (label, entry["sampling"]))
-        if entry.get("table", "scalar") != "scalar":
-            raise UsageError("method %s: bad table %r (only scalar)" % (label, entry["table"]))
-        if entry.get("jit", "auto") not in sparse_jit.JIT_MODES:
-            raise UsageError("method %s: bad jit %r" % (label, entry["jit"]))
-        if "stop" in entry:
-            try:
-                StopRule.parse(entry["stop"])
-            except ValueError as e:
-                raise UsageError("method %s: %s" % (label, e))
-    for k in ("l1", "epochs", "checkpoint_every"):
-        if k in top:
-            _number(top[k], k)
-    if "checkpoint_every" in top and not 0 < float(top["checkpoint_every"]) < np.inf:
-        raise UsageError("checkpoint_every must be positive and finite")
-    if "epochs" in top and not 0 <= float(top["epochs"]) < np.inf:
-        raise UsageError("epochs must be nonnegative and finite")
-    if "l2" in top and top["l2"] != "1/n":
-        _number(top["l2"], "l2")
-    if "dim" in top and not top["dim"].isdigit():
-        raise UsageError("dim must be a positive integer")
     seeds = top.get("seeds", "0").split()
     if not seeds or not all(s.isdigit() for s in seeds):
         raise UsageError("seeds must be a space-separated list of nonnegative integers")
     top["seeds"] = [int(s) for s in seeds]
-    return top, entries
+    top.setdefault("epochs", "30")
+    l2_per_n = top.get("l2", "1/n") == "1/n"
+    shared = _flags({k: v for k, v in top.items()
+                     if k not in ("out", "seeds") and not (k == "l2" and l2_per_n)})
+    parser = _BlockParser(prog="vropt run", add_help=False)
+    _add_objective_flags(parser)
+    _add_run_flags(parser)
+    parser.parse_args(shared + ["--method=gd"])  # a bad top key is no block's error
+    blocks = []
+    for entry in entries:
+        name = entry.pop("name", None)
+        if name is None:
+            raise UsageError("every [method] block needs a name = line")
+        if name not in METHODS:
+            raise UsageError("unknown method %r (valid: %s)" % (name, ", ".join(METHODS)))
+        label = entry.pop("label", name)
+        if label in (b.label for b in blocks):
+            raise UsageError("duplicate method label %r; set label = to disambiguate" % label)
+        try:
+            ns = parser.parse_args(shared + _flags(dict(entry, method=name)))
+        except UsageError as e:
+            raise UsageError("method %s: %s" % (label, e))
+        ns.label = label
+        if l2_per_n:
+            ns.l2 = None
+        blocks.append(ns)
+    return top, blocks
 
 
 def cmd_compare(ns):
@@ -385,20 +389,24 @@ def cmd_compare(ns):
         raise IoError("spec file not found: %s" % ns.spec)
     except OSError as e:
         raise IoError("cannot read spec %s: %s" % (ns.spec, e))
-    top, entries = parse_compare_spec(text)
+    top, blocks = parse_compare_spec(text)
+    obj = _objective(blocks[0])
 
-    data = _load_data(top["data"], int(top["dim"]) if "dim" in top else None)
-    loss = top.get("loss", "logistic")
-    l2_text = top.get("l2", "1/n")
-    l2 = 1.0 / data.n if l2_text == "1/n" else float(l2_text)
-    obj = GlmObjective(data, loss, l2=l2, l1=float(top.get("l1", "0")))
-    epochs = float(top.get("epochs", "30"))
-    cp = float(top.get("checkpoint_every", "1"))
-    outdir = top["out"]
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as e:
-        raise IoError("cannot create output directory %s: %s" % (outdir, e))
+    # every block and seed passes run()'s checks before the reference solve
+    # and the output exist; they only test x* against None, so a stand-in
+    # serves. The configs are built again one at a time, so a grid holds one
+    # scheme
+    stand_in = np.zeros(obj.d) if obj.loss.smooth else None
+    runs = []
+    for block in blocks:
+        block.l2, block.times = obj.l2, ns.times
+        baseline = block.method in ("sgd", "sgd_momentum") and obj.loss.smooth
+        if baseline and block.gamma is None and block.gamma_policy is None:
+            block.gamma = 1.0 / smoothness(obj).l_max  # shared constant step for the baselines
+        for seed in top["seeds"]:
+            seeded = argparse.Namespace(**dict(vars(block), seed=seed))
+            config = _build_config(seeded, obj, stand_in)
+            runs.append((seeded, _run_meta(seeded, resolve(config, obj))))
 
     # certified reference for suboptimality (and for sgd_star anchors)
     x_star = f_star = None
@@ -407,98 +415,45 @@ def cmd_compare(ns):
             x_star, f_star = solve_reference(obj)
         except (ValueError, RuntimeError) as e:
             raise IoError("reference solve failed: %s" % e)
-    info = smoothness(obj) if obj.loss.smooth else None
+    outdir = top["out"]
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:
+        raise IoError("cannot create output directory %s: %s" % (outdir, e))
 
     summary = ["label,method,seed,final_f,final_subopt,rho_hat,r2"]
-    for entry in entries:
-        name = entry["name"]
-        for seed in top["seeds"]:
-            batch = int(entry.get("batch", "1"))
-            scheme = (lipschitz_scheme(info.per_example, batch=batch)
-                      if entry.get("sampling") == "lipschitz"
-                      else uniform_scheme(batch=batch))
-            gamma = float(entry["gamma"]) if "gamma" in entry else None
-            policy = (_policy_from_text(entry["gamma_policy"])
-                      if "gamma_policy" in entry else None)
-            if gamma is None and policy is None and name in ("sgd", "sgd_momentum"):
-                gamma = 1.0 / info.l_max  # shared constant step for the baselines
-            config = RunConfig(
-                method=name, epochs=epochs, seed=seed, gamma=gamma, policy=policy,
-                scheme=scheme, beta=float(entry.get("beta", "0")),
-                inner_t=int(entry["inner_t"]) if "inner_t" in entry else None,
-                jit=entry.get("jit", "auto"),
-                x_star=x_star if name == "sgd_star" else None,
-                warm_start_sgd_epochs=float(entry.get("warm_start_sgd_epochs", "0")),
-                checkpoint_every=cp, stop=entry.get("stop"), f_star=f_star,
-            )
-            meta = {
-                "data": top["data"], "loss": loss, "l2": _fmt(l2),
-                "l1": top.get("l1", "0"), "method": name, "label": entry["label"],
-                "gamma": _fmt(gamma), "gamma_policy": entry.get("gamma_policy", ""),
-                "batch": str(batch), "sampling": entry.get("sampling", "uniform"),
-                "inner_t": entry.get("inner_t", ""), "epochs": _fmt(epochs),
-                "seed": str(seed), "checkpoint_every": _fmt(cp),
-                **_resolve(config, obj), "jit": entry.get("jit", "auto"),
-                "stop": entry.get("stop", "epochs"),
-            }
-            out = os.path.join(outdir, "%s_seed%d.csv" % (entry["label"], seed))
-            try:
-                res = run(config, obj)
-            except DivergenceError as e:
-                meta["diverged"] = "gamma=%s" % _fmt(e.gamma)
-                recs = e.records or []
-                for rec in recs:
-                    rec.time_s = None
-                write_trace(recs, out, meta=meta)
-                sys.stderr.write("diverged: %s (%s seed %d)\n" % (e, entry["label"], seed))
-                return EXIT_DIVERGED
-            if not ns.times:
-                for rec in res.records:
-                    rec.time_s = None
-            try:
-                write_trace(res.records, out, meta=meta)
-            except OSError as e:
-                raise IoError("cannot write %s: %s" % (out, e))
-            final = res.records[-1]
-            try:
-                fit = fit_linear_rate(res.records)
-                rho, r2 = "%.17g" % fit.rho_hat, "%.17g" % fit.r2
-            except ValueError:
-                rho = r2 = ""
-            summary.append("%s,%s,%d,%s,%s,%s,%s" % (
-                entry["label"], name, seed, _fmt(final.f), _fmt(final.subopt), rho, r2))
+    for seeded, meta in runs:
+        label, seed = seeded.label, seeded.seed
+        config = _build_config(seeded, obj, x_star, f_star)
+        out = os.path.join(outdir, "%s_seed%d.csv" % (label, seed))
+        res = _run_and_write(seeded, config, obj, meta, out, " (%s seed %d)" % (label, seed))
+        if res is None:
+            return EXIT_DIVERGED
+        final = res.records[-1]
+        try:
+            fit = fit_linear_rate(res.records)
+            rho, r2 = "%.17g" % fit.rho_hat, "%.17g" % fit.r2
+        except ValueError:
+            rho = r2 = ""
+        summary.append("%s,%s,%d,%s,%s,%s,%s" % (
+            label, seeded.method, seed, _fmt(final.f), _fmt(final.subopt), rho, r2))
     spath = os.path.join(outdir, "summary.csv")
     _atomic_text(spath, "\n".join(summary) + "\n")
-    print("wrote %d trace files and %s" % (len(entries) * len(top["seeds"]), spath))
+    print("wrote %d trace files and %s" % (len(runs), spath))
     return EXIT_OK
 
 
 def cmd_trace2d(ns):
-    data = _load_data(ns.data, ns.dim)
-    if data.d != 2:
-        raise UsageError("trace2d needs a 2-feature dataset; %s has %d" % (ns.data, data.d))
-    obj = GlmObjective(data, ns.loss, l2=ns.l2, l1=ns.l1)
+    obj = _objective(ns)
+    if obj.d != 2:
+        raise UsageError("trace2d needs a 2-feature dataset; %s has %d" % (ns.data, obj.d))
     ns.record_iterates = True
     config = _build_config(ns, obj)
-    meta = _run_meta(ns, config, obj)
-    diverged = False
-    try:
-        res = run(config, obj)
-        iterates = res.iterates
-    except DivergenceError as e:
-        diverged = True
-        iterates = []
-        meta["diverged"] = "gamma=%s" % _fmt(e.gamma)
-        sys.stderr.write("diverged: %s\n" % e)
-
     ipath = ns.out + ".iterates.csv"
-    lines = ["# %s = %s" % (k, v) for k, v in meta.items()]
-    lines.append("k,x1,x2")
-    for k, x in iterates:
-        lines.append("%d,%s,%s" % (k, _fmt(float(x[0])), _fmt(float(x[1]))))
-    _atomic_text(ipath, "\n".join(lines) + "\n")
-    if diverged:
+    res = _run_and_write(ns, config, obj, _run_meta(ns, resolve(config, obj)), ipath)
+    if res is None:
         return EXIT_DIVERGED
+    iterates = res.iterates
 
     pts = np.array([x for _, x in iterates])
     lo = pts.min(axis=0)
@@ -536,9 +491,15 @@ def cmd_validate(ns):
 # parser
 
 
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+    return int(text)
+
+
 def _add_objective_flags(p):
     p.add_argument("--data", required=True, help="libsvm path or synth:NAME[:SEED]")
-    p.add_argument("--dim", type=int, default=None, help="feature count of a LIBSVM file (not for synth:)")
+    p.add_argument("--dim", type=_positive_int, default=None, help="feature count of a LIBSVM file (not for synth:)")
     p.add_argument("--loss", choices=LOSSES, default="logistic")
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--l1", type=float, default=0.0)
@@ -551,9 +512,9 @@ def _add_run_flags(p):
     g.add_argument("--gamma-policy", default=None,
                    help="fixed:G | theory | minibatch | armijo[:GMAX]")
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--batch", type=_positive_int, default=1)
     p.add_argument("--sampling", choices=("uniform", "lipschitz"), default="uniform")
-    p.add_argument("--inner-t", type=int, default=None, help="stage length (default n)")
+    p.add_argument("--inner-t", type=_positive_int, default=None, help="stage length (default n)")
     p.add_argument("--epochs", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-every", type=float, default=1.0)

@@ -207,9 +207,10 @@ def dual_objective(obj, dual):
     return total - 0.5 * obj.l2 * float(np.dot(dual.w, dual.w))
 
 
-def duality_gap(obj, dual):
-    """f(x(v)) - D(v); +inf when v leaves the conjugate domain."""
-    return obj.full_value(dual.w) - dual_objective(obj, dual)
+def duality_gap(obj, dual, f=None):
+    """f(x(v)) - D(v); +inf when v leaves the conjugate domain. f, when
+    given, is f(x(v)) already computed by the caller."""
+    return (obj.full_value(dual.w) if f is None else f) - dual_objective(obj, dual)
 
 
 def golden_section_max(fn, lo, hi, tol=1e-12, max_iter=200):

@@ -574,21 +574,41 @@ def _validate(config, obj):
     return rule
 
 
-def _resolve_gamma(config, obj, scheme):
-    """Constant stepsize, or None when the policy is per-step (armijo)."""
-    policy = config.policy
-    if config.gamma is not None:
-        return float(config.gamma), None
-    if policy is None:
-        policy = theory_policy()
-    if policy.kind == "fixed":
-        return float(policy.gamma), None
-    if policy.kind == "armijo":
-        if config.method in ("gd", "sdca", "sgd_momentum"):
+@dataclass(frozen=True)
+class Resolved:
+    """What run() settles before its first step."""
+
+    rule: StopRule
+    gamma: float | None  # the constant stepsize; None for sdca and armijo
+    armijo: StepsizePolicy | None  # the per-step policy, when armijo
+    engine: str  # "lazy" or "eager"
+    engine_reason: str
+
+
+def resolve(config, obj):
+    """Validate config and settle what run() will do with it: the stop rule,
+    the stepsize and the engine (sparse_jit.choose_engine) with its reason.
+    run() starts here, and the CLI calls it for the header it prints.
+    Raises ConfigError, or ValueError where no theory stepsize exists."""
+    rule = _validate(config, obj)
+    gamma = armijo = None
+    policy = config.policy or theory_policy()
+    if config.method == "sdca":
+        pass  # exact coordinate maximization: no stepsize
+    elif config.gamma is not None:
+        gamma = float(config.gamma)
+    elif policy.kind == "fixed":
+        gamma = float(policy.gamma)
+    elif policy.kind == "armijo":
+        if config.method in ("gd", "sgd_momentum"):
             raise ConfigError("armijo stepsizes are per-example; not valid for %s" % config.method)
-        return None, policy
-    info = smoothness(obj)
-    return default_stepsize(config.method, info, scheme), None
+        armijo = policy
+    else:
+        gamma = default_stepsize(config.method, smoothness(obj), config.scheme or uniform_scheme())
+    engine, reason = sparse_jit.choose_engine(config, obj, gamma)
+    if config.jit == "on" and engine != "lazy":
+        raise ConfigError("jit mode unavailable: %s" % reason)
+    return Resolved(rule, gamma, armijo, engine, reason)
 
 
 class Recorder:
@@ -632,7 +652,7 @@ class Recorder:
         if config.f_star is not None:
             rec.subopt = f - config.f_star
         if dual is not None:
-            rec.gap = duality_gap(obj, dual)
+            rec.gap = duality_gap(obj, dual, f)  # l1 = 0 here: f is the smooth f
         elif self.rule.kind == "gbar":
             rec.grad_norm = float(np.linalg.norm(table.gsum / table.n + obj.l2 * x))
         elif obj.loss.smooth:
@@ -653,30 +673,25 @@ class Recorder:
 def run(config, obj, x0=None):
     """Execute one configured run and return its trace and final iterate.
 
-    The one driver for both engines: it validates the configuration,
-    resolves the stepsize, builds the method state and hands sag/saga to the
-    lazy engine (sparse_jit.run_jit) when sparse_jit.choose_engine picks it;
+    The one driver for both engines: it starts with resolve() (validation,
+    stepsize, engine), builds the method state and hands sag/saga to the
+    lazy engine (sparse_jit.run_jit) when resolve() picks it;
     aux["engine"] and aux["engine_reason"] say which engine ran and why.
 
     Raises DivergenceError (carrying the partial trace) on non-finite values.
     """
-    rule = _validate(config, obj)
+    plan = resolve(config, obj)
+    rule, gamma, armijo, engine = plan.rule, plan.gamma, plan.armijo, plan.engine
     method = config.method
     n = obj.n
     scheme = config.scheme or uniform_scheme()
     draws = index_batches(scheme, RandomSource(config.seed), n)
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=np.float64)
 
-    gamma, armijo = (None, None) if method == "sdca" else _resolve_gamma(config, obj, scheme)
-
-    engine, reason = sparse_jit.choose_engine(config, obj, gamma)
-    if config.jit == "on" and engine != "lazy":
-        raise ConfigError("jit mode unavailable: %s" % reason)
-
     warm_budget = int(round(config.warm_start_sgd_epochs * n))
     budget = warm_budget + int(round(config.epochs * n))
     iterates = []
-    aux = {"engine": engine, "engine_reason": reason}
+    aux = {"engine": engine, "engine_reason": plan.engine_reason}
     evals = steps = 0
 
     # method state, and the per-example kernel step(x, batch, gamma)
@@ -785,6 +800,6 @@ def _armijo_gamma(obj, x, batch, policy, aux):
     i = int(batch[0])
     warm = aux.get("armijo_last")
     start = None if warm is None else min(2.0 * warm, policy.gamma_max)
-    g = armijo_stochastic(obj, i, x, -obj.grad_i(x, i), policy, gamma_start=start)
+    g = armijo_stochastic(obj, i, x, policy, gamma_start=start)
     aux["armijo_last"] = g
     return g

@@ -164,13 +164,13 @@ def default_stepsize(method, info, scheme=None):
     return 1.0 / minibatch_smoothness(info.l_max, info.l_full, n, scheme.batch)
 
 
-def armijo_stochastic(obj, i, x, g, policy, gamma_start=None):
+def armijo_stochastic(obj, i, x, policy, gamma_start=None):
     """Backtracking stepsize on the sampled example alone.
 
     Finds the largest gamma in {start * factor^m} with
-    f_i(x + gamma g) < f_i(x) - c gamma ||grad f_i(x)||^2, where g is the
-    update direction. Skips (returns gamma_max) when ||grad f_i(x)|| <= 1e-8;
-    returns the floor-level trial when nothing passes.
+    f_i(x - gamma grad f_i(x)) < f_i(x) - c gamma ||grad f_i(x)||^2.
+    Skips (returns gamma_max) when ||grad f_i(x)|| <= 1e-8; returns the
+    floor-level trial when nothing passes.
     """
     gi = obj.grad_i(x, i)
     gnorm_sq = float(np.dot(gi, gi))
@@ -179,7 +179,7 @@ def armijo_stochastic(obj, i, x, g, policy, gamma_start=None):
     f0 = obj.value_i(x, i)
     gamma = policy.gamma_max if gamma_start is None else min(gamma_start, policy.gamma_max)
     while True:
-        ft = obj.value_i(x + gamma * g, i)
+        ft = obj.value_i(x - gamma * gi, i)
         if not np.isfinite(ft):
             raise FloatingPointError("non-finite trial value at gamma=%g" % gamma)
         if ft < f0 - policy.c * gamma * gnorm_sq:

@@ -4,7 +4,8 @@ import pytest
 
 from vropt import cli, optimizers, sparse_jit
 from vropt.bench_data import load_dataset, sparse_gaussian
-from vropt.objectives import GlmObjective
+from vropt.objectives import GlmObjective, smoothness
+from vropt.schedules import minibatch_smoothness
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -44,12 +45,24 @@ def test_perfbench_dataset_hooks(monkeypatch):
 
 def test_perfbench_command_lines_still_parse(tmp_path, monkeypatch):
     """The benchmark's compare spec and run argv are frozen with it: they must
-    keep parsing, `--table scalar` included, while --table accepts nothing else."""
+    keep parsing, `--table scalar` included, while --table accepts nothing else,
+    and the spec's blocks must resolve to the settings they name."""
     monkeypatch.syspath_prepend(PERFBENCH)
     import inputs
 
-    top, entries = cli.parse_compare_spec(inputs.grid_spec(0, str(tmp_path / "grid")))
-    assert [e["label"] for e in entries] == [label for label, _ in inputs.GRID]
+    top, blocks = cli.parse_compare_spec(inputs.grid_spec(0, str(tmp_path / "grid")))
+    assert [b.label for b in blocks] == [label for label, _ in inputs.GRID]
+    assert top["seeds"] == [0] and all(b.epochs == inputs.GRID_EPOCHS and b.l2 is None for b in blocks)
+    obj = GlmObjective(load_dataset("synth:toyclass"), "logistic", l2=0.1)
+    configs = {b.label: cli._build_config(b, obj) for b in blocks}
+    b16, lip, svrg, jit = configs["svrg-b16"], configs["saga-lip"], configs["svrg"], configs["saga-jit"]
+    assert (b16.method, b16.scheme.batch, b16.scheme.kind, b16.policy.kind) == ("svrg", 16, "uniform", "minibatch")
+    assert (lip.method, lip.scheme.batch, lip.scheme.kind) == ("saga", 1, "lipschitz")
+    assert (svrg.inner_t, jit.method, jit.jit, blocks[2].table) == (inputs.MUSHROOMS_N, "saga", "auto", "scalar")
+    info = smoothness(obj)
+    plan = optimizers.resolve(b16, obj)
+    assert plan.gamma == 1.0 / minibatch_smoothness(info.l_max, info.l_full, obj.n, 16)
+    assert optimizers.resolve(lip, obj).gamma == 1.0 / info.l_mean
     parser = cli.build_parser()
     for method in inputs.SPARSE_METHODS:
         ns = parser.parse_args(["run", "--data", "sparse.svm", "--loss", "logistic", "--l2", "2e-05",

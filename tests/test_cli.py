@@ -153,6 +153,11 @@ def test_compare_spec_errors(tmp_path, capsys):
     dup.write_text("data = synth:tiny\nout = o\n[method]\nname = gd\n[method]\nname = gd\n")
     assert _run("compare", str(dup)) == 1
     assert "label" in capsys.readouterr().err
+    top = tmp_path / "top.spec"  # a top key's error names no block
+    top.write_text("data = synth:tiny\nloss = bogus\nout = o\n[method]\nname = gd\n")
+    assert _run("compare", str(top)) == 1
+    err = capsys.readouterr().err
+    assert "--loss" in err and "method gd" not in err
     for key in ("batch", "inner_t"):
         zero = tmp_path / ("zero_%s.spec" % key)
         zero.write_text("data = synth:tiny\nout = %s\n[method]\nname = gd\n"
@@ -172,6 +177,61 @@ def test_compare_spec_errors(tmp_path, capsys):
         assert _run("compare", str(spec)) == 1
         assert msg in capsys.readouterr().err
         assert not (tmp_path / "neg").exists()  # no partial grid
+
+
+@pytest.mark.parametrize("top, block, msg", [
+    ("", "name = saga\nstop = gap:1e-3", "gap stop rule"),
+    ("", "name = sgd_momentum\nbeta = 1.5", "beta"),
+    ("l1 = 0.001", "name = saga\njit = on", "jit mode unavailable"),
+])
+def test_compare_bad_later_block_leaves_no_output(top, block, msg, tmp_path, monkeypatch, capsys):
+    # run()'s own checks reject the second block before the reference solve
+    # and the output directory
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(cli, "solve_reference", lambda *a, **k: pytest.fail("solved for a bad spec"))
+    outdir = tmp_path / "grid"
+    spec = tmp_path / "late.spec"
+    spec.write_text("data = synth:tiny\nl2 = 0.1\n%s\nout = %s\n[method]\nname = gd\n[method]\n%s\n"
+                    % (top, outdir, block))
+    assert _run("compare", str(spec)) == 1
+    assert msg in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_compare_block_equals_run(tmp_path):
+    # a [method] block is the `vropt run` its keys spell as flags, with the
+    # reference and the sgd baseline step compare supplies: the same trace
+    # bytes but for the label line
+    ref = str(tmp_path / "ref")
+    data = load_dataset("synth:toyclass")
+    l2 = 1.0 / data.n
+    assert _run("solve-ref", "--data", "synth:toyclass", "--l2", repr(l2), "--out", ref) == 0
+    l_max = objectives.smoothness(objectives.GlmObjective(data, "logistic", l2=l2)).l_max
+    blocks = {  # label: (block keys, run flags)
+        "gd": ("name = gd", ["--method", "gd"]),
+        "saga": ("name = saga", ["--method", "saga"]),
+        "saga-lip": ("name = saga\nsampling = lipschitz", ["--method", "saga", "--sampling", "lipschitz"]),
+        "svrg-b16": ("name = svrg\nbatch = 16\ngamma_policy = minibatch",
+                     ["--method", "svrg", "--batch", "16", "--gamma-policy", "minibatch"]),
+        "sgd": ("name = sgd", ["--method", "sgd", "--gamma", repr(1.0 / l_max)]),
+        "sgd_star": ("name = sgd_star", ["--method", "sgd_star"]),
+        "sdca": ("name = sdca", ["--method", "sdca"]),
+    }
+    outdir = tmp_path / "grid"
+    spec = tmp_path / "eq.spec"
+    spec.write_text("data = synth:toyclass\nepochs = 2\nseeds = 0 2\nout = %s\n" % outdir + "".join(
+        "[method]\nlabel = %s\n%s\n" % (label, keys) for label, (keys, _) in blocks.items()))
+    assert _run("compare", str(spec)) == 0
+    for label, (_, flags) in blocks.items():
+        for seed in ("0", "2"):
+            out = tmp_path / ("%s_%s.csv" % (label, seed))
+            assert _run("run", "--data", "synth:toyclass", "--l2", repr(l2), "--epochs", "2", "--seed", seed,
+                        "--fstar", ref + ".fstar.txt", "--xstar", ref + ".xstar.vec", *flags,
+                        "--out", str(out)) == 0
+            lines = (outdir / ("%s_seed%s.csv" % (label, seed))).read_text().splitlines(True)
+            lines.remove("# label = %s\n" % label)
+            assert "".join(lines) == out.read_text(), label
+            assert read_trace(str(out))[1]["gamma"] or label == "sdca"
 
 
 def test_dim_rejected_for_synthetic_data(tmp_path, capsys):
@@ -198,6 +258,10 @@ def test_dim_rejected_for_synthetic_data(tmp_path, capsys):
     assert _run("run", "--data", str(data), "--dim", "7", "--l2", "0.1",
                 "--method", "gd", "--epochs", "1", "--out", str(out)) == 0
     assert read_trace(str(out))[1]["dim"] == "7"
+    for dim in ("0", "-3"):  # a usage error, as in a spec, not an I/O one
+        with pytest.raises(SystemExit) as exc:
+            _run("run", "--data", str(data), "--dim", dim, "--l2", "0.1", "--method", "gd")
+        assert exc.value.code == cli.EXIT_USAGE and "positive integer" in capsys.readouterr().err
 
 
 def test_trace2d(tmp_path, capsys):
