@@ -4,12 +4,14 @@ Everything here either measures a run (traces, rate fits, duality gaps) or
 checks an analytic claim by a dumb independent route (finite differences,
 exhaustive enumeration over examples, golden-section maximization, a
 deterministic FISTA reference solver certified by its residual). Oracles
-deliberately avoid the fast code paths they are used to test; nothing here
-runs the stochastic methods.
+deliberately avoid the fast code paths they are used to test, with one
+exception: the enumeration steps the kernel its caller hands it, so its
+statistics are those of the step a run takes.
 """
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -96,60 +98,55 @@ def fd_grad(obj, x, h=1e-6, i=None):
 # enumeration oracles
 
 
-def enum_stats(obj, estimator, x):
-    """Exact mean and variance of an index-conditional gradient estimate.
+def enum_stats(obj, step, x, batches=None):
+    """Exact mean, variance and raw second moment of the direction a step
+    kernel moves along from the frozen state, over every batch (default:
+    each single index, uniformly).
 
-    estimator(x, i) must return the dense estimate the method would use if it
-    sampled i at the frozen state. Returns (mean vector, trace variance
-    E_i ||g_i - E g||^2) by two full passes over i.
+    step(x, batch, gamma) is a method's step kernel as run() builds it;
+    step.written, when set, names the state arrays it writes. For each batch
+    a scratch copy of x is stepped at gamma = 1, the direction read as
+    x - x+, and those arrays put back, so the enumeration leaves x and the
+    state as it found them. The direction is the method's estimator only
+    when l1 = 0: otherwise the step takes the prox.
+    One pass (Welford), no n x d storage. Returns (mean vector, trace
+    variance E||g - E g||^2, E||g||^2).
     """
-    n = obj.n
-    if n > ENUM_GUARD:
-        raise ValueError("n=%d too large to enumerate" % n)
+    batches = [(i,) for i in range(obj.n)] if batches is None else batches
+    if len(batches) > ENUM_GUARD:
+        raise ValueError("%d batches too many to enumerate" % len(batches))
+    state = getattr(step, "written", ())
+    saved = [a.copy() for a in state]
+    y = np.empty_like(x)
     mean = np.zeros(obj.d)
-    for i in range(n):
-        mean += estimator(x, i)
-    mean /= n
-    var = 0.0
-    for i in range(n):
-        diff = estimator(x, i) - mean
-        var += float(np.dot(diff, diff))
-    return mean, var / n
-
-
-def enum_stats_batches(obj, estimator, x, b):
-    """enum_stats over all size-b subsets (without replacement, uniform)."""
-    from itertools import combinations
-
-    n = obj.n
-    count = math.comb(n, b)
-    if count > ENUM_GUARD:
-        raise ValueError("C(%d,%d)=%d too large to enumerate" % (n, b, count))
-    ests = [estimator(x, i) for i in range(n)]
-    mean = np.zeros(obj.d)
-    batches = list(combinations(range(n), b))
-    for B in batches:
-        mean += sum(ests[i] for i in B) / b
-    mean /= count
-    var = 0.0
-    for B in batches:
-        diff = sum(ests[i] for i in B) / b - mean
-        var += float(np.dot(diff, diff))
-    return mean, var / count
-
-
-def check_lemma2(obj, estimator, x):
-    """Centered second moment never exceeds the raw one (enumeration)."""
-    n = obj.n
-    if n > ENUM_GUARD:
-        raise ValueError("n=%d too large to enumerate" % n)
-    _, var = enum_stats(obj, estimator, x)
-    raw = 0.0
-    for i in range(n):
-        g = estimator(x, i)
+    m2 = raw = 0.0
+    for k, batch in enumerate(batches, 1):
+        y[:] = x
+        step(y, batch, 1.0)
+        g = x - y
+        for a, s in zip(state, saved):
+            a[...] = s
+        delta = g - mean
+        mean += delta / k
+        m2 += float(np.dot(delta, g - mean))
         raw += float(np.dot(g, g))
-    raw /= n
-    return var <= raw + 1e-12 * (1.0 + raw), var, raw
+    return mean, m2 / len(batches), raw / len(batches)
+
+
+def enum_stats_batches(obj, step, x, b):
+    """enum_stats over all size-b subsets (without replacement, uniform);
+    step is the kernel built for batches of b rows."""
+    count = math.comb(obj.n, b)
+    if count > ENUM_GUARD:
+        raise ValueError("C(%d,%d)=%d too large to enumerate" % (obj.n, b, count))
+    return enum_stats(obj, step, x, list(itertools.combinations(range(obj.n), b)))
+
+
+def check_lemma2(obj, step, x):
+    """Centered second moment never exceeds the raw one, from one
+    enumeration; returns (ok, mean, var, raw)."""
+    mean, var, raw = enum_stats(obj, step, x)
+    return var <= raw + 1e-12 * (1.0 + raw), mean, var, raw
 
 
 def check_lemma1(obj, x, x_star, info=None):

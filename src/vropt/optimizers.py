@@ -78,14 +78,11 @@ class GradientTable:
         self.gsum = np.zeros(obj.d)
         self.seen = np.zeros(obj.n, dtype=bool)  # never written: perfbench/tracing.py counts its bytes
 
-    def mean(self):
-        return self.gsum / self.n
-
     def mean_rel_error(self, obj):
         """Relative gap between the running mean and (1/n) sum_i v^i
         recomputed from s."""
         ref = obj.data.weighted_sum(self.s) / self.n
-        err = np.linalg.norm(self.mean() - ref)
+        err = np.linalg.norm(self.gsum / self.n - ref)
         return float(err / (1.0 + np.linalg.norm(ref)))
 
 
@@ -280,6 +277,7 @@ def _table_kernel(obj, b, table, saga):
         if not saga:
             move(x, gamma, -(gamma / n), gsum)
         return x
+    step.written = (tab, gsum)  # the arrays an enumeration (diag.enum_stats) puts back
     return step
 
 
@@ -303,6 +301,7 @@ def _momentum_kernel(obj, b, state):
             state.m += l2 * x
         np.add.at(state.m, idx, _spread([deriv(m, labels[j]) / b for j, m in zip(batch, ms)], lens, vals))
         return move(x, gamma, -gamma, state.m)
+    step.written = (state.m,)
     return step
 
 
@@ -341,6 +340,7 @@ def _sarah_kernel(obj, b, state):
         np.add.at(state.g, idx, _spread(ds, lens, vals))
         x_prev[:] = x
         return move(x, gamma, -gamma, state.g)
+    step.written = (state.g, x_prev)
     return step
 
 
@@ -428,63 +428,25 @@ def sdca_step(dual, obj, i):
 
 
 # ---------------------------------------------------------------------------
-# estimators for the enumeration oracles
+# a method's kernel over its state
 
 
-def sgd_estimator(obj):
-    return lambda x, i: obj.grad_i(x, i)
-
-
-def sgd_star_estimator(obj, star):
-    pull = _puller(obj, 1)
-
-    def est(x, i):
-        idx, vals, _, (m,) = pull(x, [i], None)
-        g = obj.l2 * (x - star.x_star)
-        g[idx] += (obj.loss.deriv(m, obj.labels[i]) - star.scalars[i]) * vals
-        return g
-
-    return est
-
-
-def saga_estimator(obj, table):
-    pull = _puller(obj, 1)
-
-    def est(x, i):
-        idx, vals, _, (m,) = pull(x, [i], None)
-        g = table.mean() + obj.l2 * x
-        g[idx] += obj.loss.deriv(m, obj.labels[i]) * vals - table.s[i] * vals
-        return g
-
-    return est
-
-
-def sag_estimator(obj, table):
-    """Direction the averaged-gradient method would move along after sampling
-    i (biased: its mean is not the gradient until the table is current)."""
-    pull = _puller(obj, 1)
-
-    def est(x, i):
-        idx, vals, _, (m,) = pull(x, [i], None)
-        num = table.gsum.copy()
-        num[idx] += obj.loss.deriv(m, obj.labels[i]) * vals - table.s[i] * vals
-        return num / table.n + obj.l2 * x
-
-    return est
-
-
-def svrg_estimator(obj, state):
-    pull = _puller(obj, 1)
-
-    def est(x, i):
-        if state.x_ref is None:
-            return obj.grad_i(x, i)  # no anchor yet: plain stochastic gradient
-        idx, vals, _, (m,) = pull(x, [i], None)
-        g = state.loss_ref + obj.l2 * x
-        g[idx] += (obj.loss.deriv(m, obj.labels[i]) - state.s_ref[i]) * vals
-        return g
-
-    return est
+def method_kernel(method, obj, b, state=None):
+    """The step run() builds for a per-example method at batches of b rows,
+    over the method's state: the GradientTable, MomentumState, StarTable or
+    the svrg/sarah stage (sgd takes none). svrg's kernel binds the stage's
+    current anchor; before its first refresh it is plain sgd's."""
+    if method in TABLE_METHODS:
+        return _table_kernel(obj, b, state, method == "saga")
+    if method == "sgd_momentum":
+        return _momentum_kernel(obj, b, state)
+    if method == "sarah":
+        return _sarah_kernel(obj, b, state)
+    if method == "sgd_star":
+        return _shift_kernel(obj, b, memoryview(state.scalars), state.x_star, obj.l2)
+    if method == "svrg" and state.x_ref is not None:
+        return _shift_kernel(obj, b, memoryview(state.s_ref), state.loss_ref, -1.0)
+    return _shift_kernel(obj, b)
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +579,20 @@ class Recorder:
 
     A checkpoint is due whenever the evaluation count reaches the next
     multiple of the stride. sync, when set, runs before a checkpoint reads
-    x; the lazy engine sets it to bring every coordinate current.
+    x; the lazy engine sets it to bring every coordinate current. At the
+    config's var_epochs, var_est is the variance of the run's own kernel
+    direction over every single index (diag.enum_stats), built from state
+    at that checkpoint (svrg's at its current anchor); sarah, gd and sdca
+    record none, nor does any method when l1 > 0, where the kernel's step
+    takes the prox and its direction is no longer the estimator's.
     """
 
-    def __init__(self, config, obj, rule, gamma, estimator=None, table=None, dual=None):
+    def __init__(self, config, obj, rule, gamma, state=None, table=None, dual=None):
         self.config = config
         self.obj = obj
         self.rule = rule
         self.gamma = gamma
-        self.estimator = estimator
+        self.state = state
         self.table = table
         self.dual = dual
         self.sync = None
@@ -657,9 +624,10 @@ class Recorder:
             rec.grad_norm = float(np.linalg.norm(table.gsum / table.n + obj.l2 * x))
         elif obj.loss.smooth:
             rec.grad_norm = float(np.linalg.norm(obj.full_grad(cur)))
-        if config.var_epochs is not None and self.estimator is not None:
+        if config.var_epochs is not None and config.method not in ("gd", "sarah", "sdca") and not obj.l1:
             if int(round(rec.epoch)) in config.var_epochs:
-                _, rec.var_est = enum_stats(obj, self.estimator, cur)
+                step = method_kernel(config.method, obj, 1, self.state)
+                rec.var_est = enum_stats(obj, step, cur)[1]
         rec.time_s = time.perf_counter() - self.t0
         self.records.append(rec)
         return self.rule.kind != "epochs" and should_stop(self.rule, rec)
@@ -696,27 +664,20 @@ def run(config, obj, x0=None):
 
     # method state, and the per-example kernel step(x, batch, gamma)
     b = scheme.batch
-    table = stage = dual = estimator = step = None  # stage: the svrg or sarah state
+    table = state = dual = step = None
     if method in TABLE_METHODS:
-        table = aux["table"] = GradientTable(obj)
-        step = _table_kernel(obj, b, table, method == "saga")
-        estimator = (saga_estimator if method == "saga" else sag_estimator)(obj, table)
-    elif method == "sgd":
-        step = _shift_kernel(obj, b)
-        estimator = sgd_estimator(obj)
+        state = table = aux["table"] = GradientTable(obj)
     elif method == "sgd_momentum":
-        step = _momentum_kernel(obj, b, MomentumState(m=np.zeros(obj.d), beta=config.beta))
-        estimator = sgd_estimator(obj)
+        state = MomentumState(m=np.zeros(obj.d), beta=config.beta)
     elif method == "sgd_star":
-        star = aux["star"] = star_table(obj, config.x_star)
-        step = _shift_kernel(obj, b, memoryview(star.scalars), star.x_star, obj.l2)
-        estimator = sgd_star_estimator(obj, star)
-    elif method in ("svrg", "sarah"):
-        stage = aux[method] = (SvrgState if method == "svrg" else SarahState)(config.inner_t or n)
-        estimator = svrg_estimator(obj, stage) if method == "svrg" else None
+        state = aux["star"] = star_table(obj, config.x_star)
+    elif method in ("svrg", "sarah"):  # the stage; its kernel is built at each refresh
+        state = aux[method] = (SvrgState if method == "svrg" else SarahState)(config.inner_t or n)
     elif method == "sdca":
         dual = aux["dual"] = DualState(obj)
-    recorder = Recorder(config, obj, rule, gamma, estimator, table, dual)
+    if method not in ("gd", "sarah", "sdca"):  # sarah's kernel needs its first refresh
+        step = method_kernel(method, obj, b, state)
+    recorder = Recorder(config, obj, rule, gamma, state, table, dual)
 
     def note_iterate():
         if config.record_iterates:
@@ -756,19 +717,15 @@ def run(config, obj, x0=None):
             # full gradient the refresh computes; the kernel binds the
             # stage's anchor, so it is built after each refresh
             while evals < budget and not stopped:
-                if method == "svrg":
-                    svrg_outer_refresh(stage, obj, x)
-                    step = _shift_kernel(obj, b, memoryview(stage.s_ref), stage.loss_ref, -1.0)
-                else:
-                    sarah_refresh(stage, obj, x)
-                    step = _sarah_kernel(obj, b, stage)
+                (svrg_outer_refresh if method == "svrg" else sarah_refresh)(state, obj, x)
+                step = method_kernel(method, obj, b, state)
                 evals += n
                 if rule.kind == "grad":
-                    ref_norm = float(np.linalg.norm(stage.grad_ref if method == "svrg" else stage.g))
+                    ref_norm = float(np.linalg.norm(state.grad_ref if method == "svrg" else state.g))
                     if ref_norm <= rule.eps:
                         recorder.checkpoint(x, evals, force=True)
                         break
-                per_example(step, evals + 2 * b * stage.t, 2 * b, stoppable=False)  # the whole stage
+                per_example(step, evals + 2 * b * state.t, 2 * b, stoppable=False)  # the whole stage
         elif method == "sdca":
             step = _sdca_kernel(obj, dual)
             min_gain = np.inf

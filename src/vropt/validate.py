@@ -17,7 +17,7 @@ from .diag import (
     check_contraction,
     check_lemma1,
     check_lemma2,
-    enum_stats,
+    enum_stats,  # noqa: F401 -- perfbench/tracing.py wraps this name here
     enum_stats_batches,
     fd_grad,
     fit_linear_rate,
@@ -29,18 +29,16 @@ from .optimizers import (
     DualState,
     GradientTable,
     RunConfig,
+    SarahState,
     SvrgState,
     _mover,
     _puller,
     index_batches,
+    method_kernel,
     run,
-    saga_estimator,
+    sarah_refresh,
     sdca_step,
-    sgd_estimator,
-    sgd_star_estimator,
-    shift_step,
     star_table,
-    svrg_estimator,
     svrg_outer_refresh,
     table_step,
 )
@@ -209,17 +207,16 @@ def check_smoothness_inequalities():
             x = rng.normal(size=obj.d) * rng.uniform(0.1, 3.0)
             ok, slack = check_lemma1(obj, x, xs, info)
             worst = min(worst, slack)
-    # lemma 2 on evolving estimator states
+    # lemma 2 on evolving saga states, through the kernel run() ships
     lemma2_ok = True
     table = GradientTable(obj_log)
+    step = method_kernel("saga", obj_log, 1, table)
     r = RandomSource(3)
     x = np.zeros(obj_log.d)
-    est = saga_estimator(obj_log, table)
     for k in range(200):
-        table_step(table, obj_log, x, [int(r.integers(obj_log.n))], 1.0 / info_log.l_max, saga=True)
+        step(x, [int(r.integers(obj_log.n))], 1.0 / info_log.l_max)
         if k % 20 == 0:
-            ok2, _, _ = check_lemma2(obj_log, est, x)
-            lemma2_ok = lemma2_ok and ok2
+            lemma2_ok = check_lemma2(obj_log, step, x)[0] and lemma2_ok
     ok = worst >= -1e-12 and lemma2_ok
     obs = "worst_slack=%.2e lemma2=%s" % (worst, lemma2_ok)
     return CheckResult("smoothness_inequalities", ok, obs,
@@ -227,12 +224,29 @@ def check_smoothness_inequalities():
                        seconds=time.perf_counter() - t0)
 
 
-def check_unbiasedness(flip_sign=False):
-    """Enumerated estimator means equal the full gradient at 10 live
-    checkpoints per method; exhaustive mini-batch subsets at n=6.
+def _flip_sign(obj, table, step):
+    """The saga kernel with a covariate sign fault: s_i a_i added where the
+    stored entry is subtracted, so its direction gains 2 s_i a_i."""
+    def faulty(y, batch, gamma):
+        (i,) = batch
+        idx, vals = obj.data.row(i)
+        fault = (2.0 * gamma * table.s[i]) * vals  # read before the step stores s_i
+        step(y, batch, gamma)
+        y[idx] -= fault
+        return y
+    faulty.written = step.written
+    return faulty
 
-    flip_sign injects a covariate sign fault into the table estimator; the
-    check must then fail (exercised by the test suite).
+
+def check_unbiasedness(flip_sign=False):
+    """The enumerated mean of each shipped kernel's direction equals the
+    full gradient at 10 live checkpoints per method, and sarah's equals its
+    conditional mean v_{k-1} + grad f(x_k) - grad f(x_{k-1}) 25 steps into a
+    stage; exhaustive subsets of the b-row shift kernel at n=6.
+
+    flip_sign adds a covariate sign fault, 2 s_i a_i with s_i the stored
+    table entry, to the enumerated saga direction; the check must then fail
+    (exercised by the test suite).
     """
     t0 = time.perf_counter()
     obj, info, x_star, _ = _toy()
@@ -240,48 +254,31 @@ def check_unbiasedness(flip_sign=False):
     rel_tol = 1e-12
     worst = 0.0
     detail = []
-    for method in ("sgd", "sgd_star", "saga", "svrg"):
+    for method in ("sgd", "sgd_star", "saga", "svrg", "sarah"):
         rng = RandomSource(11)
         x = np.zeros(obj.d)
-        if method == "saga":
-            state = GradientTable(obj)
-            if flip_sign:
-                table = state
-
-                def est(xx, i, table=table):
-                    idx, vals = obj.data.row(i)
-                    gg = table.mean() + obj.l2 * xx
-                    s = obj.loss.deriv(float(np.dot(vals, xx[idx])), obj.labels[i])
-                    gg[idx] += s * vals + table.s[i] * vals  # faulty sign
-                    return gg
-            else:
-                est = saga_estimator(obj, state)
-        elif method == "sgd_star":
+        state = None
+        if method == "sgd_star":
             state = star_table(obj, x_star)
-            est = sgd_star_estimator(obj, state)
+        elif method == "saga":
+            state = GradientTable(obj)
         elif method == "svrg":
-            state = SvrgState(t=obj.n)
-            svrg_outer_refresh(state, obj, x)
-            est = svrg_estimator(obj, state)
-        else:
-            state = None
-            est = sgd_estimator(obj)
+            state = svrg_outer_refresh(SvrgState(t=obj.n), obj, x)
+        elif method == "sarah":
+            state = SarahState(t=obj.n)
+        step = None if method == "sarah" else method_kernel(method, obj, 1, state)
         for cp in range(10):
+            if method == "sarah":  # a new stage: the kernel binds its arrays
+                step = method_kernel(method, obj, 1, sarah_refresh(state, obj, x))
             for _ in range(25):
-                batch = [int(rng.integers(obj.n))]
-                if method == "saga":
-                    table_step(state, obj, x, batch, g, saga=True)
-                elif method == "sgd_star":
-                    shift_step(obj, x, batch, g, state.scalars, state.x_star, obj.l2)
-                elif method == "svrg":
-                    shift_step(obj, x, batch, g, state.s_ref, state.loss_ref, -1.0)
-                else:
-                    shift_step(obj, x, batch, g)
-            mean, var = enum_stats(obj, est, x)
-            grad = obj.full_grad(x)
-            rel = float(np.linalg.norm(mean - grad) / (1.0 + np.linalg.norm(grad)))
-            worst = max(worst, rel)
-            ok2, v2, raw2 = check_lemma2(obj, est, x)
+                x_prev = x.copy()
+                step(x, [int(rng.integers(obj.n))], g)
+            probe = _flip_sign(obj, state, step) if flip_sign and method == "saga" else step
+            ok2, mean, _, _ = check_lemma2(obj, probe, x)
+            want = obj.full_grad(x)
+            if method == "sarah":
+                want = state.g + want - obj.full_grad(x_prev)
+            worst = max(worst, float(np.linalg.norm(mean - want) / (1.0 + np.linalg.norm(want))))
             if not ok2:
                 detail.append("lemma2 failed for %s" % method)
     # exhaustive mini-batch subsets
@@ -289,9 +286,10 @@ def check_unbiasedness(flip_sign=False):
     tobj = GlmObjective(td, "logistic", l2=0.2)
     rng2 = np.random.default_rng(5)
     for b in (2, 3):
+        step = method_kernel("sgd", tobj, b)
         for _ in range(5):
             x = rng2.normal(size=tobj.d)
-            mean, _ = enum_stats_batches(tobj, sgd_estimator(tobj), x, b)
+            mean = enum_stats_batches(tobj, step, x, b)[0]
             grad = tobj.full_grad(x)
             rel = float(np.linalg.norm(mean - grad) / (1.0 + np.linalg.norm(grad)))
             worst = max(worst, rel)

@@ -44,24 +44,28 @@ def test_fd_grad_matches_analytic():
 
 
 def test_enum_stats_hand_case():
-    # estimator that depends only on i: mean and variance by hand
+    # a step whose direction depends only on i: mean and variance by hand
     obj = GlmObjective(tiny(seed=0), "logistic", l2=0.1)
     vecs = np.zeros((obj.n, obj.d))
     vecs[0, 0] = 3.0
     vecs[1, 0] = -3.0
 
-    mean, var = enum_stats(obj, lambda x, i: vecs[i].copy(), np.zeros(obj.d))
+    def step(x, batch, gamma):
+        x -= gamma * vecs[batch[0]]
+        return x
+
+    mean, var, raw = enum_stats(obj, step, np.zeros(obj.d))
     assert np.allclose(mean, np.zeros(obj.d))
     assert var == pytest.approx(18.0 / obj.n, rel=1e-15)
+    assert raw == pytest.approx(18.0 / obj.n, rel=1e-15)
 
 
 def test_enum_stats_batches_counts():
     obj = GlmObjective(tiny(seed=0), "logistic", l2=0.1)  # n = 6
     x = np.full(obj.d, 0.3)
-    est = lambda xx, i: obj.grad_i(xx, i)
-    m1, v1 = enum_stats_batches(obj, est, x, 2)  # C(6,2) = 15 subsets
+    m1, v1, _ = enum_stats_batches(obj, optimizers.method_kernel("sgd", obj, 2), x, 2)  # C(6,2) = 15 subsets
     assert np.allclose(m1, obj.full_grad(x), rtol=1e-12, atol=1e-14)
-    _, v_single = enum_stats(obj, est, x)
+    _, v_single, _ = enum_stats(obj, optimizers.method_kernel("sgd", obj, 1), x)
     # batch averaging shrinks variance: (n-b)/(b(n-1)) factor for b=2, n=6
     assert v1 == pytest.approx(v_single * 4.0 / 10.0, rel=1e-10)
 

@@ -449,3 +449,59 @@ def test_run_final_iterates_pinned():
         gap_bytes = np.array([r.gap for r in res.records]).tobytes()
         assert hashlib.sha256(gap_bytes).hexdigest() == gaps, kw
         assert res.aux["min_dual_gain"] == min_gain, kw
+
+
+@pytest.mark.parametrize("loss, l2", [("logistic", 0.1), ("half_squared", 0.15), ("hinge", 0.2)])
+def test_sdca_gain_is_scaled_dual_increase(loss, l2):
+    # every gain sdca_step returns is n * (D(v+) - D(v)), the -rho dv^2 / 2
+    # term included; dual_objective recomputes D from scratch
+    obj = GlmObjective(toy_classification(seed=0, n=50, d=10), loss, l2=l2)
+    dual = DualState(obj)
+    rng = np.random.default_rng(7)
+    last = dual_objective(obj, dual)
+    for _ in range(200):
+        gain = sdca_step(dual, obj, int(rng.integers(obj.n)))
+        now = dual_objective(obj, dual)
+        want = obj.n * (now - last)
+        assert abs(gain - want) <= 1e-10 * (1.0 + abs(want))
+        last = now
+
+
+def test_momentum_full_batch_is_heavy_ball():
+    # a uniform batch of b = n draws every row once, so the run is Polyak's
+    # heavy ball m <- beta m + grad f(x), x <- x - gamma m on the full gradient
+    obj = GlmObjective(toy_classification(seed=0, n=50, d=10), "logistic", l2=0.1)
+    gamma, beta = 1.0 / smoothness(obj).l_full, 0.6
+    res = run(RunConfig(method="sgd_momentum", epochs=40.0, seed=3, gamma=gamma, beta=beta,
+                        scheme=uniform_scheme(batch=obj.n), record_iterates=True), obj)
+    x, m = np.zeros(obj.d), np.zeros(obj.d)
+    assert [k for k, _ in res.iterates] == list(range(41))
+    for _, xk in res.iterates[1:]:
+        m = beta * m + obj.full_grad(x)
+        x = x - gamma * m
+        assert np.linalg.norm(xk - x) <= 1e-12 * (1.0 + np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("method, jit", [("saga", "off"), ("saga", "on"), ("sag", "off"), ("svrg", "off"),
+                                         ("sgd_momentum", "off"), ("sgd_star", "off")])
+def test_enumeration_leaves_run_unchanged(method, jit):
+    # var_est steps the run's own kernel on a scratch iterate and puts its
+    # state back: the run's iterate and objective values do not move
+    obj = GlmObjective(toy_classification(seed=0, n=50, d=10), "logistic", l2=0.1)
+    cfg = dict(method=method, jit=jit, epochs=4.0, seed=2, x_star=np.linspace(-0.5, 0.5, obj.d))
+    if method == "sgd_momentum":
+        cfg.update(beta=0.5, gamma=0.1)
+    plain = run(RunConfig(**cfg), obj)
+    probed = run(RunConfig(var_epochs=frozenset({1, 2, 3, 4}), **cfg), obj)
+    assert probed.x.tobytes() == plain.x.tobytes()
+    assert [r.f for r in probed.records] == [r.f for r in plain.records]
+    assert [round(r.epoch) for r in probed.records if r.var_est is not None] == [1, 2, 3, 4]
+    assert all(r.var_est > 0 for r in probed.records if r.var_est is not None)
+
+
+def test_no_var_est_under_l1():
+    # with l1 > 0 the kernel's step takes the prox, so its direction is not
+    # the estimator's: var_est stays empty
+    obj = GlmObjective(toy_classification(seed=0, n=50, d=10), "logistic", l2=0.1, l1=1e-3)
+    res = run(RunConfig(method="saga", epochs=2.0, seed=2, var_epochs=frozenset({1, 2})), obj)
+    assert res.records and all(r.var_est is None for r in res.records)
