@@ -158,7 +158,7 @@ class DualState:
 # factor. The public single steps build the same kernels for one call.
 
 
-def _puller(obj, b):
+def _puller(obj, b, lazy=None):
     """pull(x, batch, gamma) -> (idx, vals, lens, ms): the rows' support and
     values (row j's slices when b = 1, lens None; else the rows gathered in
     batch order, lens their lengths) and margins a_j^T x, one ndarray.dot per
@@ -185,6 +185,8 @@ def _puller(obj, b):
         if not all(map(isfinite, ms)):
             _check_finite(math.nan, gamma)
         return idx, vals, lens, ms
+    if lazy is not None:  # b = 1: lazy[idx] is the row caught up (sparse_jit.LazyIterate.read)
+        return lambda x, batch, gamma: pull(lazy, batch, gamma)
     return pull
 
 
@@ -193,11 +195,15 @@ def _spread(coefs, lens, vals):
     return coefs[0] * vals if lens is None else np.array(coefs).repeat(lens) * vals
 
 
-def _mover(obj, b, decay=True):
+def _mover(obj, b, lazy=None, anchor=None, decay=True):
     """move(x, gamma, weight, anchor, idx=None, vec=None): x <- (1 - gamma*l2) x
     + weight*anchor, then x[idx] -= vec row after row (np.subtract.at when b > 1:
     a batch's joined support may repeat an index), then the l1 prox. decay=False
     keeps x unshrunk (the direction carries l2*x); anchor None drops the term."""
+    if lazy is not None:  # on the row pulled last; x catches up under the old anchor first
+        lazy.materialize()
+        lazy.anchor = anchor
+        return lazy.move
     l2, l1, prox = obj.l2, obj.l1, obj.prox
     buf = np.empty(obj.d)
 
@@ -226,9 +232,9 @@ def gd_step(obj, x, gamma):
     return x
 
 
-def _shift_kernel(obj, b, ref=None, anchor=None, anchor_scale=0.0):
-    pull, move, deriv, labels = _puller(obj, b), _mover(obj, b), obj.loss.deriv, obj.py_labels
+def _shift_kernel(obj, b, ref=None, anchor=None, anchor_scale=0.0, lazy=None):
     anchor = anchor if anchor_scale else None
+    pull, move, deriv, labels = _puller(obj, b, lazy), _mover(obj, b, lazy, anchor), obj.loss.deriv, obj.py_labels
     ref = memoryview(np.zeros(obj.n)) if ref is None else ref
 
     def step(x, batch, gamma):
@@ -252,8 +258,8 @@ def shift_step(obj, x, batch, gamma, ref=None, anchor=None, anchor_scale=0.0):
     return _shift_kernel(obj, len(batch), ref, anchor, anchor_scale)(x, batch, gamma)
 
 
-def _table_kernel(obj, b, table, saga):
-    pull, move, deriv, labels = _puller(obj, b), _mover(obj, b), obj.loss.deriv, obj.py_labels
+def _table_kernel(obj, b, table, saga, lazy=None):
+    pull, move, deriv, labels = _puller(obj, b, lazy), _mover(obj, b, lazy, table.gsum), obj.loss.deriv, obj.py_labels
     tab, gsum, n = table.s, table.gsum, table.n
 
     def step(x, batch, gamma):
@@ -431,22 +437,22 @@ def sdca_step(dual, obj, i):
 # a method's kernel over its state
 
 
-def method_kernel(method, obj, b, state=None):
+def method_kernel(method, obj, b, state=None, lazy=None):
     """The step run() builds for a per-example method at batches of b rows,
-    over the method's state: the GradientTable, MomentumState, StarTable or
-    the svrg/sarah stage (sgd takes none). svrg's kernel binds the stage's
-    current anchor; before its first refresh it is plain sgd's."""
+    over the method's state (the GradientTable, MomentumState, StarTable or
+    svrg/sarah stage; sgd takes none) and lazy, a sparse_jit.LazyIterate,
+    if given. svrg's binds the stage's anchor; before the first refresh, none."""
     if method in TABLE_METHODS:
-        return _table_kernel(obj, b, state, method == "saga")
+        return _table_kernel(obj, b, state, method == "saga", lazy)
     if method == "sgd_momentum":
         return _momentum_kernel(obj, b, state)
     if method == "sarah":
         return _sarah_kernel(obj, b, state)
     if method == "sgd_star":
-        return _shift_kernel(obj, b, memoryview(state.scalars), state.x_star, obj.l2)
+        return _shift_kernel(obj, b, memoryview(state.scalars), state.x_star, obj.l2, lazy)
     if method == "svrg" and state.x_ref is not None:
-        return _shift_kernel(obj, b, memoryview(state.s_ref), state.loss_ref, -1.0)
-    return _shift_kernel(obj, b)
+        return _shift_kernel(obj, b, memoryview(state.s_ref), state.loss_ref, -1.0, lazy)
+    return _shift_kernel(obj, b, lazy=lazy)
 
 
 # ---------------------------------------------------------------------------
@@ -574,20 +580,20 @@ def resolve(config, obj):
 
 
 class Recorder:
-    """The checkpoints of one run, shared by the eager loops and the lazy
-    engine: stride, record fields, stop test and closing record.
+    """The checkpoints of one run, shared by both engines: stride, record
+    fields, stop test and closing record.
 
     A checkpoint is due whenever the evaluation count reaches the next
-    multiple of the stride. sync, when set, runs before a checkpoint reads
-    x; the lazy engine sets it to bring every coordinate current. At the
-    config's var_epochs, var_est is the variance of the run's own kernel
-    direction over every single index (diag.enum_stats), built from state
-    at that checkpoint (svrg's at its current anchor); sarah, gd and sdca
-    record none, nor does any method when l1 > 0, where the kernel's step
-    takes the prox and its direction is no longer the estimator's.
+    multiple of the stride; a lazy run's sparse_jit.LazyIterate is
+    materialized before it reads x. At the first checkpoint at or past each
+    of the config's var_epochs, var_est is the variance of the run's own
+    kernel direction over every single index (diag.enum_stats), built from
+    state at that checkpoint (svrg's at its current anchor); sarah, gd and
+    sdca record none, nor does any method when l1 > 0, where the kernel's
+    step takes the prox and its direction is no longer the estimator's.
     """
 
-    def __init__(self, config, obj, rule, gamma, state=None, table=None, dual=None):
+    def __init__(self, config, obj, rule, gamma, state=None, table=None, dual=None, lazy=None):
         self.config = config
         self.obj = obj
         self.rule = rule
@@ -595,9 +601,10 @@ class Recorder:
         self.state = state
         self.table = table
         self.dual = dual
-        self.sync = None
+        self.lazy = lazy
         self.records = []
         self.stride = max(1, int(round(config.checkpoint_every * obj.n)))
+        self.var_due = [] if config.method in ("gd", "sarah", "sdca") or obj.l1 else sorted(config.var_epochs or ())
         self.next_cp = 0
         self.t0 = time.perf_counter()
 
@@ -608,8 +615,8 @@ class Recorder:
             return False
         while self.next_cp <= evals:
             self.next_cp += self.stride
-        if self.sync is not None:
-            self.sync()
+        if self.lazy is not None:
+            self.lazy.materialize()
         config, obj, table, dual = self.config, self.obj, self.table, self.dual
         cur = dual.w if dual is not None else x
         f = obj.objective_value(cur)
@@ -624,10 +631,9 @@ class Recorder:
             rec.grad_norm = float(np.linalg.norm(table.gsum / table.n + obj.l2 * x))
         elif obj.loss.smooth:
             rec.grad_norm = float(np.linalg.norm(obj.full_grad(cur)))
-        if config.var_epochs is not None and config.method not in ("gd", "sarah", "sdca") and not obj.l1:
-            if int(round(rec.epoch)) in config.var_epochs:
-                step = method_kernel(config.method, obj, 1, self.state)
-                rec.var_est = enum_stats(obj, step, cur)[1]
+        if self.var_due and self.var_due[0] <= rec.epoch:
+            self.var_due = [e for e in self.var_due if e > rec.epoch]
+            rec.var_est = enum_stats(obj, method_kernel(config.method, obj, 1, self.state), cur)[1]
         rec.time_s = time.perf_counter() - self.t0
         self.records.append(rec)
         return self.rule.kind != "epochs" and should_stop(self.rule, rec)
@@ -642,9 +648,9 @@ def run(config, obj, x0=None):
     """Execute one configured run and return its trace and final iterate.
 
     The one driver for both engines: it starts with resolve() (validation,
-    stepsize, engine), builds the method state and hands sag/saga to the
-    lazy engine (sparse_jit.run_jit) when resolve() picks it;
-    aux["engine"] and aux["engine_reason"] say which engine ran and why.
+    stepsize, engine) and builds the method state; a lazy run's kernels step
+    over a sparse_jit.LazyIterate, inside sparse_jit.run_jit. aux["engine"]
+    and aux["engine_reason"] say which engine ran and why.
 
     Raises DivergenceError (carrying the partial trace) on non-finite values.
     """
@@ -675,9 +681,12 @@ def run(config, obj, x0=None):
         state = aux[method] = (SvrgState if method == "svrg" else SarahState)(config.inner_t or n)
     elif method == "sdca":
         dual = aux["dual"] = DualState(obj)
+    lazy = None
+    if engine == "lazy":
+        lazy = aux["lazy"] = sparse_jit.LazyIterate(x, 1.0 - gamma * obj.l2)
+    recorder = Recorder(config, obj, rule, gamma, state, table, dual, lazy)
     if method not in ("gd", "sarah", "sdca"):  # sarah's kernel needs its first refresh
-        step = method_kernel(method, obj, b, state)
-    recorder = Recorder(config, obj, rule, gamma, state, table, dual)
+        step = method_kernel(method, obj, b, state, lazy)
 
     def note_iterate():
         if config.record_iterates:
@@ -697,15 +706,11 @@ def run(config, obj, x0=None):
                 return True
         return False
 
-    recorder.checkpoint(x, evals, force=True)
-    note_iterate()
-    try:
+    def stepping():
+        nonlocal x, evals, steps, step
         # optional plain-SGD warm phase, charged to the same counters
         stopped = warm_budget > 0 and per_example(_shift_kernel(obj, b), warm_budget)
-        if engine == "lazy":
-            evals, lazy_x = sparse_jit.run_jit(recorder, x, draws, budget)
-            aux.update(jit=True, lazy=lazy_x, touched_coords=lazy_x.touched)
-        elif method == "gd":
+        if method == "gd":
             while evals < budget and not stopped:
                 x = gd_step(obj, x, gamma)
                 evals += n
@@ -717,8 +722,10 @@ def run(config, obj, x0=None):
             # full gradient the refresh computes; the kernel binds the
             # stage's anchor, so it is built after each refresh
             while evals < budget and not stopped:
+                if lazy is not None:  # the refresh reads x, caught up under the old anchor
+                    lazy.materialize()
                 (svrg_outer_refresh if method == "svrg" else sarah_refresh)(state, obj, x)
-                step = method_kernel(method, obj, b, state)
+                step = method_kernel(method, obj, b, state, lazy)
                 evals += n
                 if rule.kind == "grad":
                     ref_norm = float(np.linalg.norm(state.grad_ref if method == "svrg" else state.g))
@@ -737,9 +744,16 @@ def run(config, obj, x0=None):
             aux["min_dual_gain"] = min_gain
         elif not stopped:
             per_example(step, budget)
+
+    recorder.checkpoint(x, evals, force=True)
+    note_iterate()
+    try:
+        sparse_jit.run_jit(stepping) if lazy is not None else stepping()
     except DivergenceError as err:
         err.records = recorder.records
         raise
+    if lazy is not None:
+        aux.update(jit=True, touched_coords=lazy.touched)
     recorder.close(x, evals)
     xf = dual.w.copy() if method == "sdca" else x
     if config.record_iterates and (not iterates or iterates[-1][0] != steps):

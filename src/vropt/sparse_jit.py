@@ -1,11 +1,12 @@
-"""Just-in-time sparse updates for the gradient-table methods.
+"""Just-in-time sparse updates for the batch-1 steps with a constant dense term.
 
-Between touches of coordinate j, the table sum gsum_j is constant (it only
-changes when a sampled row has support there, and then j is touched). Every
-step multiplies x_j by rho = 1 - gamma*l2 and subtracts w_t * gsum_j, where
-w_t is gamma/n. Unrolling m such steps:
+Every step multiplies x by rho = 1 - gamma*l2, adds w_t * anchor_j and moves
+the sampled row's support. The anchor is constant on coordinate j between
+touches of j: sag/saga's table sum gsum changes only on the sampled support,
+and the shift kernel's anchor is fixed (sgd: none; sgd_star: x*; svrg: the
+stage's loss_ref). Unrolling m untouched steps:
 
-    x_j(k) = rho^m x_j(c) - gsum_j * sum_{t=c+1..k} rho^(k-t) w_t
+    x_j(k) = rho^m x_j(c) + anchor_j * sum_{t=c+1..k} rho^(k-t) w_t
 
 With the decayed prefix G[t] = rho*G[t-1] + w_t (G[0] = 0) the sum collapses
 to G[k] - rho^m G[c], so each coordinate catches up in O(1) regardless of how
@@ -13,8 +14,8 @@ long it slept. The per-step work is therefore O(nnz(a_i)), not O(d).
 
 When rho == 1 the prefix is a plain running sum, accumulated with Kahan
 compensation; catch-up differences then carry an absolute error of order
-eps * |G[k]| * |gsum_j| per touch, far below trace tolerances at the scales
-this engine targets.
+eps * |G[k]| * |anchor_j| per touch, far below trace tolerances at the scales
+this engine targets. Each materialize rebases the prefix (checkpoint to checkpoint).
 """
 
 import numpy as np
@@ -24,68 +25,93 @@ from .schedules import sample  # noqa: F401 -- perfbench/tracing.py wraps this n
 from .schedules import uniform_scheme
 
 JIT_MODES = ("auto", "on", "off")
+LAZY_METHODS = ("sag", "saga", "sgd", "sgd_star", "svrg")
 
 # auto picks the lazy engine from this many features up. An eager step costs
 # O(d) (it decays and shifts all of x), a lazy one O(nnz(a_i)) plus a fixed
-# overhead; over 5-60 nonzeros per row, sag and saga cross near d = 15k
-# (tools/engine_sweep.py).
+# overhead; over 5-60 nonzeros per row, the table and shift kernels cross
+# between d = 3k and 20k (tools/engine_sweep.py).
 LAZY_MIN_D = 15_000
 
 
 class LazyIterate:
-    """Iterate vector with per-coordinate staleness bookkeeping."""
+    """Iterate x with per-coordinate staleness: x[j] is current through step
+    c[j]. A lazy step reads its row (read, or lazy[idx]), then moves it."""
 
     def __init__(self, x, rho, capacity=1024):
         if rho <= 0:
             raise ValueError("decay factor must be positive, got %g" % rho)
         self.x = x
         self.rho = float(rho)
+        self.anchor = None
         self.c = np.zeros(x.shape[0], dtype=np.int64)
         self.k = 0
         self._g = np.zeros(max(capacity, 16))
-        self._comp = 0.0  # Kahan compensation, used when rho == 1
+        self._p = self.rho ** np.arange(self._g.shape[0])  # rho^m, the bits of rho ** m
+        self._last = self._comp = 0.0  # G[k]; Kahan compensation, used when rho == 1
+        self._row = None  # (idx, values) of the last read
         self.touched = 0
 
     @property
     def prefix(self):
-        return self._g[: self.k + 1]
+        """The prefix array G as held; entries 0..k are live."""
+        return self._g
 
-    def push_weight(self, w):
-        """Register step k+1 with per-step weight w."""
-        if self.k + 1 >= self._g.shape[0]:
-            grown = np.zeros(self._g.shape[0] * 2)
-            grown[: self.k + 1] = self._g[: self.k + 1]
-            self._g = grown
+    def read(self, idx):
+        """x[idx] caught up through step k, not written back: the next move
+        writes this row."""
+        ci = self.c[idx]
+        pm = self._p[self.k - ci]  # 1 where current, as rows rarely are where lazy pays
+        xi = pm * self.x[idx]
+        if self.anchor is not None:
+            xi += self.anchor[idx] * (self._last - pm * self._g[ci])
+        self._row = idx, xi
+        return xi
+
+    __getitem__ = read
+
+    def move(self, x, gamma, w, anchor, idx=None, vec=None):
+        """Step k+1 on the row read last, in one write, with the eager move's
+        signature (optimizers._mover; x, gamma, anchor and idx are the
+        iterate's own) and arithmetic: x[idx] = rho*x[idx] + w*anchor[idx] - vec."""
+        idx, xi = self._row
+        k, last = self.k + 1, self._last
+        if k >= self._g.shape[0]:  # G doubles; materialize keeps k below the checkpoint stride
+            self._g = np.concatenate([self._g, np.zeros(self._g.shape[0])])
+            self._p = self.rho ** np.arange(self._g.shape[0])
         if self.rho == 1.0:
             y = w - self._comp
-            t = self._g[self.k] + y
-            self._comp = (t - self._g[self.k]) - y
-            self._g[self.k + 1] = t
+            t = last + y
+            self._comp = (t - last) - y
         else:
-            self._g[self.k + 1] = self.rho * self._g[self.k] + w
-        self.k += 1
-
-    def catch_up(self, idx, gsum):
-        """Bring x[idx] current through step k, given the (constant-on-idx
-        since their last touch) table sums."""
-        ci = self.c[idx]
-        if ci.min(initial=self.k) == self.k:  # all current (or idx empty)
-            return
-        pm = self.rho ** (self.k - ci)
-        self.x[idx] = pm * self.x[idx] - gsum[idx] * (self._g[self.k] - pm * self._g[ci])
-        self.c[idx] = self.k
-
-    def catch_up_one(self, idx, gsum):
-        """catch_up for indices all current through step k-1: m = 1 for
-        each, so the update has one scalar coefficient (same arithmetic)."""
-        rho = self.rho
-        self.x[idx] = rho * self.x[idx] - gsum[idx] * (self._g[self.k] - rho * self._g[self.k - 1])
-        self.c[idx] = self.k
-
-    def materialize(self, gsum):
-        """Catch every coordinate up (idempotent); returns the x array."""
-        self.catch_up(np.arange(self.x.shape[0]), gsum)
+            t = self.rho * last + w
+        self._g[k] = self._last = t
+        self.k = k
+        new = self.rho * xi
+        if self.anchor is not None:
+            new += w * self.anchor[idx]
+        if vec is not None:
+            new -= vec
+        self.x[idx] = new
+        self.c[idx] = k
+        self.touched += idx.size
         return self.x
+
+    def materialize(self):
+        """Catch every coordinate up and rebase (k, c, G[k], Kahan term to 0); returns x."""
+        k, x, c = self.k, self.x, self.c
+        if k:
+            pm = self._p[k - c]
+            x *= pm
+            if self.anchor is not None:
+                gc = self._g[c]
+                gc *= pm
+                np.subtract(self._last, gc, out=gc)
+                gc *= self.anchor
+                x += gc
+            c[:] = 0
+            self.k, self._last, self._comp = 0, 0.0, 0.0
+        return x
 
 
 def choose_engine(config, obj, gamma):
@@ -95,8 +121,8 @@ def choose_engine(config, obj, gamma):
     d >= LAZY_MIN_D."""
     if config.jit == "off":
         return "eager", "jit = off"
-    if config.method not in ("sag", "saga"):
-        reason = "only the table methods (sag, saga) have lazy updates"
+    if config.method not in LAZY_METHODS:
+        reason = "only the sag, saga, sgd, sgd_star and svrg steps have lazy updates"
     elif (config.scheme or uniform_scheme()).batch != 1:
         reason = "mini-batch steps touch too much support to stay lazy"
     elif obj.l1:
@@ -118,47 +144,7 @@ def choose_engine(config, obj, gamma):
     return "eager", reason
 
 
-def run_jit(recorder, x, draws, budget):
-    """Lazy sag/saga loop over x in place, for optimizers.run.
-
-    run() has validated the configuration, built the table and taken
-    the first checkpoint; recorder carries them, draws is the run's
-    optimizers.index_batches source. Returns (evals, the LazyIterate, whose
-    touched counter is the work actually performed).
-    """
-    from .optimizers import _check_finite
-
-    config, obj, gamma, table = recorder.config, recorder.obj, recorder.gamma, recorder.table
-    method = config.method
-    lazy = LazyIterate(x, 1.0 - gamma * obj.l2)
-    gsum = table.gsum
-    recorder.sync = lambda: lazy.materialize(gsum)
-    indptr, labels, deriv = obj.py_indptr, obj.py_labels, obj.loss.deriv
-    cols, values = obj.data.col_indices, obj.data.col_values
-    evals = 0
-    while evals < budget:
-        i = next(draws)[0]
-        lo, hi = indptr[i], indptr[i + 1]
-        idx, vals = cols[lo:hi], values[lo:hi]
-        lazy.catch_up(idx, gsum)
-        m = float(np.dot(vals, x[idx]))
-        _check_finite(m, gamma)
-        s_new = deriv(m, labels[i])
-        delta = s_new * vals - table.s[i] * vals
-        # idx is current through step k here, so after this push it is one
-        # step behind: catch_up_one
-        lazy.push_weight(gamma / table.n)
-        if method == "sag":
-            table.s[i] = s_new
-            gsum[idx] += delta
-            lazy.catch_up_one(idx, gsum)
-        else:
-            lazy.catch_up_one(idx, gsum)
-            x[idx] -= gamma * delta
-            table.s[i] = s_new
-            gsum[idx] += delta
-        lazy.touched += idx.size
-        evals += 1
-        if recorder.checkpoint(x, evals):
-            break
-    return evals, lazy
+def run_jit(loop):
+    """Run loop(), optimizers.run's stepping over a LazyIterate: its own call
+    so a profiler times the lazy steps apart from the run's set-up."""
+    return loop()

@@ -466,8 +466,8 @@ def test_header_names_engine(tmp_path):
     assert meta["engine_reason"].startswith("d = 112 < ")
     wide = _write_svm(tmp_path, "wide.svm", "1 1:0.5 100000:2\n-1 2:1.25\n1 1:-1 7:4\n")
     base = ["--data", wide, "--dim", "100000", "--l2", "0.1", "--epochs", "1"]
-    for method, jit, engine in (("sag", "auto", "lazy"), ("saga", "auto", "lazy"),
-                                ("saga", "off", "eager"), ("svrg", "auto", "eager")):
+    for method, jit, engine in (("sag", "auto", "lazy"), ("saga", "auto", "lazy"), ("saga", "off", "eager"),
+                                ("svrg", "auto", "lazy"), ("sarah", "auto", "eager")):
         assert _run("run", *base, "--method", method, "--jit", jit, "--out", out) == 0
         meta = read_trace(out)[1]
         assert meta["engine"] == engine, (method, jit, meta["engine_reason"])

@@ -401,7 +401,7 @@ def test_run_final_iterates_pinned():
         (cls, dict(method="sdca", epochs=5.0, seed=3), 1500,
          "a586a3e9395927bdaf25ea65b565d6aed8c0cddf9ff4e7788866e986c8a33d12"),
         (sp, dict(method="saga", epochs=30.0, seed=4, jit="on", stop="grad:1e-3"),
-         9000, "15159e29ac78141756379be61a9ddd4a308a06eac9f56971f406d771d4befe16"),
+         9000, "74510f792056de63e8d1956e8e41e5918200eca311245318b53dd827f7292a0e"),
         (cls, dict(method="saga", epochs=5.0, seed=5, scheme=uniform_scheme(batch=3)), 1500,
          "6104fdba9b10a284c6b919f4a68802f1b0bfe858e8ae7ada7b992ba8fa2820c6"),
         (cls, dict(method="sag", epochs=5.0, seed=6, scheme=lip), 1500,
@@ -483,7 +483,7 @@ def test_momentum_full_batch_is_heavy_ball():
 
 
 @pytest.mark.parametrize("method, jit", [("saga", "off"), ("saga", "on"), ("sag", "off"), ("svrg", "off"),
-                                         ("sgd_momentum", "off"), ("sgd_star", "off")])
+                                         ("svrg", "on"), ("sgd_momentum", "off"), ("sgd_star", "off")])
 def test_enumeration_leaves_run_unchanged(method, jit):
     # var_est steps the run's own kernel on a scratch iterate and puts its
     # state back: the run's iterate and objective values do not move
@@ -497,6 +497,15 @@ def test_enumeration_leaves_run_unchanged(method, jit):
     assert [r.f for r in probed.records] == [r.f for r in plain.records]
     assert [round(r.epoch) for r in probed.records if r.var_est is not None] == [1, 2, 3, 4]
     assert all(r.var_est > 0 for r in probed.records if r.var_est is not None)
+
+
+def test_var_est_once_per_requested_epoch():
+    # at half-epoch checkpoints each requested epoch is enumerated once, at
+    # the first checkpoint at or past it (1.5 and 2.5 are neither 1 nor 2)
+    obj = GlmObjective(toy_classification(seed=0, n=50, d=10), "logistic", l2=0.1)
+    res = run(RunConfig(method="saga", epochs=3.0, seed=2, checkpoint_every=0.5,
+                        var_epochs=frozenset({1, 2})), obj)
+    assert [r.epoch for r in res.records if r.var_est is not None] == [1.0, 2.0]
 
 
 def test_no_var_est_under_l1():

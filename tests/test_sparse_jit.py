@@ -1,92 +1,111 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vropt.bench_data import sparse_gaussian, toy_classification
-from vropt.data import Dataset
+from vropt.data import Dataset, RandomSource
 from vropt.objectives import GlmObjective
 from vropt.optimizers import ConfigError, RunConfig, run
-from vropt.schedules import armijo_policy, uniform_scheme
+from vropt.schedules import armijo_policy, sample, uniform_scheme
 from vropt.sparse_jit import LAZY_MIN_D, LazyIterate, choose_engine
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.97, 0.5])
 def test_lazy_iterate_matches_dense(rho):
-    """Protocol as in the run driver: push, catch the sampled support up
-    through the new push, then mutate gsum on that support. The dense twin
-    applies every push to every coordinate immediately."""
+    """Protocol as in a sag step: read the sampled support, move it (decay,
+    w*anchor and a row term), then change the anchor on that support. The
+    dense twin applies every step to every coordinate immediately."""
     rng = np.random.default_rng(0)
     d = 30
     x0 = rng.normal(size=d)
-    lazy = LazyIterate(x0, rho)
-    dense = x0.copy()
     gsum = np.zeros(d)
+    lazy = LazyIterate(x0, rho)
+    lazy.anchor = gsum
+    dense = x0.copy()
     for step in range(300):
         idx = np.unique(rng.integers(0, d, size=rng.integers(1, 5)))
         w = float(rng.normal() * 0.01)
-        lazy.push_weight(w)
-        lazy.catch_up(idx, gsum)
-        dense = rho * dense - w * gsum
-        delta = rng.normal(size=idx.size)
-        gsum[idx] += delta
-    out = lazy.materialize(gsum)
+        vec = rng.normal(size=idx.size) * 0.01
+        lazy.read(idx)
+        lazy.move(lazy.x, None, w, gsum, vec=vec)
+        dense = rho * dense + w * gsum
+        dense[idx] -= vec
+        gsum[idx] += rng.normal(size=idx.size)
+    out = lazy.materialize()
     scale = 1.0 + np.linalg.norm(dense)
     assert np.linalg.norm(out - dense) <= 1e-11 * scale
+    assert lazy.k == 0 and not lazy.c.any()  # materialize rebases
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1.0, 0.999, 0.97, 0.5]), st.integers(0, 2**32 - 1), st.integers(1, 40))
-def test_catch_up_one_is_catch_up(rho, seed, steps):
-    # after a push, coordinates current through the previous step catch up
-    # by one step: catch_up_one must give catch_up's bits
+def test_dense_rows_step_as_eager(rho, seed, steps):
+    # a row that covers every coordinate reads x as it is and moves it with
+    # the eager move's arithmetic: rho*x + w*anchor, then -vec, bit for bit
     rng = np.random.default_rng(seed)
     d = 12
     x0 = rng.normal(size=d)
-    one, ref = LazyIterate(x0.copy(), rho), LazyIterate(x0.copy(), rho)
     gsum = rng.normal(size=d)
+    lazy, eager = LazyIterate(x0.copy(), rho), x0.copy()
+    lazy.anchor = gsum
+    every = np.arange(d)
     for _ in range(steps):
-        idx = np.flatnonzero(rng.random(d) < 0.4)  # others stay stale, some for many steps
         w = float(rng.normal() * 0.1)
-        for lazy in (one, ref):
-            lazy.catch_up(idx, gsum)
-            lazy.push_weight(w)
-        one.catch_up_one(idx, gsum)
-        ref.catch_up(idx, gsum)
-        assert one.x.tobytes() == ref.x.tobytes() and np.array_equal(one.c, ref.c)
-        gsum[idx] += rng.normal(size=idx.size)
+        vec = rng.normal(size=d) * 0.1
+        assert lazy.read(every).tobytes() == eager.tobytes()
+        lazy.move(lazy.x, None, w, gsum, vec=vec)
+        eager *= rho
+        eager += w * gsum
+        eager[every] -= vec
+        assert lazy.x.tobytes() == eager.tobytes() and (lazy.c == lazy.k).all()
+        gsum += rng.normal(size=d)
 
 
 def test_lazy_iterate_exact_small():
-    # hand-driven: one coordinate left stale across three pushes
+    # hand-driven: coordinate 1 left stale across three steps on coordinate 0
     x0 = np.array([1.0, 2.0])
     rho = 0.5
     lazy = LazyIterate(x0, rho)
     gsum = np.array([0.0, 3.0])
-    for w in (0.25, 0.125, 0.0625):
-        lazy.push_weight(w)
-    # x0 coord sees: x*rho^3 - sum_t w_t rho^(3-t) * gsum (gsum constant)
-    lazy.catch_up(np.array([1]), gsum)
+    lazy.anchor = gsum
+    for w in (-0.25, -0.125, -0.0625):
+        lazy.read(np.array([0]))
+        lazy.move(lazy.x, None, w, gsum)
+    # coordinate 1 sees: x*rho^3 + sum_t w_t rho^(3-t) * gsum (gsum constant)
     expect = 2.0 * rho**3 - 3.0 * (0.25 * rho**2 + 0.125 * rho + 0.0625)
-    assert lazy.x[1] == pytest.approx(expect, rel=1e-15)
-    lazy.catch_up(np.array([], dtype=np.int64), gsum)  # an empty row is a no-op
-    out = lazy.materialize(gsum)
-    assert out[0] == pytest.approx(1.0 * rho**3 - 0.0, rel=1e-15)
+    assert lazy.read(np.array([1]))[0] == pytest.approx(expect, rel=1e-15)
+    assert lazy.read(np.array([], dtype=np.int64)).size == 0  # an empty row is a no-op
+    assert lazy.x[0] == rho**3
+    out = lazy.materialize()
+    assert out[1] == pytest.approx(expect, rel=1e-15)
+    assert lazy.k == 0 and not lazy.c.any()
 
 
 def test_lazy_iterate_rho_one_long_run():
-    # rho == 1 takes the compensated-summation path
-    x0 = np.zeros(3)
-    lazy = LazyIterate(x0, 1.0)
-    gsum = np.array([1e-8, 1.0, 0.0])
+    # rho == 1 takes the compensated-summation path; the steps touch only
+    # coordinate 3, where the anchor is 0
+    lazy = LazyIterate(np.zeros(4), 1.0)
+    gsum = np.array([1e-8, 1.0, 0.0, 0.0])
+    lazy.anchor = gsum
     total = 0.0
     for k in range(10000):
-        lazy.push_weight(1e-4)
+        lazy.read(np.array([3]))
+        lazy.move(lazy.x, None, -1e-4, gsum)
         total += 1e-4
-    out = lazy.materialize(gsum)
+    out = lazy.materialize()
     assert out[0] == pytest.approx(-1e-8 * total, rel=1e-12)
     assert out[1] == pytest.approx(-total, rel=1e-12)
-    assert out[2] == 0.0
+    assert out[2] == out[3] == 0.0
+    # weights below half an ulp of G: a plain sum would stay at 1.0
+    lazy.anchor = np.array([1.0, 0.0, 0.0, 0.0])
+    for w in [1.0] + [1e-17] * 10000:
+        lazy.read(np.array([3]))
+        lazy.move(lazy.x, None, w, lazy.anchor)
+    assert lazy.read(np.array([0]))[0] - out[0] - 1.0 == pytest.approx(1e-13, rel=1e-2, abs=0)
 
 
 def test_jit_compatibility_reasons():
@@ -95,7 +114,8 @@ def test_jit_compatibility_reasons():
     good = RunConfig(method="saga", jit="on")
     assert choose_engine(good, obj, 0.1) == ("lazy", "jit = on")
     bad = [
-        RunConfig(method="svrg", jit="on"),
+        RunConfig(method="sarah", jit="on"),
+        RunConfig(method="sgd_momentum", jit="on", beta=0.5),
         RunConfig(method="saga", jit="on", scheme=uniform_scheme(batch=2)),
         RunConfig(method="saga", jit="on", record_iterates=True),
         RunConfig(method="saga", jit="on", warm_start_sgd_epochs=1.0),
@@ -121,8 +141,8 @@ def test_jit_compatibility_reasons():
 def test_jit_on_raises_when_unavailable():
     data = toy_classification(seed=0, n=20, d=5)
     obj = GlmObjective(data, "logistic", l2=0.1)
-    with pytest.raises(ConfigError):
-        run(RunConfig(method="svrg", jit="on"), obj)
+    with pytest.raises(ConfigError, match="lazy updates"):
+        run(RunConfig(method="sarah", jit="on"), obj)
 
 
 @pytest.mark.parametrize("method", ["sag", "saga"])
@@ -148,6 +168,75 @@ def test_jit_run_parity(method):
 def test_jit_auto_falls_back():
     data = sparse_gaussian(seed=1, n=50, d=30)
     obj = GlmObjective(data, "logistic", l2=0.01)
-    res = run(RunConfig(method="svrg", jit="auto", epochs=2.0, seed=0), obj)
+    res = run(RunConfig(method="sarah", jit="auto", epochs=2.0, seed=0), obj)
     assert res.aux.get("jit") is not True
-    assert res.aux["engine"] == "eager" and "table methods" in res.aux["engine_reason"]
+    assert res.aux["engine"] == "eager" and "lazy updates" in res.aux["engine_reason"]
+
+
+def _equivalent(obj, **cfg):
+    """Eager and lazy runs of one config: (x_rel, worst f_rel), after
+    checking that both engines ran and checkpointed at the same counts."""
+    plain = run(RunConfig(jit="off", **cfg), obj)
+    lazy = run(RunConfig(jit="on", **cfg), obj)
+    assert (plain.aux["engine"], lazy.aux["engine"]) == ("eager", "lazy")
+    assert [r.grad_evals for r in lazy.records] == [r.grad_evals for r in plain.records]
+    x_rel = float(np.linalg.norm(lazy.x - plain.x) / (1.0 + np.linalg.norm(plain.x)))
+    f_rel = max(abs(rl.f - rp.f) / (1.0 + abs(rp.f)) for rp, rl in zip(plain.records, lazy.records))
+    return x_rel, f_rel
+
+
+@pytest.mark.parametrize("method", ["sag", "sgd", "sgd_star", "svrg"])
+def test_lazy_matches_eager(method):
+    # jit_equivalence's bounds (it runs saga) for every other lazy kernel:
+    # sag's table, sgd without an anchor, sgd_star's l2*x* and svrg's stage
+    # anchor, which changes at each refresh
+    worst = (0.0, 0.0)
+    for seed in range(10):
+        obj = GlmObjective(sparse_gaussian(seed=seed), "logistic", l2=1e-3)
+        cfg = dict(method=method, epochs=3.0, seed=seed, gamma=0.5 if method == "sgd" else None,
+                   x_star=np.linspace(-0.5, 0.5, obj.d), inner_t=120)
+        worst = tuple(map(max, worst, _equivalent(obj, **cfg)))
+    assert worst[0] <= 1e-9 and worst[1] <= 1e-10, worst
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["sag", "saga", "svrg"]), st.integers(0, 2**16), st.booleans())
+def test_lazy_rho_one_long_runs(method, seed, one_checkpoint):
+    # l2 = 0 makes rho = 1, where the prefix is a Kahan sum: 3000 steps,
+    # with one checkpoint (no rebase until the end) or one per epoch
+    obj = GlmObjective(sparse_gaussian(seed=seed % 7, n=60, d=40, density=0.1), "logistic", l2=0.0)
+    epochs = 50.0
+    x_rel, f_rel = _equivalent(obj, method=method, epochs=epochs, seed=seed, inner_t=30,
+                               checkpoint_every=epochs if one_checkpoint else 1.0)
+    assert x_rel <= 1e-9 and f_rel <= 1e-10, (x_rel, f_rel)
+
+
+def test_svrg_touched_coords_recount():
+    # touched_coords is the support sum of the rows the stages drew, replayed
+    # from the seed; the refreshes, which bring all of x current, add none
+    data = sparse_gaussian(seed=5, n=500, d=200)
+    obj = GlmObjective(data, "logistic", l2=1e-3)
+    t = 250
+    res = run(RunConfig(method="svrg", epochs=3.0, seed=5, inner_t=t, jit="on"), obj)
+    stages = math.ceil(3.0 * data.n / (data.n + 2 * t))
+    assert res.grad_evals == stages * (data.n + 2 * t)
+    rng, row_nnz = RandomSource(5), np.diff(data.indptr).tolist()
+    recount = sum(row_nnz[int(sample(uniform_scheme(), rng, data.n)[0])] for _ in range(stages * t))
+    assert res.aux["touched_coords"] == recount
+
+
+def test_lazy_memory_bounded_by_data():
+    # every checkpoint rebases the prefix, so a lazy run holds the same
+    # memory at 1 and at 20 epochs (unrebased, the prefix grows with the run)
+    obj = GlmObjective(sparse_gaussian(seed=0, n=600, d=20_000, density=0.001), "logistic", l2=1e-3)
+    cfg = dict(method="saga", seed=0, jit="on")
+    run(RunConfig(epochs=1.0, **cfg), obj)  # first-call caches
+    peaks = []
+    for epochs in (1.0, 20.0):
+        tracemalloc.start()
+        try:
+            run(RunConfig(epochs=epochs, **cfg), obj)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
