@@ -149,18 +149,29 @@ def check_lemma2(obj, step, x):
     return var <= raw + 1e-12 * (1.0 + raw), mean, var, raw
 
 
+def _mean_sq_shift(obj, x, x_star, c, w):
+    """E_i||c delta + w ds_i a_i||^2 over every i in O(nnz), with delta = x - x*
+    and ds_i = loss'(a_i . x) - loss'(a_i . x*), from the closed form
+    c^2 ||delta||^2 + 2 c w ds_i (a_i . delta) + w^2 ds_i^2 ||a_i||^2. ||a_i||^2
+    comes from the CSR values (0 for an empty row), not from obj.row_sq behind
+    L_max. Raises NonSmoothError on hinge."""
+    data, delta = obj.data, x - x_star
+    rows = np.repeat(np.arange(obj.n), np.diff(data.indptr))
+    row_sq = np.bincount(rows, weights=data.col_values * data.col_values, minlength=obj.n)
+    wds = w * (obj.loss_scalars(x) - obj.loss_scalars(x_star))
+    terms = wds * (wds * row_sq + 2.0 * c * data.margins(delta))
+    return c * c * float(np.dot(delta, delta)) + float(np.mean(terms))
+
+
 def check_lemma1(obj, x, x_star, info=None):
     """E_i||grad f_i(x) - grad f_i(x*)||^2 <= 2 L_max (f(x) - f(x*)).
 
-    Both sides by enumeration; holds for convex smooth f_i. Returns
-    (ok, slack) with slack = rhs - lhs.
+    The left side averages every i, in one pass, from the closed form of the
+    difference, ds_i a_i + l2 (x - x*) (_mean_sq_shift). Holds for convex
+    smooth f_i. Returns (ok, slack) with slack = rhs - lhs.
     """
     info = info or smoothness(obj)
-    lhs = 0.0
-    for i in range(obj.n):
-        diff = obj.grad_i(x, i) - obj.grad_i(x_star, i)
-        lhs += float(np.dot(diff, diff))
-    lhs /= obj.n
+    lhs = _mean_sq_shift(obj, x, x_star, obj.l2, 1.0)
     rhs = 2.0 * info.l_max * (obj.full_value(x) - obj.full_value(x_star))
     return lhs <= rhs + 1e-12 * (1.0 + abs(rhs)), rhs - lhs
 
@@ -168,22 +179,17 @@ def check_lemma1(obj, x, x_star, info=None):
 def check_contraction(obj, x, x_star, gamma, info=None):
     """One-step contraction of the reference-shifted estimator in expectation.
 
-    Enumerates x' = x - gamma (grad f_i(x) - grad f_i(x*)) over i and tests
-    E||x' - x*||^2 <= (1 - gamma*mu) ||x - x*||^2 with mu = l2. Refuses
-    gamma > 1/L_max, the hypothesis the bound needs.
+    Tests E_i||x' - x*||^2 <= (1 - gamma*mu) ||x - x*||^2 with mu = l2 and
+    x' = x - gamma (grad f_i(x) - grad f_i(x*)), averaging every i, in one
+    pass, from the closed form x' - x* = (1 - gamma l2)(x - x*) - gamma ds_i a_i
+    (_mean_sq_shift). Refuses gamma > 1/L_max, the hypothesis the bound needs.
     """
     info = info or smoothness(obj)
     if gamma > (1.0 / info.l_max) * (1 + 1e-12):
         raise ValueError("gamma=%g exceeds 1/L_max=%g" % (gamma, 1.0 / info.l_max))
     if obj.l2 <= 0:
         raise ValueError("contraction bound needs l2 > 0")
-    gstar = [obj.grad_i(x_star, i) for i in range(obj.n)]
-    lhs = 0.0
-    for i in range(obj.n):
-        nxt = x - gamma * (obj.grad_i(x, i) - gstar[i])
-        diff = nxt - x_star
-        lhs += float(np.dot(diff, diff))
-    lhs /= obj.n
+    lhs = _mean_sq_shift(obj, x, x_star, 1.0 - gamma * obj.l2, -gamma)
     base = x - x_star
     rhs = (1.0 - gamma * obj.l2) * float(np.dot(base, base))
     return lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
@@ -430,18 +436,7 @@ def read_trace(source):
         if len(cells) != len(TRACE_COLUMNS):
             raise ValueError("bad trace row %r" % line)
         vals = [None if c == "" else float(c) for c in cells]
-        records.append(
-            TraceRecord(
-                epoch=vals[0],
-                grad_evals=int(vals[1]),
-                f=vals[2],
-                subopt=vals[3],
-                grad_norm=vals[4],
-                var_est=vals[5],
-                gap=vals[6],
-                time_s=vals[7],
-            )
-        )
+        records.append(TraceRecord(vals[0], int(vals[1]), *vals[2:]))
     if not header_seen:
         raise ValueError("no trace header found")
     return records, meta

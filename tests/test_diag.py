@@ -25,7 +25,7 @@ from vropt.diag import (
     solve_reference,
     write_trace,
 )
-from vropt.objectives import GlmObjective, smoothness
+from vropt.objectives import GlmObjective, NonSmoothError, smoothness
 from vropt.optimizers import DualState, sdca_step
 
 
@@ -276,3 +276,81 @@ def test_lemma1_positive_slack_at_random_point():
     x_star, _ = solve_reference(obj, tol=1e-12, cache=False)
     ok, slack = check_lemma1(obj, np.ones(obj.d), x_star)
     assert ok and slack >= -1e-12
+
+
+# Reference sums for check_lemma1 and check_contraction: two dense
+# gradients per example, one example at a time. Each returns (lhs, ok).
+
+
+def _lemma1_loop(obj, x, x_star, info):
+    lhs = 0.0
+    for i in range(obj.n):
+        diff = obj.grad_i(x, i) - obj.grad_i(x_star, i)
+        lhs += float(np.dot(diff, diff))
+    lhs /= obj.n
+    rhs = 2.0 * info.l_max * (obj.full_value(x) - obj.full_value(x_star))
+    return lhs, lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
+
+
+def _contraction_loop(obj, x, x_star, gamma):
+    gstar = [obj.grad_i(x_star, i) for i in range(obj.n)]
+    lhs = 0.0
+    for i in range(obj.n):
+        nxt = x - gamma * (obj.grad_i(x, i) - gstar[i])
+        diff = nxt - x_star
+        lhs += float(np.dot(diff, diff))
+    lhs /= obj.n
+    base = x - x_star
+    rhs = (1.0 - gamma * obj.l2) * float(np.dot(base, base))
+    return lhs, lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
+
+
+def _holey(seed=0, n=12, d=5):
+    """Sparse rows with no entries in the first, a middle and the last row
+    (Dataset drops the explicit zeros)."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
+    dense[[0, n // 2, n - 1]] = 0.0
+    labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return Dataset(np.arange(0, n * d + 1, d), np.tile(np.arange(d), n), dense.ravel(), labels, d)
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+@pytest.mark.parametrize("loss", ["logistic", "half_squared"])
+@pytest.mark.parametrize("kind", ["toy", "holey"])
+def test_vectorized_oracles_match_per_example_loops(kind, loss, l2):
+    data = toy_classification(seed=0, n=25, d=6) if kind == "toy" else _holey()
+    if kind == "holey":
+        assert [data.row(i)[0].size for i in (0, 6, 11)] == [0, 0, 0]
+    obj = GlmObjective(data, loss, l2=l2)
+    info = smoothness(obj)
+    rng = np.random.default_rng(7)
+    if l2:
+        x_star, _ = solve_reference(obj, tol=1e-12, cache=False)
+    else:
+        x_star = rng.normal(size=obj.d)  # no minimizer is needed to compare the two sums
+    for _ in range(20):
+        x = x_star + rng.normal(size=obj.d) * rng.uniform(1e-3, 3.0)
+        want, want_ok = _lemma1_loop(obj, x, x_star, info)
+        assert diag._mean_sq_shift(obj, x, x_star, l2, 1.0) == pytest.approx(want, rel=1e-12, abs=0)
+        assert check_lemma1(obj, x, x_star, info)[0] == want_ok
+        if not l2:
+            continue
+        for gamma in (1.0 / info.l_max, rng.uniform(0.0, 1.0) / info.l_max):
+            want, want_ok = _contraction_loop(obj, x, x_star, gamma)
+            got = diag._mean_sq_shift(obj, x, x_star, 1.0 - gamma * l2, -gamma)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            assert check_contraction(obj, x, x_star, gamma, info) == want_ok
+
+
+def test_vectorized_oracles_refuse_hinge():
+    data = toy_classification(seed=0, n=25, d=6)
+    info = smoothness(GlmObjective(data, "logistic", l2=0.1))
+    hinge = GlmObjective(data, "hinge", l2=0.1)
+    x, y = np.ones(hinge.d), np.zeros(hinge.d)
+    with pytest.raises(NonSmoothError):
+        check_lemma1(hinge, x, y)
+    with pytest.raises(NonSmoothError):
+        check_lemma1(hinge, x, y, info)
+    with pytest.raises(NonSmoothError):
+        check_contraction(hinge, x, y, 1.0 / info.l_max, info)

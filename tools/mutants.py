@@ -39,6 +39,8 @@ MUTANTS = (
      "state.m *= beta", "state.m *= 0.5 * beta"),
     ("minibatch_shift_0.9", "optimizers.py",
      "_spread([c * (deriv(m, labels[j]) - ref[j])", "_spread([0.9 * c * (deriv(m, labels[j]) - ref[j])"),
+    ("logistic_deriv_half", "objectives.py",
+     "return -b * (1.0 / (1.0 + math.exp(b * alpha)))", "return -b * (0.5 / (1.0 + math.exp(b * alpha)))"),
 )
 
 # tier-1 tests that target faults no validate check sees
