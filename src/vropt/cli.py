@@ -481,7 +481,7 @@ def cmd_validate(ns):
     except KeyError as e:
         raise UsageError(str(e.args[0]))
     for r in results:
-        print(r.line())
+        print("%s seconds=%.3f" % (r.line().rstrip(), r.seconds))
     passed = sum(1 for r in results if r.passed)
     print("passed %d/%d" % (passed, len(results)))
     return EXIT_OK if passed == len(results) else 1

@@ -292,6 +292,9 @@ def test_validate_only(capsys):
     out = capsys.readouterr().out
     assert "PASS table_mean_identity" in out
     assert "passed 1/1" in out
+    # each check's line ends in the seconds it took
+    head, _, seconds = out.splitlines()[0].rpartition(" seconds=")
+    assert head.startswith("PASS table_mean_identity ") and float(seconds) >= 0.0
     assert _run("validate", "--only", "bogus_check") == 1
 
 
@@ -304,14 +307,37 @@ def test_console_entry_point():
     assert "epoch,grad_evals" in proc.stdout
 
 
-def test_import_cli_without_scipy():
-    # scipy loads when a logistic objective is built or a sparse product
-    # first runs, not at import: most of the import time every process pays
+def _src_env():
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_import_cli_without_scipy():
+    # scipy.sparse loads when the first sparse product runs, not at import:
+    # most of the import time every process pays
     code = "import sys, vropt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_logistic_processes_load_no_scipy_special(tmp_path):
+    # the logistic full passes run on numpy alone: a process that solves,
+    # runs or compares loads scipy.sparse for its CSR products and never
+    # scipy.special
+    code = ("import sys; from vropt.cli import main; rc = main(sys.argv[1:]); "
+            "mods = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "print(rc, 'scipy.sparse' in mods, sorted(m for m in mods if m.startswith('scipy.special')))")
+    spec = tmp_path / "cmp.spec"
+    spec.write_text("data = synth:toyclass\nl2 = 0.1\nepochs = 2\nout = %s\n\n[method]\nname = saga\n"
+                    "\n[method]\nname = svrg\n" % (tmp_path / "grid"))
+    objective = ["--data", "synth:toyclass", "--l2", "0.1"]
+    for argv in (["solve-ref", *objective, "--out", str(tmp_path / "ref")],
+                 ["run", *objective, "--method", "saga", "--epochs", "2"],
+                 ["run", *objective, "--method", "svrg", "--epochs", "2"],
+                 ["compare", str(spec)]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                              env=_src_env())
+        assert proc.stdout.splitlines()[-1] == "0 True []", (argv, proc.stdout[-500:], proc.stderr)
 
 
 NON_FINITE = "1 1:0.5 2:nan\n-1 2:1\n1 1:inf\n"

@@ -84,11 +84,11 @@ def test_solve_reference_pinned():
     sparse = load_dataset("synth:sparse:0")
     cases = [
         (GlmObjective(toy_classification(seed=0, n=30, d=6), "logistic", l2=0.1), 20,
-         "2016b128640e849bbeb75594c15d8225ea9859db31fb0ab94a6d8673af2f8b2b", 0.6336334678319745),
+         "1ff531739137c765b0340ed80a706eae28745c187d1b711182d0615bdcea766a", 0.6336334678319745),
         (GlmObjective(toy_regression(seed=0), "half_squared", l2=0.1, l1=0.05), 20,
          "18ee339aa0ca0e6cf53d761a578119207ceaf118d01fe194cd1a33823fa7fb29", 0.5386007815911933),
         (GlmObjective(sparse, "logistic", l2=1.0 / sparse.n, l1=1e-3), 67,
-         "fe1501db7d6024b22f58d66d4fb825cfd7e9716fdbfe4f762d7ae1a1356c4041", 0.5877601814450515),
+         "b60dd2ba5e817f6ed3a03f315f9d36d686ba0753746b6e1b3dc9e5c72b5a337f", 0.5877601814450514),
     ]
     for obj, iters, digest, f_star in cases:
         for max_iter in (iters, 1_000_000):

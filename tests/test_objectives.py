@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,14 +156,35 @@ def test_smoothness_pinned_on_mushrooms(monkeypatch):
     assert calls == [{"tol": 1e-9, "max_iter": 3}]
 
 
+# margins where exp overflows or underflows, and -0.0
+DERIV_EDGES = [709.78, 709.79, -709.79, 745.0, -745.0, 746.0, -746.0, 1e308, -0.0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-800.0, 800.0), st.sampled_from([-1.0, 1.0]))
 def test_logistic_deriv_is_expit(alpha, b):
     # the scalar derivative matches scipy's expit bit for bit, sign of zero
-    # included, at random margins and where exp overflows or underflows
-    for a in (alpha, 709.78, 709.79, -709.79, 745.0, -745.0, 746.0, -746.0, 1e308, -0.0):
+    # included, at random margins and at the edges
+    for a in [alpha] + DERIV_EDGES:
         got, want = LOGISTIC.deriv(a, b), -b * expit(-b * a)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-800.0, 800.0), st.sampled_from([-1.0, 1.0])), min_size=1, max_size=40))
+def test_logistic_deriv_vec_matches_deriv(pairs):
+    # numpy's exp against libm's: elementwise within 4 ulp at random margins,
+    # bit for bit (sign of zero included) at the edges under both labels, and
+    # exp's overflow raises no warning
+    edges = [(a, b) for b in (1.0, -1.0) for a in DERIV_EDGES]
+    m, b = (np.array(v) for v in zip(*(pairs + edges)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = LOGISTIC.deriv_vec(m, b)
+    want = np.array([LOGISTIC.deriv(a, bi) for a, bi in pairs + edges])
+    k = len(pairs)
+    assert np.all(np.abs(got[:k] - want[:k]) <= 4 * np.spacing(np.abs(want[:k]))), (got[:k], want[:k])
+    assert got[k:].tobytes() == want[k:].tobytes()
 
 
 EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2**-53, -(1.0 - 2**-53), 1.0 + 2**-52,

@@ -397,7 +397,7 @@ def test_run_final_iterates_pinned():
         (cls, dict(method="saga", epochs=3.0, warm_start_sgd_epochs=1.5, gamma=0.2, seed=1), 1350,
          "06628be951f6caafbf8f4b64474e72fcd6a02f7c2fd77198b1c478336a4a7c99"),
         (cls, dict(method="svrg", epochs=20.0, inner_t=300, seed=2), 6300,
-         "4918d58685c5445d8271cd907813ac2ff4969548f562507e659e87941b608af9"),
+         "8932a5a2afb7aae8705267199faf7a89f1269c0e9f22998d6a9eeec4fb5a6ab6"),
         (cls, dict(method="sdca", epochs=5.0, seed=3), 1500,
          "a586a3e9395927bdaf25ea65b565d6aed8c0cddf9ff4e7788866e986c8a33d12"),
         (sp, dict(method="saga", epochs=30.0, seed=4, jit="on", stop="grad:1e-3"),
@@ -408,17 +408,17 @@ def test_run_final_iterates_pinned():
          "74bf1b91a548012ed1374a9042187231ee7dae1ea64e75da8c9653e0de211173"),
         (cls, dict(method="svrg", epochs=120.0, seed=7, scheme=uniform_scheme(batch=16),
                    policy=minibatch_policy()), 39600,
-         "fa345d4a045b738c7b53e101a0d5edd08193a6e283f645d1ec495406f5666d90"),
+         "6586803f824f77f474c8eaf9888f82e98b4a663d891fdcfb1056095714bab47e"),
         (cls, dict(method="sgd", epochs=5.0, seed=8, gamma=0.05), 1500,
          "eceebc4560ab3ef5db9d99a06b48a2b3664aa68c56db6c8cba12040472cf2a26"),
         (cls, dict(method="sgd_momentum", epochs=5.0, seed=9, gamma=0.02, beta=0.5), 1500,
          "87d25fcc138a12f298d4e5f434326c2aede4aa3bcf7d4484090328085c12706e"),
         (cls, dict(method="sgd_star", epochs=5.0, seed=10, x_star=np.linspace(-0.5, 0.5, 8)), 1500,
-         "1e4d3a4c24dace780e8ee69678510d7f03f0a51eabc877182bb7ff9b48d7128d"),
+         "dd48d61b271322d214a06dea9257df0b61e7ca515a256a4a56fb397f22c23f5b"),
         (cls, dict(method="sarah", epochs=10.0, inner_t=200, seed=11), 3500,
-         "56e599a86d8dceb95d2f97a288a5384c9c204051bd5b12999681f64d5637bd28"),
+         "b2585bfcf961b39780f5acdb0cde225700a85fb59853db1f09c8ca4a442791de"),
         (cls, dict(method="sarah", epochs=40.0, inner_t=100, seed=12, scheme=uniform_scheme(batch=3)), 12600,
-         "b0ba62b382b1d386b12866f5541161b6c15728b84b9cbc28666df8ae1b5cf5ff"),
+         "a35c34ba37ada298da950accd58534146be9008b50d549e129997ea94009ba13"),
         (cls, dict(method="sag", epochs=12.0, seed=13, scheme=uniform_scheme(batch=3)), 3600,
          "0cc7ccdfcd26f0038994f0c565e84716457ceb6368b12315e29cfe847f12c2de"),
         (cls_l1, dict(method="saga", epochs=5.0, seed=14), 1500,

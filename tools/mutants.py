@@ -41,6 +41,8 @@ MUTANTS = (
      "_spread([c * (deriv(m, labels[j]) - ref[j])", "_spread([0.9 * c * (deriv(m, labels[j]) - ref[j])"),
     ("logistic_deriv_half", "objectives.py",
      "return -b * (1.0 / (1.0 + math.exp(b * alpha)))", "return -b * (0.5 / (1.0 + math.exp(b * alpha)))"),
+    ("logistic_deriv_vec_half", "objectives.py",
+     "return -b * (1.0 / (1.0 + np.exp(b * m)))", "return -b * (0.5 / (1.0 + np.exp(b * m)))"),
 )
 
 # tier-1 tests that target faults no validate check sees
