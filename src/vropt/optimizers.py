@@ -132,7 +132,8 @@ class SarahState:
 
 
 class DualState:
-    """Dual variables v plus the maintained primal image w = x(v)."""
+    """Dual variables v, the maintained primal image w = x(v), and the
+    smallest scaled dual gain a step has returned (min_gain)."""
 
     def __init__(self, obj):
         if obj.l2 <= 0:
@@ -141,6 +142,7 @@ class DualState:
             raise ConfigError("dual ascent does not support an l1 term")
         self.v = np.zeros(obj.n)
         self.w = np.zeros(obj.d)
+        self.min_gain = math.inf
 
     def w_rel_error(self, obj):
         """Relative gap between w and x(v) recomputed from v."""
@@ -152,10 +154,10 @@ class DualState:
 # step kernels
 #
 # run() builds each method's step once, for batches of b rows (svrg and sarah
-# once per stage): a closure over the run's constants and state arrays. Every
-# kernel makes the same move (_mover) and only works out its pieces: the
-# anchor term, the per-row coefficients, and whether x shrinks by the l2
-# factor. The public single steps build the same kernels for one call.
+# once per stage): a closure over the run's constants and state arrays, with
+# the one signature step(x, batch, gamma). Every per-example primal kernel
+# makes the same move (_mover) and only works out its pieces: the anchor
+# term, the per-row coefficients, and whether x shrinks by the l2 factor.
 
 
 def _puller(obj, b, lazy=None):
@@ -233,6 +235,11 @@ def gd_step(obj, x, gamma):
 
 
 def _shift_kernel(obj, b, ref=None, anchor=None, anchor_scale=0.0, lazy=None):
+    """Control-variate step
+    x <- (1 - gamma*l2) x + gamma*anchor_scale*anchor - (gamma/b) sum_j (s_j - ref_j) a_j
+    with s_j = loss'(a_j^T x). Plain sgd has ref 0 (None; s - 0.0 is s) and no
+    anchor; sgd_star has ref loss'(a_j^T x*), anchor (l2, x*); the svrg inner
+    step the snapshot scalars, anchor (-1, loss part of grad f(x_ref))."""
     anchor = anchor if anchor_scale else None
     pull, move, deriv, labels = _puller(obj, b, lazy), _mover(obj, b, lazy, anchor), obj.loss.deriv, obj.py_labels
     ref = memoryview(np.zeros(obj.n)) if ref is None else ref
@@ -249,16 +256,12 @@ def _shift_kernel(obj, b, ref=None, anchor=None, anchor_scale=0.0, lazy=None):
     return step
 
 
-def shift_step(obj, x, batch, gamma, ref=None, anchor=None, anchor_scale=0.0):
-    """Control-variate step
-    x <- (1 - gamma*l2) x + gamma*anchor_scale*anchor - (gamma/b) sum_j (s_j - ref_j) a_j
-    with s_j = loss'(a_j^T x). Plain sgd has ref 0 (None; s - 0.0 is s) and no
-    anchor; sgd_star has ref loss'(a_j^T x*), anchor (l2, x*); the svrg inner
-    step the snapshot scalars, anchor (-1, loss part of grad f(x_ref))."""
-    return _shift_kernel(obj, len(batch), ref, anchor, anchor_scale)(x, batch, gamma)
-
-
 def _table_kernel(obj, b, table, saga, lazy=None):
+    """Averaged-gradient step. sag refreshes the sampled entries first, then
+    moves along the refreshed average gsum/n. saga moves with the pre-step
+    average plus (gamma/b) Delta_j per draw, Delta_j = fresh minus stored
+    entry (the move reads gsum, not the entries). A row drawn twice moves x
+    twice but enters gsum once."""
     pull, move, deriv, labels = _puller(obj, b, lazy), _mover(obj, b, lazy, table.gsum), obj.loss.deriv, obj.py_labels
     tab, gsum, n = table.s, table.gsum, table.n
 
@@ -287,16 +290,8 @@ def _table_kernel(obj, b, table, saga, lazy=None):
     return step
 
 
-def table_step(table, obj, x, batch, gamma, saga=False):
-    """Averaged-gradient step. sag refreshes the sampled entries first, then
-    moves along the refreshed average gsum/n. saga moves with the pre-step
-    average plus (gamma/b) Delta_j per draw, Delta_j = fresh minus stored
-    entry (the move reads gsum, not the entries). A row drawn twice moves x
-    twice but enters gsum once."""
-    return _table_kernel(obj, len(batch), table, saga)(x, batch, gamma)
-
-
 def _momentum_kernel(obj, b, state):
+    """Heavy ball: m <- beta*m + grad f_B(x), then x <- x - gamma*m."""
     pull, move, deriv, labels = _puller(obj, b), _mover(obj, b, decay=False), obj.loss.deriv, obj.py_labels
     beta, l2 = state.beta, obj.l2
 
@@ -309,11 +304,6 @@ def _momentum_kernel(obj, b, state):
         return move(x, gamma, -gamma, state.m)
     step.written = (state.m,)
     return step
-
-
-def momentum_step(state, obj, x, batch, gamma):
-    """Heavy ball: m <- beta*m + grad f_B(x), then x <- x - gamma*m."""
-    return _momentum_kernel(obj, len(batch), state)(x, batch, gamma)
 
 
 def svrg_outer_refresh(state, obj, x):
@@ -332,6 +322,8 @@ def sarah_refresh(state, obj, x):
 
 
 def _sarah_kernel(obj, b, state):
+    """Continuous correction g += grad f_B(x) - grad f_B(x_prev), then
+    x <- x - gamma*g; biased."""
     if state.g is None:
         raise RuntimeError("inner step before any refresh")
     pull, move, deriv, labels = _puller(obj, b), _mover(obj, b, decay=False), obj.loss.deriv, obj.py_labels
@@ -348,12 +340,6 @@ def _sarah_kernel(obj, b, state):
         return move(x, gamma, -gamma, state.g)
     step.written = (state.g, x_prev)
     return step
-
-
-def sarah_step(state, obj, x, batch, gamma):
-    """Continuous correction g += grad f_B(x) - grad f_B(x_prev), then
-    x <- x - gamma*g; biased."""
-    return _sarah_kernel(obj, len(batch), state)(x, batch, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +370,13 @@ def _logistic_dual_root(rho, bmt, tol=1e-12, max_iter=100):
 
 
 def _sdca_kernel(obj, dual):
+    """Exact coordinate maximization of the dual at the drawn index i.
+
+    Updates v_i and x = dual.w in place and returns the (scaled by n)
+    increase of the dual objective, which is nonnegative up to solver
+    tolerance, lowering dual.min_gain to it. The kernel picks the loss's
+    solver once and keeps each conj(-v_i, b_i) until v_i moves; gamma is
+    not read."""
     # solve(b, mt, rho): the maximizing v_i for label b, margin mt without
     # example i, and rho = ||a_i||^2 / (l2 n)
     kind = obj.loss.name
@@ -403,11 +396,12 @@ def _sdca_kernel(obj, dual):
     else:
         raise ConfigError("dual ascent does not support loss %r" % kind)
     pull, conj, labels = _puller(obj, 1), obj.loss.conjugate, obj.py_labels
-    lam_n, w, v, row_sq = obj.l2 * obj.n, dual.w, memoryview(dual.v), memoryview(obj.row_sq)
+    lam_n, v, row_sq = obj.l2 * obj.n, memoryview(dual.v), memoryview(obj.row_sq)
     conj_v = memoryview(obj.loss.conjugate_vec(-dual.v, obj.labels))  # conj(-v_i, b_i)
 
-    def step(i):
-        idx, vals, _, (m,) = pull(w, (i,), None)
+    def step(x, batch, gamma):
+        idx, vals, _, (m,) = pull(x, batch, gamma)
+        i = batch[0]
         b = labels[i]
         rho = row_sq[i] / lam_n
         v_old = v[i]
@@ -416,21 +410,14 @@ def _sdca_kernel(obj, dual):
         dv = v_new - v_old
         c_old, c_new = conj_v[i], conj(-v_new, b)
         if dv != 0.0:
-            w[idx] += (dv / lam_n) * vals
+            x[idx] += (dv / lam_n) * vals
             v[i] = v_new
             conj_v[i] = c_new
-        return float(c_old - c_new - dv * m - 0.5 * rho * dv * dv)
+        gain = float(c_old - c_new - dv * m - 0.5 * rho * dv * dv)
+        if gain < dual.min_gain:
+            dual.min_gain = gain
+        return gain
     return step
-
-
-def sdca_step(dual, obj, i):
-    """Exact coordinate maximization of the dual at index i.
-
-    Updates v_i and w in place and returns the (scaled by n) increase of the
-    dual objective, which is nonnegative up to solver tolerance. The kernel
-    picks the loss's solver once and keeps each conj(-v_i, b_i) until v_i
-    moves."""
-    return _sdca_kernel(obj, dual)(i)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +425,19 @@ def sdca_step(dual, obj, i):
 
 
 def method_kernel(method, obj, b, state=None, lazy=None):
-    """The step run() builds for a per-example method at batches of b rows,
-    over the method's state (the GradientTable, MomentumState, StarTable or
-    svrg/sarah stage; sgd takes none) and lazy, a sparse_jit.LazyIterate,
-    if given. svrg's binds the stage's anchor; before the first refresh, none."""
+    """step(x, batch, gamma), the step run() builds for any method at batches
+    of b rows, over the method's state (the GradientTable, MomentumState,
+    StarTable, svrg/sarah stage or DualState; gd and sgd take none) and lazy,
+    a sparse_jit.LazyIterate, if given. svrg's binds the stage's anchor;
+    before the first refresh, none. gd's moves on the full gradient and does
+    not read its batch; sdca's steps x = the DualState's w."""
+    if method == "gd":
+        def step(x, batch, gamma):
+            x[:] = gd_step(obj, x, gamma)  # the name read per call: perfbench/tracing.py wraps it
+            return x
+        return step
+    if method == "sdca":
+        return _sdca_kernel(obj, state)
     if method in TABLE_METHODS:
         return _table_kernel(obj, b, state, method == "saga", lazy)
     if method == "sgd_momentum":
@@ -585,7 +581,8 @@ class Recorder:
 
     A checkpoint is due whenever the evaluation count reaches the next
     multiple of the stride; a lazy run's sparse_jit.LazyIterate is
-    materialized before it reads x. At the first checkpoint at or past each
+    materialized before it reads x. state is the method's (a gbar stop reads
+    the table's sum, sdca's gap its DualState). At the first checkpoint at or past each
     of the config's var_epochs, var_est is the variance of the run's own
     kernel direction over every single index (diag.enum_stats), built from
     state at that checkpoint (svrg's at its current anchor); sarah, gd and
@@ -593,14 +590,12 @@ class Recorder:
     step takes the prox and its direction is no longer the estimator's.
     """
 
-    def __init__(self, config, obj, rule, gamma, state=None, table=None, dual=None, lazy=None):
+    def __init__(self, config, obj, rule, gamma, state=None, lazy=None):
         self.config = config
         self.obj = obj
         self.rule = rule
         self.gamma = gamma
         self.state = state
-        self.table = table
-        self.dual = dual
         self.lazy = lazy
         self.records = []
         self.stride = max(1, int(round(config.checkpoint_every * obj.n)))
@@ -617,23 +612,22 @@ class Recorder:
             self.next_cp += self.stride
         if self.lazy is not None:
             self.lazy.materialize()
-        config, obj, table, dual = self.config, self.obj, self.table, self.dual
-        cur = dual.w if dual is not None else x
-        f = obj.objective_value(cur)
+        config, obj, state = self.config, self.obj, self.state
+        f = obj.objective_value(x)
         if not np.isfinite(f):
             raise DivergenceError("objective diverged (gamma=%s)" % self.gamma, gamma=self.gamma, records=self.records)
         rec = TraceRecord(epoch=evals / obj.n, grad_evals=evals, f=f)
         if config.f_star is not None:
             rec.subopt = f - config.f_star
-        if dual is not None:
-            rec.gap = duality_gap(obj, dual, f)  # l1 = 0 here: f is the smooth f
+        if config.method == "sdca":  # x is the dual's w
+            rec.gap = duality_gap(obj, state, f)  # l1 = 0 here: f is the smooth f
         elif self.rule.kind == "gbar":
-            rec.grad_norm = float(np.linalg.norm(table.gsum / table.n + obj.l2 * x))
+            rec.grad_norm = float(np.linalg.norm(state.gsum / state.n + obj.l2 * x))
         elif obj.loss.smooth:
-            rec.grad_norm = float(np.linalg.norm(obj.full_grad(cur)))
+            rec.grad_norm = float(np.linalg.norm(obj.full_grad(x)))
         if self.var_due and self.var_due[0] <= rec.epoch:
             self.var_due = [e for e in self.var_due if e > rec.epoch]
-            rec.var_est = enum_stats(obj, method_kernel(config.method, obj, 1, self.state), cur)[1]
+            rec.var_est = enum_stats(obj, method_kernel(config.method, obj, 1, state), x)[1]
         rec.time_s = time.perf_counter() - self.t0
         self.records.append(rec)
         return self.rule.kind != "epochs" and should_stop(self.rule, rec)
@@ -648,9 +642,12 @@ def run(config, obj, x0=None):
     """Execute one configured run and return its trace and final iterate.
 
     The one driver for both engines: it starts with resolve() (validation,
-    stepsize, engine) and builds the method state; a lazy run's kernels step
-    over a sparse_jit.LazyIterate, inside sparse_jit.run_jit. aux["engine"]
-    and aux["engine_reason"] say which engine ran and why.
+    stepsize, engine), builds the method state and its kernel, and steps it
+    in one loop over the sampled batches; svrg and sarah wrap that loop in
+    their stages. sdca steps its dual's w from v = 0 (x0 is not read). A lazy
+    run's kernels step over a sparse_jit.LazyIterate, inside
+    sparse_jit.run_jit. aux["engine"] and aux["engine_reason"] say which
+    engine ran and why.
 
     Raises DivergenceError (carrying the partial trace) on non-finite values.
     """
@@ -664,15 +661,16 @@ def run(config, obj, x0=None):
 
     warm_budget = int(round(config.warm_start_sgd_epochs * n))
     budget = warm_budget + int(round(config.epochs * n))
+    record = config.record_iterates
     iterates = []
     aux = {"engine": engine, "engine_reason": plan.engine_reason}
     evals = steps = 0
 
-    # method state, and the per-example kernel step(x, batch, gamma)
+    # method state, and the kernel step(x, batch, gamma)
     b = scheme.batch
-    table = state = dual = step = None
+    state = None
     if method in TABLE_METHODS:
-        state = table = aux["table"] = GradientTable(obj)
+        state = aux["table"] = GradientTable(obj)
     elif method == "sgd_momentum":
         state = MomentumState(m=np.zeros(obj.d), beta=config.beta)
     elif method == "sgd_star":
@@ -680,17 +678,12 @@ def run(config, obj, x0=None):
     elif method in ("svrg", "sarah"):  # the stage; its kernel is built at each refresh
         state = aux[method] = (SvrgState if method == "svrg" else SarahState)(config.inner_t or n)
     elif method == "sdca":
-        dual = aux["dual"] = DualState(obj)
+        state = aux["dual"] = DualState(obj)
+        x = state.w
     lazy = None
     if engine == "lazy":
         lazy = aux["lazy"] = sparse_jit.LazyIterate(x, 1.0 - gamma * obj.l2)
-    recorder = Recorder(config, obj, rule, gamma, state, table, dual, lazy)
-    if method not in ("gd", "sarah", "sdca"):  # sarah's kernel needs its first refresh
-        step = method_kernel(method, obj, b, state, lazy)
-
-    def note_iterate():
-        if config.record_iterates:
-            iterates.append((steps, x.copy()))
+    recorder = Recorder(config, obj, rule, gamma, state, lazy)
 
     def per_example(stepper, until, cost=b, stoppable=True):
         """Sampled steps, each charged cost evals, until evals reaches until;
@@ -701,23 +694,17 @@ def run(config, obj, x0=None):
             stepper(x, batch, gamma if armijo is None else _armijo_gamma(obj, x, batch, armijo, aux))
             evals += cost
             steps += 1
-            note_iterate()
+            if record:
+                iterates.append((steps, x.copy()))
             if evals >= recorder.next_cp and recorder.checkpoint(x, evals) and stoppable:
                 return True
         return False
 
     def stepping():
-        nonlocal x, evals, steps, step
+        nonlocal evals
         # optional plain-SGD warm phase, charged to the same counters
-        stopped = warm_budget > 0 and per_example(_shift_kernel(obj, b), warm_budget)
-        if method == "gd":
-            while evals < budget and not stopped:
-                x = gd_step(obj, x, gamma)
-                evals += n
-                steps += 1
-                note_iterate()
-                stopped = recorder.checkpoint(x, evals)
-        elif method in ("svrg", "sarah"):
+        stopped = warm_budget > 0 and per_example(method_kernel("sgd", obj, b), warm_budget)
+        if method in ("svrg", "sarah"):
             # the stop rule is tested only at outer boundaries, on the
             # full gradient the refresh computes; the kernel binds the
             # stage's anchor, so it is built after each refresh
@@ -725,39 +712,31 @@ def run(config, obj, x0=None):
                 if lazy is not None:  # the refresh reads x, caught up under the old anchor
                     lazy.materialize()
                 (svrg_outer_refresh if method == "svrg" else sarah_refresh)(state, obj, x)
-                step = method_kernel(method, obj, b, state, lazy)
+                stage = method_kernel(method, obj, b, state, lazy)
                 evals += n
                 if rule.kind == "grad":
                     ref_norm = float(np.linalg.norm(state.grad_ref if method == "svrg" else state.g))
                     if ref_norm <= rule.eps:
                         recorder.checkpoint(x, evals, force=True)
                         break
-                per_example(step, evals + 2 * b * state.t, 2 * b, stoppable=False)  # the whole stage
-        elif method == "sdca":
-            step = _sdca_kernel(obj, dual)
-            min_gain = np.inf
-            while evals < budget and not stopped:
-                min_gain = min(min_gain, step(next(draws)[0]))
-                evals += 1
-                steps += 1
-                stopped = evals >= recorder.next_cp and recorder.checkpoint(x, evals)
-            aux["min_dual_gain"] = min_gain
+                per_example(stage, evals + 2 * b * state.t, 2 * b, stoppable=False)  # the whole stage
         elif not stopped:
-            per_example(step, budget)
+            per_example(method_kernel(method, obj, b, state, lazy), budget, n if method == "gd" else b)
 
     recorder.checkpoint(x, evals, force=True)
-    note_iterate()
+    if record:
+        iterates.append((0, x.copy()))
     try:
         sparse_jit.run_jit(stepping) if lazy is not None else stepping()
     except DivergenceError as err:
         err.records = recorder.records
         raise
+    if method == "sdca":
+        aux["min_dual_gain"] = state.min_gain
     if lazy is not None:
         aux.update(jit=True, touched_coords=lazy.touched)
     recorder.close(x, evals)
-    xf = dual.w.copy() if method == "sdca" else x
-    if config.record_iterates and (not iterates or iterates[-1][0] != steps):
-        iterates.append((steps, xf.copy()))
+    xf = x.copy() if method == "sdca" else x  # not the dual's own w
     return RunResult(records=recorder.records, x=xf, grad_evals=evals, aux=aux, iterates=iterates)
 
 

@@ -5,7 +5,13 @@ Each test drives the corresponding registry check (the same code the
 the observed value against the pinned tolerance, and asserts the verdict.
 """
 
+import math
+from types import SimpleNamespace
+
+import numpy as np
+
 from vropt import validate
+from vropt.diag import TraceRecord
 
 
 def _check(name):
@@ -19,6 +25,23 @@ def test_criterion_01_benchmark_ordering():
     # logistic benchmark, l2 = 1/n, gamma = 1/L_max, t = n, 30 epochs:
     # sag and svrg reach 1e-8 and beat gd and sgd by >= 100x, each under 60 s
     _check("benchmark_ordering")
+
+
+def test_criterion_01b_ordering_rejects_beating_f_star(monkeypatch):
+    # a method ending 5e-3 below the certified f* (a wrong reference) fails
+    # the check, however far the others are ordered
+    def result(subopt):
+        return SimpleNamespace(records=[TraceRecord(epoch=30.0, grad_evals=0, f=0.0, subopt=subopt)])
+
+    finals = {"sag": 1e-17, "svrg": 3e-10, "saga": 1e-16, "sgd": 3e-3, "gd": 8e-2}
+    walls = dict.fromkeys(finals, 1.0)
+    monkeypatch.setitem(validate._MEMO, "bench_runs", ({m: result(v) for m, v in finals.items()}, walls))
+    assert validate.check_benchmark_ordering().passed
+    for method in finals:
+        wrong = dict(finals, **{method: -4.58e-3})
+        runs = {m: result(v) for m, v in wrong.items()}
+        monkeypatch.setitem(validate._MEMO, "bench_runs", (runs, walls))
+        assert not validate.check_benchmark_ordering().passed, method
 
 
 def test_criterion_02_variance_reduction():
@@ -76,6 +99,19 @@ def test_criterion_10_sdca_certificates():
     # monotone dual, gap <= 1e-8 in 100 epochs, x within 1e-4 of reference,
     # coordinate updates match the golden-section oracle, hinge gap <= 1e-6
     _check("sdca_certificates")
+
+
+def test_criterion_10b_sdca_certificates_need_a_tracked_gain(monkeypatch):
+    # a kernel that stops lowering DualState.min_gain leaves it at inf,
+    # which passes the gain's lower bound; the check requires it finite
+    x_star = np.zeros(3)
+    monkeypatch.setitem(validate._MEMO, "bench", (None, None, x_star, 0.0))
+    for min_gain, passed in ((0.0, True), (math.inf, False)):
+        res = SimpleNamespace(records=[TraceRecord(epoch=100.0, grad_evals=0, f=0.0, gap=0.0)],
+                              aux={"min_dual_gain": min_gain}, x=x_star)
+        monkeypatch.setitem(validate._MEMO, "sdca_bench", res)
+        result = validate.check_sdca_certificates()
+        assert result.passed == passed, result.line()
 
 
 def test_criterion_11_minibatch_smoothness_curve():

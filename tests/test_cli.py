@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from vropt import cli, diag, objectives
+from vropt import cli, diag, objectives, validate
 from vropt.bench_data import load_dataset, sparse_gaussian
 from vropt.data import dataset_hash, parse_libsvm, write_libsvm
 from vropt.diag import read_trace
+from vropt.objectives import GlmObjective
+from vropt.optimizers import RunConfig, run
 
 
 def _run(*argv):
@@ -285,6 +288,61 @@ def test_trace2d(tmp_path, capsys):
     assert _run("trace2d", "--data", "synth:toyclass", "--l2", "0.1",
                 "--method", "sag", "--gamma", "0.1", "--out", prefix) == 1
     capsys.readouterr()
+
+
+def test_trace2d_sdca_records_every_step(tmp_path, capsys):
+    # sdca steps its dual's w through the loop every method shares, so its
+    # iterates are the start and every step, the last one the final w
+    prefix = str(tmp_path / "tr")
+    assert _run("trace2d", "--data", "synth:blobs2d", "--l2", "0.1", "--method", "sdca",
+                "--epochs", "2", "--grid", "11", "--out", prefix) == 0
+    with open(prefix + ".iterates.csv") as fh:
+        body = [line for line in fh.read().splitlines() if not line.startswith("#")][1:]
+    obj = GlmObjective(load_dataset("synth:blobs2d"), "logistic", l2=0.1)
+    steps = 2 * obj.n
+    assert [int(line.split(",")[0]) for line in body] == list(range(steps + 1))
+    w = run(RunConfig(method="sdca", epochs=2.0, seed=0), obj).x
+    assert body[-1] == "%d,%s,%s" % (steps, cli._fmt(float(w[0])), cli._fmt(float(w[1])))
+    assert "(%d iterates)" % (steps + 1) in capsys.readouterr().out
+
+
+def test_gd_draws_one_batch_per_step(tmp_path, capsys):
+    # gd steps through the shared loop, which draws a batch per step that gd
+    # does not read: a trace after a Lipschitz mini-batch warm phase keeps
+    # its bytes, and a batch larger than n is a usage error, as for every method
+    out = tmp_path / "gd.csv"
+    assert _run("run", "--data", "synth:toyclass", "--l2", "0.1", "--epochs", "3", "--seed", "4",
+                "--method", "gd", "--batch", "3", "--sampling", "lipschitz",
+                "--warm-start-sgd-epochs", "1", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "791f3a3a6e9ba2c21998dbaceed04b0fd756e9c3e13161396f41eea3e37c7ae9"
+    big = tmp_path / "big.csv"
+    assert _run("run", "--data", "synth:tiny", "--l2", "0.1", "--method", "gd",
+                "--batch", "100", "--out", str(big)) == 1
+    assert "batch 100 exceeds n=6" in capsys.readouterr().err
+    assert not big.exists()
+
+
+def test_validate_reports_a_raising_check(monkeypatch, capsys):
+    # a check that raises prints a FAIL line naming the exception; the
+    # checks after it still run and validate exits 1
+    def broken():
+        raise ValueError("need at least 5 positive-suboptimality records, found 2")
+
+    checks = {"minibatch_smoothness_curve": validate.CHECKS["minibatch_smoothness_curve"],
+              "broken": broken, "table_mean_identity": validate.CHECKS["table_mean_identity"]}
+    monkeypatch.setattr(validate, "CHECKS", checks)
+    assert _run("validate") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("PASS minibatch_smoothness_curve ")
+    assert lines[1].startswith("FAIL broken ")
+    assert "ValueError: need at least 5 positive-suboptimality records, found 2" in lines[1]
+    assert lines[2].startswith("PASS table_mean_identity ")
+    assert all(float(line.rpartition(" seconds=")[2]) >= 0.0 for line in lines[:3])
+    assert lines[3] == "passed 2/3"
+    assert _run("validate", "--only", "broken") == 1
+    assert capsys.readouterr().out.splitlines()[0].startswith("FAIL broken ")
 
 
 def test_validate_only(capsys):

@@ -26,7 +26,7 @@ from vropt.diag import (
     write_trace,
 )
 from vropt.objectives import GlmObjective, NonSmoothError, smoothness
-from vropt.optimizers import DualState, sdca_step
+from vropt.optimizers import DualState, method_kernel
 
 
 def _toy(l2=0.1):
@@ -237,9 +237,10 @@ def test_duality_helpers():
     d0 = dual_objective(obj, dual)
     gap0 = duality_gap(obj, dual)
     assert gap0 >= 0.0
+    step = method_kernel("sdca", obj, 1, dual)
     rng = np.random.default_rng(2)
     for _ in range(200):
-        sdca_step(dual, obj, int(rng.integers(obj.n)))
+        step(dual.w, [int(rng.integers(obj.n))], None)
     assert dual_objective(obj, dual) >= d0
     assert 0.0 <= duality_gap(obj, dual) < gap0
     # one numpy pass, bit for bit the per-example loop it replaced, at n

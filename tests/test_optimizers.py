@@ -18,15 +18,11 @@ from vropt.optimizers import (
     SarahState,
     SvrgState,
     index_batches,
-    momentum_step,
+    method_kernel,
     run,
     sarah_refresh,
-    sarah_step,
-    sdca_step,
-    shift_step,
     star_table,
     svrg_outer_refresh,
-    table_step,
 )
 from vropt.schedules import armijo_policy, lipschitz_scheme, minibatch_policy, sample, uniform_scheme
 from vropt.validate import _dense_table_saga
@@ -45,12 +41,12 @@ def _two_example(l2=0.0):
 def test_saga_stores_after_step():
     # With a zero table: x1 = 2*gamma; the fresh scalar only enters step 2.
     obj = _one_example()
-    table = GradientTable(obj)
+    step = method_kernel("saga", obj, 1, GradientTable(obj))
     x = np.zeros(1)
     g = 0.1
-    table_step(table, obj, x, [0], g, saga=True)
+    step(x, [0], g)
     assert x[0] == pytest.approx(2 * g, rel=1e-15)
-    table_step(table, obj, x, [0], g, saga=True)
+    step(x, [0], g)
     assert x[0] == pytest.approx(4 * g - 8 * g * g, rel=1e-14)
 
 
@@ -60,13 +56,11 @@ def test_sag_refreshes_before_step():
     g = 0.1
     obj = _two_example()
     x = np.zeros(1)
-    table = GradientTable(obj)
-    table_step(table, obj, x, [0], g)
+    method_kernel("sag", obj, 1, GradientTable(obj))(x, [0], g)
     assert x[0] == pytest.approx(g, rel=1e-15)  # gsum/2
 
     x2 = np.zeros(1)
-    table2 = GradientTable(obj)
-    table_step(table2, obj, x2, [0], g, saga=True)
+    method_kernel("saga", obj, 1, GradientTable(obj))(x2, [0], g)
     assert x2[0] == pytest.approx(2 * g, rel=1e-15)
 
 
@@ -76,7 +70,7 @@ def test_saga_repeated_row_stored_once():
     obj = _two_example()
     table = GradientTable(obj)
     x = np.zeros(1)
-    table_step(table, obj, x, [0, 0], 0.1, saga=True)
+    method_kernel("saga", obj, 2, table)(x, [0, 0], 0.1)
     assert x[0] == pytest.approx(0.2, rel=1e-15)  # (g/2)*(2 + 2)
     assert (table.s[0], table.gsum[0]) == (-1.0, -2.0)
     # a 20-epoch Lipschitz mini-batch run keeps the running sum exact
@@ -95,12 +89,12 @@ def test_sgd_star_single_steps():
     obj = _one_example(l2=0.5)  # grad f(x) = 2(2x - 1) + x/2
     star = star_table(obj, xs)
     x = np.ones(1)
-    shift_step(obj, x, [0], g, star.scalars, star.x_star, obj.l2)
+    method_kernel("sgd_star", obj, 1, star)(x, [0], g)
     assert x[0] == pytest.approx(1.0 - g * (2.5 + 0.875), rel=1e-14)
     obj = _two_example()  # mean over the batch of a_j^2 (x - x*) = 2.5 (x - x*)
     star = star_table(obj, xs)
     x = np.ones(1)
-    shift_step(obj, x, [0, 1], g, star.scalars, star.x_star, obj.l2)
+    method_kernel("sgd_star", obj, 2, star)(x, [0, 1], g)
     assert x[0] == pytest.approx(1.0 - g * 2.5 * 0.75, rel=1e-14)
 
 
@@ -114,7 +108,7 @@ def test_svrg_inner_single_steps():
     ):
         state = svrg_outer_refresh(SvrgState(t=1), obj, np.zeros(1))
         x = np.ones(1)
-        shift_step(obj, x, batch, g, state.s_ref, state.loss_ref, -1.0)
+        method_kernel("svrg", obj, len(batch), state)(x, batch, g)
         assert x[0] == pytest.approx(1.0 - g * direction, rel=1e-14)
 
 
@@ -122,18 +116,18 @@ def test_sarah_single_steps():
     # g_k = g_{k-1} + grad f_B(x_k) - grad f_B(x_{k-1}); x+ = x - gamma*g_k
     g = 0.1
     obj = _one_example(l2=0.5)  # one example: plain gradient descent
-    state = sarah_refresh(SarahState(t=2), obj, np.ones(1))
+    step = method_kernel("sarah", obj, 1, sarah_refresh(SarahState(t=2), obj, np.ones(1)))
     x = np.ones(1)
-    sarah_step(state, obj, x, [0], g)
+    step(x, [0], g)
     assert x[0] == pytest.approx(0.75, rel=1e-15)
-    sarah_step(state, obj, x, [0], g)
+    step(x, [0], g)
     assert x[0] == pytest.approx(0.75 - g * 1.375, rel=1e-14)
     obj = _two_example(l2=0.5)
-    state = sarah_refresh(SarahState(t=2), obj, np.ones(1))
+    step = method_kernel("sarah", obj, 1, sarah_refresh(SarahState(t=2), obj, np.ones(1)))
     x = np.ones(1)
-    sarah_step(state, obj, x, [1], g)
+    step(x, [1], g)
     assert x[0] == pytest.approx(0.85, rel=1e-14)
-    sarah_step(state, obj, x, [0], g)  # g = 1.5 + grad f_0(0.85) - grad f_0(1)
+    step(x, [0], g)  # g = 1.5 + grad f_0(0.85) - grad f_0(1)
     assert x[0] == pytest.approx(0.85 - g * (1.5 - 0.675), rel=1e-14)
 
 
@@ -147,10 +141,10 @@ def test_gd_one_step_quadratic():
 def test_momentum_accumulation():
     obj = _one_example(a=1.0, b=1.0)
     x = np.zeros(1)
-    mom = MomentumState(np.zeros(1), beta=0.5)
-    momentum_step(mom, obj, x, [0], 0.1)
+    step = method_kernel("sgd_momentum", obj, 1, MomentumState(np.zeros(1), beta=0.5))
+    step(x, [0], 0.1)
     assert x[0] == pytest.approx(0.1, rel=1e-15)
-    momentum_step(mom, obj, x, [0], 0.1)
+    step(x, [0], 0.1)
     # m2 = 0.5*(-1) + (x1-1) = -1.4
     assert x[0] == pytest.approx(0.24, rel=1e-14)
 
@@ -237,10 +231,11 @@ def test_sdca_dual_ascent_and_w_consistency():
     ds = toy_classification(seed=1, n=40, d=6)
     obj = GlmObjective(ds, "logistic", l2=0.2)
     dual = DualState(obj)
+    step = method_kernel("sdca", obj, 1, dual)
     rng = np.random.default_rng(0)
     last = dual_objective(obj, dual)
     for _ in range(100):
-        gain = sdca_step(dual, obj, int(rng.integers(obj.n)))
+        gain = step(dual.w, [int(rng.integers(obj.n))], None)
         now = dual_objective(obj, dual)
         assert gain >= -1e-12
         # reported gain is n * (dual increase)
@@ -453,14 +448,15 @@ def test_run_final_iterates_pinned():
 
 @pytest.mark.parametrize("loss, l2", [("logistic", 0.1), ("half_squared", 0.15), ("hinge", 0.2)])
 def test_sdca_gain_is_scaled_dual_increase(loss, l2):
-    # every gain sdca_step returns is n * (D(v+) - D(v)), the -rho dv^2 / 2
-    # term included; dual_objective recomputes D from scratch
+    # every gain the sdca kernel returns is n * (D(v+) - D(v)), the
+    # -rho dv^2 / 2 term included; dual_objective recomputes D from scratch
     obj = GlmObjective(toy_classification(seed=0, n=50, d=10), loss, l2=l2)
     dual = DualState(obj)
+    step = method_kernel("sdca", obj, 1, dual)
     rng = np.random.default_rng(7)
     last = dual_objective(obj, dual)
     for _ in range(200):
-        gain = sdca_step(dual, obj, int(rng.integers(obj.n)))
+        gain = step(dual.w, [int(rng.integers(obj.n))], None)
         now = dual_objective(obj, dual)
         want = obj.n * (now - last)
         assert abs(gain - want) <= 1e-10 * (1.0 + abs(want))

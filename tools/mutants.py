@@ -43,6 +43,8 @@ MUTANTS = (
      "return -b * (1.0 / (1.0 + math.exp(b * alpha)))", "return -b * (0.5 / (1.0 + math.exp(b * alpha)))"),
     ("logistic_deriv_vec_half", "objectives.py",
      "return -b * (1.0 / (1.0 + np.exp(b * m)))", "return -b * (0.5 / (1.0 + np.exp(b * m)))"),
+    ("sdca_min_gain_stale", "optimizers.py",
+     "dual.min_gain = gain", "pass"),
 )
 
 # tier-1 tests that target faults no validate check sees
