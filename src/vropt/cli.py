@@ -34,6 +34,8 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DIVERGED = 3
 
+ITERATE_BLOCK = 4096  # iterate rows formatted per write (_write_iterates)
+
 LOSSES = ("half_squared", "logistic", "hinge")
 
 # leads the data-cache key: change it whenever parse_libsvm would read a file
@@ -196,12 +198,21 @@ def _write_run_trace(records, out, meta, times):
         raise IoError("cannot write %s: %s" % (out, e))
 
 
+def _iterate_chunks(iterates, meta):
+    """The iterates CSV as text blocks: the header, then ITERATE_BLOCK rows
+    of the (steps + 1, 2) array at a time, row k as "k,x1,x2"."""
+    yield "".join("# %s = %s\n" % (k, v) for k, v in meta.items()) + "k,x1,x2\n"
+    for lo in range(0, len(iterates), ITERATE_BLOCK):
+        rows = iterates[lo:lo + ITERATE_BLOCK].tolist()
+        yield "".join("%d,%s,%s\n" % (k, _fmt(x[0]), _fmt(x[1])) for k, x in enumerate(rows, lo))
+
+
 def _write_iterates(iterates, path, meta):
-    lines = ["# %s = %s" % (k, v) for k, v in meta.items()]
-    lines.append("k,x1,x2")
-    for k, x in iterates:
-        lines.append("%d,%s,%s" % (k, _fmt(float(x[0])), _fmt(float(x[1]))))
-    _atomic_text(path, "\n".join(lines) + "\n")
+    """Stream the iterates CSV to path, a block at a time: no list of lines."""
+    try:
+        vecio.atomic_write_bytes(path, (text.encode() for text in _iterate_chunks(iterates, meta)))
+    except OSError as e:
+        raise IoError("cannot write %s: %s" % (path, e))
 
 
 def _run_and_write(ns, config, obj, meta, out, where=""):
@@ -217,7 +228,7 @@ def _run_and_write(ns, config, obj, meta, out, where=""):
         sys.stderr.write("diverged: %s%s\n" % (e, where))
         if out is None:
             return None
-        res, records, iterates = None, e.records, []
+        res, records, iterates = None, e.records, ()
     if config.record_iterates:
         _write_iterates(iterates, out, meta)
     else:
@@ -453,11 +464,8 @@ def cmd_trace2d(ns):
     res = _run_and_write(ns, config, obj, _run_meta(ns, resolve(config, obj)), ipath)
     if res is None:
         return EXIT_DIVERGED
-    iterates = res.iterates
-
-    pts = np.array([x for _, x in iterates])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo = res.iterates.min(axis=0)
+    hi = res.iterates.max(axis=0)
     span = np.maximum(hi - lo, 1e-6)
     lo = lo - 0.25 * span
     hi = hi + 0.25 * span
@@ -471,7 +479,7 @@ def cmd_trace2d(ns):
     gpath = ns.out + ".grid.csv"
     _atomic_text(gpath, "\n".join(glines) + "\n")
     print("wrote %s (%d iterates) and %s (%dx%d grid)"
-          % (ipath, len(iterates), gpath, ns.grid, ns.grid))
+          % (ipath, len(res.iterates), gpath, ns.grid, ns.grid))
     return EXIT_OK
 
 

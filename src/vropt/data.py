@@ -250,7 +250,7 @@ def dataset_hash(dataset):
 def write_csr(path, dataset):
     """Store a Dataset as its header and raw arrays (_csr_chunks), written
     to a temp file and renamed into place."""
-    vecio.atomic_write_bytes(path, *_csr_chunks(dataset))
+    vecio.atomic_write_bytes(path, _csr_chunks(dataset))
 
 
 def read_csr(path):

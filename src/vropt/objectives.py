@@ -296,16 +296,17 @@ def power_iteration_sq(A, tol=1e-10, max_iter=10_000, seed=12345):
         nv = 1.0
     v /= nv
     lam = 0.0
+    w = apply(v)  # B v, kept from the residual for the next iteration and the return
     for _ in range(max_iter):
-        w = apply(v)
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0, True  # A has no nonzero singular value reachable
         lam = float(v @ w)
         v = w / nw
-        res = np.linalg.norm(apply(v) - lam * v)
+        w = apply(v)
+        res = np.linalg.norm(w - lam * v)
         if res <= tol * max(abs(lam), 1e-30):
-            return float(v @ apply(v)), True
+            return float(v @ w), True
     return lam, False
 
 

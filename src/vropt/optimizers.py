@@ -496,7 +496,7 @@ class RunResult:
     x: np.ndarray
     grad_evals: int
     aux: dict = field(default_factory=dict)
-    iterates: list = field(default_factory=list)
+    iterates: np.ndarray | None = None  # (steps + 1, d) under record_iterates, else (0, d)
 
 
 def _validate(config, obj):
@@ -509,10 +509,13 @@ def _validate(config, obj):
         raise ConfigError("sgd_momentum needs beta in (0,1)")
     if config.method == "sgd_star" and config.x_star is None:
         raise ConfigError("sgd_star needs x_star")
+    scheme = config.scheme or uniform_scheme()
+    if scheme.kind == "uniform" and scheme.batch > obj.n:
+        raise ConfigError("batch %d exceeds n=%d without replacement" % (scheme.batch, obj.n))
     if config.method == "sdca":
-        if (config.scheme or uniform_scheme()).batch != 1:
+        if scheme.batch != 1:
             raise ConfigError("sdca is a single-coordinate method (batch=1)")
-        if (config.scheme or uniform_scheme()).kind != "uniform":
+        if scheme.kind != "uniform":
             raise ConfigError("sdca supports uniform sampling only")
         if config.warm_start_sgd_epochs:
             raise ConfigError("sdca has no primal step to warm-start with sgd")
@@ -644,7 +647,9 @@ def run(config, obj, x0=None):
     The one driver for both engines: it starts with resolve() (validation,
     stepsize, engine), builds the method state and its kernel, and steps it
     in one loop over the sampled batches; svrg and sarah wrap that loop in
-    their stages. sdca steps its dual's w from v = 0 (x0 is not read). A lazy
+    their stages. sdca steps its dual's w from v = 0, so x0 is a ConfigError
+    there. Under record_iterates, RunResult.iterates row k is x after step k
+    (row 0 the start), one float64 array; otherwise it has no rows. A lazy
     run's kernels step over a sparse_jit.LazyIterate, inside
     sparse_jit.run_jit. aux["engine"] and aux["engine_reason"] say which
     engine ran and why.
@@ -652,6 +657,8 @@ def run(config, obj, x0=None):
     Raises DivergenceError (carrying the partial trace) on non-finite values.
     """
     plan = resolve(config, obj)
+    if x0 is not None and config.method == "sdca":
+        raise ConfigError("sdca starts from its dual's v = 0; it takes no x0")
     rule, gamma, armijo, engine = plan.rule, plan.gamma, plan.armijo, plan.engine
     method = config.method
     n = obj.n
@@ -662,7 +669,7 @@ def run(config, obj, x0=None):
     warm_budget = int(round(config.warm_start_sgd_epochs * n))
     budget = warm_budget + int(round(config.epochs * n))
     record = config.record_iterates
-    iterates = []
+    iterates = np.empty((1 if record else 0, obj.d))  # row k: x after step k, grown by doubling
     aux = {"engine": engine, "engine_reason": plan.engine_reason}
     evals = steps = 0
 
@@ -695,7 +702,9 @@ def run(config, obj, x0=None):
             evals += cost
             steps += 1
             if record:
-                iterates.append((steps, x.copy()))
+                if steps == len(iterates):  # in place: realloc, no second copy alive
+                    iterates.resize((2 * steps, obj.d), refcheck=False)
+                iterates[steps] = x
             if evals >= recorder.next_cp and recorder.checkpoint(x, evals) and stoppable:
                 return True
         return False
@@ -725,7 +734,7 @@ def run(config, obj, x0=None):
 
     recorder.checkpoint(x, evals, force=True)
     if record:
-        iterates.append((0, x.copy()))
+        iterates[0] = x
     try:
         sparse_jit.run_jit(stepping) if lazy is not None else stepping()
     except DivergenceError as err:
@@ -736,6 +745,8 @@ def run(config, obj, x0=None):
     if lazy is not None:
         aux.update(jit=True, touched_coords=lazy.touched)
     recorder.close(x, evals)
+    if record:
+        iterates.resize((steps + 1, obj.d), refcheck=False)
     xf = x.copy() if method == "sdca" else x  # not the dual's own w
     return RunResult(records=recorder.records, x=xf, grad_evals=evals, aux=aux, iterates=iterates)
 

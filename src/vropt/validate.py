@@ -161,7 +161,7 @@ def check_iterate_capture_2d():
     r_sgd = run(RunConfig(method="sgd", epochs=60.0, seed=2, gamma=g, record_iterates=True), obj)
     d_final = float(np.linalg.norm(r_sag.x - x_star))
     d_init = float(np.linalg.norm(x_star))  # runs start at zero
-    sgd_last = [float(np.linalg.norm(x - x_star)) for _, x in r_sgd.iterates[-100:]]
+    sgd_last = [float(np.linalg.norm(x - x_star)) for x in r_sgd.iterates[-100:]]
     ok = d_final <= 1e-3 * d_init and min(sgd_last) >= 10.0 * d_final
     obs = "sag_final=%.2e init=%.2e sgd_min100=%.2e" % (d_final, d_init, min(sgd_last))
     return CheckResult("iterate_capture_2d", ok, obs,
@@ -176,7 +176,7 @@ def check_contraction_bound():
     res = run(RunConfig(method="sgd_star", epochs=2.0, seed=5, gamma=g,
                         x_star=x_star, record_iterates=True), obj)
     iters = res.iterates[:100]
-    holds = sum(1 for _, x in iters if check_contraction(obj, x, x_star, g, info))
+    holds = sum(1 for x in iters if check_contraction(obj, x, x_star, g, info))
     ok = holds == len(iters) == 100
     return CheckResult("contraction_bound", ok, "%d/%d iterates" % (holds, len(iters)),
                        "all 100; relative slack 1e-12")

@@ -23,7 +23,7 @@ def write_vectors(path, arr):
     if arr.ndim != 2:
         raise ValueError("expected a 1-d or 2-d array")
     payload = _HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]) + arr.astype("<f8").tobytes()
-    atomic_write_bytes(path, payload)
+    atomic_write_bytes(path, (payload,))
 
 
 def read_vectors(path):
@@ -51,7 +51,7 @@ def read_vector(path):
 
 
 def write_scalar_text(path, value):
-    atomic_write_bytes(path, ("%.17g\n" % value).encode())
+    atomic_write_bytes(path, (("%.17g\n" % value).encode(),))
 
 
 def read_scalar_text(path):
@@ -59,14 +59,15 @@ def read_scalar_text(path):
         return float(fh.read().strip())
 
 
-def atomic_write_bytes(path, *payload):
-    """Write the payload (bytes-like chunks, in order) via temp file + rename
-    so readers never see partial files."""
+def atomic_write_bytes(path, chunks):
+    """Write chunks (an iterable of bytes-like objects, consumed in order, so
+    a generator streams) via temp file + rename so readers never see partial
+    files."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vropt-tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in payload:
+            for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
@@ -76,4 +77,4 @@ def atomic_write_bytes(path, *payload):
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode())
+    atomic_write_bytes(path, (text.encode(),))

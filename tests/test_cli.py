@@ -182,6 +182,19 @@ def test_compare_spec_errors(tmp_path, capsys):
         assert not (tmp_path / "neg").exists()  # no partial grid
 
 
+def test_compare_batch_above_n_fails_before_any_output(tmp_path, capsys):
+    # a uniform batch larger than n is rejected with the other config
+    # checks, so no block runs: no trace file and no summary.csv
+    outdir = tmp_path / "grid"
+    spec = tmp_path / "big.spec"
+    spec.write_text("data = synth:tiny\nl2 = 0.1\nout = %s\n[method]\nname = saga\n"
+                    "[method]\nname = gd\nbatch = 100\n" % outdir)
+    assert _run("compare", str(spec)) == 1
+    assert "batch 100 exceeds n=6 without replacement" in capsys.readouterr().err
+    assert not (outdir / "saga_seed0.csv").exists()
+    assert not (outdir / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("top, block, msg", [
     ("", "name = saga\nstop = gap:1e-3", "gap stop rule"),
     ("", "name = sgd_momentum\nbeta = 1.5", "beta"),
@@ -288,6 +301,24 @@ def test_trace2d(tmp_path, capsys):
     assert _run("trace2d", "--data", "synth:toyclass", "--l2", "0.1",
                 "--method", "sag", "--gamma", "0.1", "--out", prefix) == 1
     capsys.readouterr()
+
+
+def test_write_iterates_streams_blocks(tmp_path, monkeypatch):
+    # rows cross two block boundaries; the file is the header and then
+    # every row formatted on its own
+    monkeypatch.setattr(cli, "ITERATE_BLOCK", 4)
+    rng = np.random.default_rng(0)
+    iterates = rng.normal(size=(11, 2)) * np.logspace(-300, 300, 11)[:, None]
+    path = str(tmp_path / "it.csv")
+    meta = {"method": "sag", "seed": "3"}
+    cli._write_iterates(iterates, path, meta)
+    want = ["# method = sag", "# seed = 3", "k,x1,x2"]
+    want += ["%d,%s,%s" % (k, cli._fmt(float(x[0])), cli._fmt(float(x[1]))) for k, x in enumerate(iterates)]
+    with open(path) as fh:
+        assert fh.read() == "\n".join(want) + "\n"
+    cli._write_iterates((), path, meta)  # a diverged run: the header only
+    with open(path) as fh:
+        assert fh.read() == "\n".join(want[:3]) + "\n"
 
 
 def test_trace2d_sdca_records_every_step(tmp_path, capsys):

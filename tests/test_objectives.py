@@ -156,6 +156,72 @@ def test_smoothness_pinned_on_mushrooms(monkeypatch):
     assert calls == [{"tol": 1e-9, "max_iter": 3}]
 
 
+def _power_iteration_old(A, tol=1e-10, max_iter=10_000, seed=12345):
+    """power_iteration_sq before it kept B v from the residual: B v taken
+    twice per iteration, and once more on return."""
+    n, d = A.shape
+    rng = np.random.Generator(np.random.PCG64(seed))
+    in_row_space = n <= d
+    size = n if in_row_space else d
+
+    def apply(v):
+        if in_row_space:
+            return A @ (A.T @ v) / n
+        return A.T @ (A @ v) / n
+
+    v = rng.standard_normal(size)
+    nv = np.linalg.norm(v)
+    if nv == 0:
+        v[0] = 1.0
+        nv = 1.0
+    v /= nv
+    lam = 0.0
+    for _ in range(max_iter):
+        w = apply(v)
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            return 0.0, True
+        lam = float(v @ w)
+        v = w / nw
+        res = np.linalg.norm(apply(v) - lam * v)
+        if res <= tol * max(abs(lam), 1e-30):
+            return float(v @ apply(v)), True
+    return lam, False
+
+
+class _CountingMatrix:
+    """A sparse matrix whose products (its transpose's included) are counted."""
+
+    def __init__(self, a, products):
+        self.a, self.products, self.shape = a, products, a.shape
+
+    @property
+    def T(self):
+        return _CountingMatrix(self.a.T, self.products)
+
+    def __matmul__(self, v):
+        self.products.append(1)
+        return self.a @ v
+
+
+@pytest.mark.parametrize("name", ["toy", "toy_wide", "mushrooms"])
+def test_power_iteration_takes_one_product_pair_per_iteration(name):
+    # the same lambda bits as the loop that took B v twice per iteration,
+    # with 2 CSR products per iteration instead of 4 (plus 2 at the start,
+    # where the old loop paid 2 on return); converged and cut-short runs
+    data = {"toy": lambda: toy_classification(seed=0), "toy_wide": lambda: toy_classification(seed=1, n=5, d=20),
+            "mushrooms": lambda: load_dataset("synth:mushrooms:0")}[name]()
+    A = data.to_csr()
+    for max_iter in (10_000, 3):
+        new, old = [], []
+        got = objectives.power_iteration_sq(_CountingMatrix(A, new), max_iter=max_iter)
+        want = _power_iteration_old(_CountingMatrix(A, old), max_iter=max_iter)
+        assert got == want and type(got[0]) is float
+        iterations = (len(old) - 2) // 4 if want[1] else max_iter
+        assert len(new) == 2 * iterations + 2
+        assert len(old) == 4 * iterations + (2 if want[1] else 0)
+
+
 # margins where exp overflows or underflows, and -0.0
 DERIV_EDGES = [709.78, 709.79, -709.79, 745.0, -745.0, 746.0, -746.0, 1e308, -0.0]
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,9 +223,50 @@ def test_record_iterates_cadence():
     obj = GlmObjective(ds, "logistic", l2=0.1)
     res = run(RunConfig(method="sgd", gamma=0.1, epochs=5.0, seed=0,
                         record_iterates=True), obj)
-    # the start, then every step: 5 epochs * n=6
-    assert [k for k, _ in res.iterates] == list(range(31))
-    assert np.array_equal(res.iterates[-1][1], res.x)
+    # the start, then every step: 5 epochs * n=6, one row each
+    assert res.iterates.shape == (31, obj.d)
+    assert np.array_equal(res.iterates[-1], res.x)
+    assert run(RunConfig(method="sgd", gamma=0.1, epochs=5.0, seed=0), obj).iterates.shape == (0, obj.d)
+
+
+def test_record_iterates_memory_is_one_array():
+    # the iterates of validate's iterate_capture_2d sag run (24,000 steps)
+    # live in one float64 array grown by doubling, so a recording run's
+    # peak is at most 2.5 * 16 bytes per recorded row plus a constant (the
+    # same run unrecorded peaks near 70 kB here)
+    obj = GlmObjective(blobs_2d(seed=0), "logistic", l2=0.1)
+    config = RunConfig(method="sag", epochs=60.0, seed=2, gamma=1.0 / smoothness(obj).l_max,
+                       record_iterates=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = run(config, obj)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows = 60 * obj.n + 1
+    assert peak <= 2.5 * 16 * rows + 256_000
+    assert res.iterates.shape == (rows, 2) and res.iterates.dtype == np.float64
+
+
+def test_sdca_rejects_x0():
+    # sdca steps its dual's w from v = 0; an x0 would be silently ignored
+    obj = GlmObjective(toy_classification(seed=1, n=40, d=6), "logistic", l2=0.2)
+    with pytest.raises(ConfigError, match="x0"):
+        run(RunConfig(method="sdca", epochs=1.0), obj, x0=np.ones(obj.d))
+
+
+def test_uniform_batch_above_n_is_a_config_error():
+    # resolve() rejects it before any step; lipschitz batches draw with
+    # replacement, so any size is allowed there
+    obj = GlmObjective(tiny(seed=0), "logistic", l2=0.1)
+    for method in ("gd", "saga", "svrg"):
+        with pytest.raises(ConfigError, match="batch 7 exceeds n=6 without replacement"):
+            run(RunConfig(method=method, gamma=0.1, epochs=1.0, scheme=uniform_scheme(batch=7)), obj)
+    assert run(RunConfig(method="saga", gamma=0.1, epochs=1.0,
+                         scheme=uniform_scheme(batch=6)), obj).grad_evals == 6
+    lip = lipschitz_scheme(smoothness(obj).per_example, batch=7)
+    assert run(RunConfig(method="saga", gamma=0.1, epochs=2.0, scheme=lip), obj).grad_evals == 14
 
 
 def test_sdca_dual_ascent_and_w_consistency():
@@ -471,8 +513,8 @@ def test_momentum_full_batch_is_heavy_ball():
     res = run(RunConfig(method="sgd_momentum", epochs=40.0, seed=3, gamma=gamma, beta=beta,
                         scheme=uniform_scheme(batch=obj.n), record_iterates=True), obj)
     x, m = np.zeros(obj.d), np.zeros(obj.d)
-    assert [k for k, _ in res.iterates] == list(range(41))
-    for _, xk in res.iterates[1:]:
+    assert res.iterates.shape == (41, obj.d)
+    for xk in res.iterates[1:]:
         m = beta * m + obj.full_grad(x)
         x = x - gamma * m
         assert np.linalg.norm(xk - x) <= 1e-12 * (1.0 + np.linalg.norm(x))
