@@ -228,7 +228,7 @@ def _run_and_write(ns, config, obj, meta, out, where=""):
         sys.stderr.write("diverged: %s%s\n" % (e, where))
         if out is None:
             return None
-        res, records, iterates = None, e.records, ()
+        res, records, iterates = None, e.records, np.empty((0, 2))
     if config.record_iterates:
         _write_iterates(iterates, out, meta)
     else:

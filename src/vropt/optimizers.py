@@ -27,6 +27,7 @@ from .schedules import (
     SamplingScheme,
     StepsizePolicy,
     armijo_stochastic,
+    check_batch,
     default_stepsize,
     draw_batches,
     theory_policy,
@@ -495,8 +496,8 @@ class RunResult:
     records: list
     x: np.ndarray
     grad_evals: int
+    iterates: np.ndarray  # (steps + 1, d) float64 under record_iterates, else (0, d)
     aux: dict = field(default_factory=dict)
-    iterates: np.ndarray | None = None  # (steps + 1, d) under record_iterates, else (0, d)
 
 
 def _validate(config, obj):
@@ -510,8 +511,10 @@ def _validate(config, obj):
     if config.method == "sgd_star" and config.x_star is None:
         raise ConfigError("sgd_star needs x_star")
     scheme = config.scheme or uniform_scheme()
-    if scheme.kind == "uniform" and scheme.batch > obj.n:
-        raise ConfigError("batch %d exceeds n=%d without replacement" % (scheme.batch, obj.n))
+    try:
+        check_batch(scheme, obj.n)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if config.method == "sdca":
         if scheme.batch != 1:
             raise ConfigError("sdca is a single-coordinate method (batch=1)")
@@ -702,7 +705,7 @@ def run(config, obj, x0=None):
             evals += cost
             steps += 1
             if record:
-                if steps == len(iterates):  # in place: realloc, no second copy alive
+                if steps == len(iterates):  # realloc by doubling: peak about 2x the final array
                     iterates.resize((2 * steps, obj.d), refcheck=False)
                 iterates[steps] = x
             if evals >= recorder.next_cp and recorder.checkpoint(x, evals) and stoppable:

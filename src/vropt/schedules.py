@@ -53,11 +53,20 @@ def sample(scheme, rng, n):
     return np.array(next(draw_batches(scheme, rng, n, 1)), dtype=np.int64)
 
 
+def check_batch(scheme, n):
+    """Raise ValueError when scheme cannot draw from n examples: a uniform
+    batch is drawn without replacement, so it needs batch <= n. Lipschitz
+    sampling draws with replacement, so any batch is allowed."""
+    if scheme.kind == "uniform" and scheme.batch > n:
+        raise ValueError("batch %d exceeds n=%d without replacement" % (scheme.batch, n))
+
+
 def draw_batches(scheme, rng, n, count):
     """Yields count index batches (lists of ints) drawn by one generator call:
     the batches, and the stream after them, of count sample() calls. A uniform
     batch is a partial Fisher-Yates over a virtual pool 0..n-1 that stores
     only the swapped slots, so it costs O(b) whatever n is."""
+    check_batch(scheme, n)
     b = scheme.batch
     if scheme.kind == "lipschitz":
         if len(scheme.probs) != n:
@@ -69,8 +78,6 @@ def draw_batches(scheme, rng, n, count):
     elif b == 1:
         for i in rng.integers(n, size=count).tolist():
             yield [i]
-    elif b > n:
-        raise ValueError("batch %d exceeds n=%d without replacement" % (b, n))
     else:
         ts = np.arange(b)
         for row in ts + rng.integers(0, n - ts, (count, b)):

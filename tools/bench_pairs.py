@@ -1,12 +1,13 @@
 """Paired parent/change runs of perfbench, summarized into BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --pr 17 \\
-        --seeds 1701-1710 --claim oracle_suite.peak_rss_mb [--workload all] \\
-        [--seconds 25] [--change-note TEXT] [--out BENCH_17.json]
+        --seeds 1701-1710 --claim oracle_suite.peak_rss_mb \\
+        [--change-note TEXT] [--out BENCH_17.json]
 
-Each seed is one pair: `python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0` runs in the parent checkout and in the change
-checkout, one after the other, each from its own tree. The side that runs
+Each seed is one pair: `python3 perfbench/run.py --workload all --seed S
+--trace 0` runs in the parent checkout and in the change checkout, one
+after the other, each from its own tree. Every workload runs, so each is
+checked against its bound, and the run length is perfbench's own default. The side that runs
 first flips from pair to pair (the parent first in the first pair). Both
 checkouts must hold the same perfbench/.
 
@@ -102,17 +103,17 @@ def summarize(pairs, metrics):
             "digests_parent_vs_change": digests}
 
 
-def run_side(checkout, workload, seed, seconds):
-    """One untraced perfbench run in checkout: its metrics, failed-op count,
-    digests per workload (from the results files) and machine."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+COMMAND = ["perfbench/run.py", "--workload", "all", "--seed", "SEED", "--trace", "0"]
+
+
+def run_side(checkout, seed):
+    """One untraced perfbench run of every workload in checkout: its metrics,
+    failed-op count, digests per workload (from the results files) and machine."""
+    argv = [sys.executable] + [str(seed) if a == "SEED" else a for a in COMMAND]
     proc = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     res = json.loads(proc.stdout.splitlines()[-1])
     metrics = {k: v["value"] for k, v in res["metrics"].items()}
-    names = sorted({k.split(".", 1)[0] for k in metrics}) if workload == "all" else [workload]
-    if workload != "all":
-        metrics = {"%s.%s" % (workload, k): v for k, v in metrics.items()}
+    names = sorted({k.split(".", 1)[0] for k in metrics})
     digests, machine = {}, None
     for name in names:
         with open(os.path.join(checkout, RESULTS, "%s-seed%d-trace0.json" % (name, seed))) as fh:
@@ -135,8 +136,6 @@ def main():
     p.add_argument("--pr", type=int, required=True)
     p.add_argument("--seeds", type=seed_range, required=True, help="e.g. 1701-1710 (one pair per seed)")
     p.add_argument("--claim", default=None, help="<workload>.<metric> the change claims a gain on")
-    p.add_argument("--workload", default="all")
-    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--change-note", default="", help="one line: what the change does")
     p.add_argument("--out", default=None, help="default BENCH_<pr>.json in the change checkout")
     ns = p.parse_args()
@@ -148,12 +147,11 @@ def main():
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_side(getattr(ns, side), ns.workload, seed, ns.seconds)
+            pair[side] = run_side(getattr(ns, side), seed)
             print("seed %d %s: %s" % (seed, side, json.dumps(pair[side]["metrics"])), flush=True)
         pairs.append(pair)
         doc = {"pr": ns.pr, "change": ns.change_note, "parent": git_head(ns.parent),
-               "command": "python3 perfbench/run.py --workload %s --seed SEED --seconds %g --trace 0"
-                          % (ns.workload, ns.seconds),
+               "command": "python3 " + " ".join(COMMAND),
                "protocol": "%d pairs, seeds %s; each side from its own checkout; the side run first "
                            "flips every pair, the parent first in the first"
                            % (len(pairs), ", ".join(map(str, ns.seeds[:len(pairs)]))),
