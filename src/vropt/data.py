@@ -22,6 +22,15 @@ class ParseError(ValueError):
 
 RowView = namedtuple("RowView", "indices values")
 
+# Datasets with at most this many stored entries take their full products
+# (Dataset.margins and weighted_sum) on numpy's bincount; larger ones on
+# scipy.sparse, imported at the first such product. The import costs a
+# process about 0.2 s and 14 MB of RSS. At 5,000 nonzeros scipy's faster
+# products repay it only after 5,000-6,400 product pairs, more than a
+# process on such data makes; at 7,000, after about 4,000. Measured on a
+# 2-vCPU x86 VM with tools/engine_sweep.py --products, which re-measures it.
+NUMPY_MAX_NNZ = 5000
+
 
 class Dataset:
     """n sparse rows a_i plus labels b_i; the (a_i, b_i) pairs of one finite sum.
@@ -69,6 +78,7 @@ class Dataset:
         self.d = int(d)
         self._csr = None
         self._csr_t = None
+        self._rows = None
         self._hash = None
 
     def row(self, i):
@@ -85,7 +95,9 @@ class Dataset:
         return (RowView(*self.row(i)) for i in range(self.n))
 
     def to_csr(self):
-        """scipy CSR matrix of shape (n, d); built once, cached."""
+        """scipy CSR matrix of shape (n, d) over the dataset's own arrays;
+        built once, cached. Only the products of a dataset above
+        NUMPY_MAX_NNZ build it."""
         if self._csr is None:
             from scipy import sparse
 
@@ -94,16 +106,47 @@ class Dataset:
             )
         return self._csr
 
+    def _entry_rows(self):
+        """Row index of every stored entry, in CSR order; built once."""
+        if self._rows is None:
+            self._rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return self._rows
+
     def margins(self, x):
-        """All a_i^T x as one vector of length n."""
-        return self.to_csr() @ x
+        """All a_i^T x as one vector of length n.
+
+        Row i's terms a_ij x_j are summed left to right in column order,
+        starting from 0.0, as scipy's CSR loop sums them, so both engines
+        give the same bits: numpy's bincount up to NUMPY_MAX_NNZ nonzeros,
+        scipy.sparse above.
+        """
+        x = _operand(x, self.d)
+        if self.col_values.size > NUMPY_MAX_NNZ:
+            return self.to_csr() @ x
+        return np.bincount(self._entry_rows(), weights=self.col_values * x[self.col_indices], minlength=self.n)
 
     def weighted_sum(self, s):
-        """sum_i s_i a_i, i.e. A^T s, as one vector of length d. A^T is built
-        once, as a CSC view over the CSR arrays (no copy)."""
-        if self._csr_t is None:
-            self._csr_t = self.to_csr().T
-        return self._csr_t @ s
+        """sum_i s_i a_i, i.e. A^T s, as one vector of length d.
+
+        Coordinate j's terms s_i a_ij are summed left to right in row order,
+        starting from 0.0, as scipy's CSC loop over A^T sums them (A^T is
+        built once, as a CSC view over the CSR arrays); the engine is chosen
+        as in margins.
+        """
+        s = _operand(s, self.n)
+        if self.col_values.size > NUMPY_MAX_NNZ:
+            if self._csr_t is None:
+                self._csr_t = self.to_csr().T
+            return self._csr_t @ s
+        return np.bincount(self.col_indices, weights=self.col_values * s[self._entry_rows()], minlength=self.d)
+
+
+def _operand(v, size):
+    """v as a 1-d array of the given length."""
+    v = np.asarray(v)
+    if v.shape != (size,):
+        raise ValueError("dimension mismatch: operand of shape %s, want (%d,)" % (v.shape, size))
+    return v
 
 
 class RandomSource:

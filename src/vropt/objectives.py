@@ -144,8 +144,8 @@ class GlmObjective:
 
     def __init__(self, data, loss, l2=0.0, l1=0.0):
         loss = get_loss(loss)
-        if l2 < 0 or l1 < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        if not (0 <= l2 < np.inf and 0 <= l1 < np.inf):
+            raise ValueError("regularization weights must be nonnegative and finite")
         if loss is HINGE and l2 <= 0:
             raise ValueError("hinge loss requires l2 > 0")
         labels = data.labels
@@ -272,22 +272,23 @@ class SmoothnessInfo:
         return self._global[1]
 
 
-def power_iteration_sq(A, tol=1e-10, max_iter=10_000, seed=12345):
-    """Largest eigenvalue of (1/n) A A^T for sparse CSR A.
+def power_iteration_sq(data, tol=1e-10, max_iter=10_000, seed=12345):
+    """Largest eigenvalue of (1/n) A A^T for the Dataset's matrix A.
 
     Iterates in the smaller of the two spaces (the spectrum is shared with
-    (1/n) A^T A). Returns (lam, converged); converged means the residual
+    (1/n) A^T A), one data.margins and one data.weighted_sum per iteration.
+    Returns (lam, converged); converged means the residual
     ||B v - lam v|| <= tol * max(lam, 1e-30).
     """
-    n, d = A.shape
+    n, d = data.n, data.d
     rng = np.random.Generator(np.random.PCG64(seed))
     in_row_space = n <= d
     size = n if in_row_space else d
 
     def apply(v):
         if in_row_space:
-            return A @ (A.T @ v) / n
-        return A.T @ (A @ v) / n
+            return data.margins(data.weighted_sum(v)) / n
+        return data.weighted_sum(data.margins(v)) / n
 
     v = rng.standard_normal(size)
     nv = np.linalg.norm(v)
@@ -331,7 +332,7 @@ def smoothness(obj, tol=1e-10, max_iter=10_000):
     l_mean = float(per.mean())
 
     def global_l():
-        lam, ok = power_iteration_sq(obj.data.to_csr(), tol=tol, max_iter=max_iter)
+        lam, ok = power_iteration_sq(obj.data, tol=tol, max_iter=max_iter)
         if not ok:
             return l_mean, False  # trace bound: lam_max <= mean ||a_i||^2
         # L <= L_max holds mathematically; min() only strips float dust

@@ -510,6 +510,8 @@ def _validate(config, obj):
         raise ConfigError("sgd_momentum needs beta in (0,1)")
     if config.method == "sgd_star" and config.x_star is None:
         raise ConfigError("sgd_star needs x_star")
+    if config.gamma is not None and not 0 < config.gamma < np.inf:
+        raise ConfigError("gamma must be positive and finite")
     scheme = config.scheme or uniform_scheme()
     try:
         check_batch(scheme, obj.n)

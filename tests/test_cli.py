@@ -195,6 +195,36 @@ def test_compare_batch_above_n_fails_before_any_output(tmp_path, capsys):
     assert not (outdir / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("args, msg", [
+    (["--gamma", "-1"], "gamma must be"), (["--gamma", "0"], "gamma must be"),
+    (["--gamma", "nan"], "gamma must be"), (["--gamma", "inf"], "gamma must be"),
+    (["--gamma-policy", "fixed:nan"], "gamma must be"), (["--gamma-policy", "fixed:inf"], "gamma must be"),
+    (["--gamma-policy", "armijo:nan"], "gamma_max must be"), (["--gamma-policy", "armijo:inf"], "gamma_max must be"),
+    (["--l2", "nan"], "regularization weights"), (["--l2", "inf"], "regularization weights"),
+    (["--l1", "nan"], "regularization weights"),
+])
+def test_bad_stepsize_or_regularization_exits_1_before_any_output(args, msg, tmp_path, capsys):
+    # these ran (a negative gamma ascended), reported divergence (exit 3) or
+    # died with a traceback; now each is a usage error and nothing is written
+    out = tmp_path / "o.csv"
+    assert _run("run", "--data", "synth:tiny", "--l2", "0.1", "--method", "sag", "--epochs", "2",
+                "--out", str(out), *args) == 1
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+    if args[0] in ("--l2", "--l1"):
+        assert _run("solve-ref", "--data", "synth:tiny", *args, "--out", str(tmp_path / "ref")) == 1
+        assert msg in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+def test_armijo_huge_gamma_max_ends_through_exit_codes(tmp_path, capsys):
+    # the first trials from gamma_max = 1e300 overflow; they backtrack
+    # instead of raising FloatingPointError out of main
+    rc = _run("run", "--data", "synth:tiny", "--l2", "0.1", "--method", "sag", "--gamma-policy", "armijo:1e300",
+              "--epochs", "3", "--out", str(tmp_path / "o.csv"))
+    assert rc == 0 or (rc == 3 and "diverged:" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("top, block, msg", [
     ("", "name = saga\nstop = gap:1e-3", "gap stop rule"),
     ("", "name = sgd_momentum\nbeta = 1.5", "beta"),
@@ -409,24 +439,39 @@ def test_import_cli_without_scipy():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+# the validate checks built on the mushrooms table (n = 8124, 178,728 nonzeros)
+MUSHROOMS_CHECKS = ("benchmark_ordering", "variance_reduction", "sdca_certificates")
+
+
 def test_logistic_processes_load_no_scipy_special(tmp_path):
-    # the logistic full passes run on numpy alone: a process that solves,
-    # runs or compares loads scipy.sparse for its CSR products and never
-    # scipy.special
-    code = ("import sys; from vropt.cli import main; rc = main(sys.argv[1:]); "
-            "mods = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
-            "print(rc, 'scipy.sparse' in mods, sorted(m for m in mods if m.startswith('scipy.special')))")
+    # a process on small data (at most data.NUMPY_MAX_NNZ nonzeros) takes
+    # its products on numpy and loads no scipy module: every validate check
+    # but the mushrooms ones, then solve-ref, run, compare and trace2d. On
+    # the mushrooms table, solve-ref loads scipy.sparse for its products,
+    # and never scipy.special
+    tail = ("mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(rcs, bool(mods), 'scipy.sparse' in mods, [m for m in mods if m.startswith('scipy.special')])")
     spec = tmp_path / "cmp.spec"
     spec.write_text("data = synth:toyclass\nl2 = 0.1\nepochs = 2\nout = %s\n\n[method]\nname = saga\n"
-                    "\n[method]\nname = svrg\n" % (tmp_path / "grid"))
+                    "\n[method]\nname = svrg\n\n[method]\nname = gd\n" % (tmp_path / "grid"))
     objective = ["--data", "synth:toyclass", "--l2", "0.1"]
-    for argv in (["solve-ref", *objective, "--out", str(tmp_path / "ref")],
-                 ["run", *objective, "--method", "saga", "--epochs", "2"],
-                 ["run", *objective, "--method", "svrg", "--epochs", "2"],
-                 ["compare", str(spec)]):
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                              env=_src_env())
-        assert proc.stdout.splitlines()[-1] == "0 True []", (argv, proc.stdout[-500:], proc.stderr)
+    small = [["solve-ref", *objective, "--out", str(tmp_path / "ref")],
+             ["run", *objective, "--method", "saga", "--epochs", "2", "--out", str(tmp_path / "saga.csv")],
+             ["run", *objective, "--method", "svrg", "--epochs", "2", "--out", str(tmp_path / "svrg.csv")],
+             ["compare", str(spec)],
+             ["trace2d", "--data", "synth:blobs2d", "--l2", "0.1", "--method", "sag", "--epochs", "2",
+              "--out", str(tmp_path / "fig")]]
+    checks = [name for name in validate.CHECKS if name not in MUSHROOMS_CHECKS]
+    code = ("import sys; from vropt import validate; from vropt.cli import main; "
+            "rcs = [bool(validate.CHECKS[c]().passed) for c in %r] + [main(a) for a in %r]; " % (checks, small) + tail)
+    env = dict(_src_env(), VROPT_CACHE=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    want = "%s False False []" % ([True] * len(checks) + [0] * len(small))
+    assert proc.stdout.splitlines()[-1] == want, (proc.stdout[-500:], proc.stderr[-2000:])
+    code = ("import sys; from vropt.cli import main; rcs = main(sys.argv[1:]); " + tail)
+    proc = subprocess.run([sys.executable, "-c", code, "solve-ref", "--data", "synth:mushrooms:0", "--l2", "1e-4",
+                           "--out", str(tmp_path / "mref")], capture_output=True, text=True, env=env)
+    assert proc.stdout.splitlines()[-1] == "0 True True []", (proc.stdout[-500:], proc.stderr[-2000:])
 
 
 NON_FINITE = "1 1:0.5 2:nan\n-1 2:1\n1 1:inf\n"

@@ -157,7 +157,7 @@ def test_round_trip_property(rows):
     assert np.array_equal(again.col_values, ds.col_values)
 
 
-def test_csr_matches_rows():
+def test_csr_matches_rows(monkeypatch):
     ds = parse_libsvm(io.StringIO("1 1:2 3:4\n-1 2:-1\n1 1:1 2:1 3:1\n"))
     m = ds.to_csr().toarray()
     dense = np.zeros((3, 3))
@@ -166,13 +166,65 @@ def test_csr_matches_rows():
         dense[i, idx] = vals
     assert np.array_equal(m, dense)
     x = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(ds.margins(x), dense @ x)
-    # A^T s from the cached transpose: the same product as a fresh csr.T,
-    # over the CSR arrays themselves
     s = np.array([0.5, -3.0, 2.0])
-    assert np.array_equal(ds.weighted_sum(s), ds.to_csr().T @ s)
+    assert np.allclose(ds.margins(x), dense @ x)
     assert np.allclose(ds.weighted_sum(s), dense.T @ s)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ds.margins(np.ones(4))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ds.weighted_sum(np.ones((3, 1)))
+    # 6 nonzeros: numpy's engine, which never builds A^T; above the limit,
+    # A^T s comes from the cached transpose, over the CSR arrays themselves
+    assert ds._csr_t is None
+    numpy_products = ds.margins(x), ds.weighted_sum(s)
+    monkeypatch.setattr(data, "NUMPY_MAX_NNZ", 5)
+    assert ds.margins(x).tobytes() == numpy_products[0].tobytes()
+    assert ds.weighted_sum(s).tobytes() == numpy_products[1].tobytes()
     assert np.shares_memory(ds._csr_t.data, ds.to_csr().data)
+
+
+def _random_csr(seed, n, d, nnz):
+    """CSR arrays of an n x d matrix with nnz nonzeros at random places, values
+    spread over many magnitudes and both signs."""
+    rng = np.random.default_rng(seed)
+    flat = np.sort(rng.choice(n * d, size=nnz, replace=False))
+    rows, cols = np.divmod(flat, d)
+    vals = rng.choice([-1.0, 1.0], nnz) * 10.0 ** rng.uniform(-8, 8, nnz)
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), cols, vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30), st.floats(0.0, 1.0),
+       st.sampled_from([None, 0, 1]), st.sampled_from(["random", "zero", "signed_zero"]))
+def test_products_match_scipy_bit_for_bit(seed, n, d, density, at_limit, operand):
+    # both engines give scipy's A x and A^T s byte for byte (signs of zero
+    # included): random small matrices (empty rows, unused columns, nnz = 0)
+    # under either engine, and matrices of NUMPY_MAX_NNZ and one more
+    # nonzero under the engine the limit picks
+    from scipy import sparse
+
+    if at_limit is None:
+        nnz = int(density * n * d)
+    else:
+        n, d, nnz = 80, 100, data.NUMPY_MAX_NNZ + at_limit
+    indptr, cols, vals = _random_csr(seed, n, d, nnz)
+    ds = Dataset(indptr, cols, vals, np.ones(n), d)
+    a = sparse.csr_matrix((vals, cols, indptr), shape=(n, d))
+    rng = np.random.default_rng(seed + 1)
+    x, s = rng.normal(size=d), rng.normal(size=n)
+    if operand == "zero":
+        x, s = np.zeros(d), np.zeros(n)
+    elif operand == "signed_zero":
+        x, s = np.where(rng.random(d) < 0.5, -0.0, x), -np.zeros(n)
+    want = (a @ x).tobytes(), (a.T @ s).tobytes()
+    limits = [data.NUMPY_MAX_NNZ] if at_limit is not None else [nnz, nnz - 1]
+    default = data.NUMPY_MAX_NNZ
+    try:
+        for limit in limits:
+            data.NUMPY_MAX_NNZ = limit
+            assert (ds.margins(x).tobytes(), ds.weighted_sum(s).tobytes()) == want, limit
+    finally:
+        data.NUMPY_MAX_NNZ = default
 
 
 def test_random_source_streams():

@@ -10,6 +10,7 @@ from scipy.special import expit
 
 from vropt import objectives
 from vropt.bench_data import load_dataset, tiny, toy_classification
+from vropt.data import NUMPY_MAX_NNZ
 from vropt.objectives import (
     LOGISTIC,
     LOSSES,
@@ -66,6 +67,14 @@ def test_label_validation():
         GlmObjective(bad, "logistic", l2=0.1)
     # regression accepts arbitrary reals
     GlmObjective(bad, "half_squared", l2=0.1)
+
+
+def test_regularization_must_be_nonnegative_and_finite():
+    # a NaN weight passed `l2 < 0 or l1 < 0` and surfaced later as divergence
+    ds = tiny(seed=0)
+    for l2, l1 in ((np.nan, 0.0), (np.inf, 0.0), (-1.0, 0.0), (0.1, np.nan), (0.1, np.inf), (0.1, -1.0)):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            GlmObjective(ds, "logistic", l2=l2, l1=l1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -204,17 +213,30 @@ class _CountingMatrix:
         return self.a @ v
 
 
+def _count_products(data, products):
+    """Count data's margins and weighted_sum calls into products."""
+    for name in ("margins", "weighted_sum"):
+        real = getattr(data, name)
+        setattr(data, name, lambda v, real=real: products.append(1) or real(v))
+
+
 @pytest.mark.parametrize("name", ["toy", "toy_wide", "mushrooms"])
 def test_power_iteration_takes_one_product_pair_per_iteration(name):
-    # the same lambda bits as the loop that took B v twice per iteration,
-    # with 2 CSR products per iteration instead of 4 (plus 2 at the start,
-    # where the old loop paid 2 on return); converged and cut-short runs
+    # the same lambda bits as the loop that took B v twice per iteration on
+    # a scipy matrix, with 2 Dataset products per iteration instead of 4
+    # (plus 2 at the start, where the old loop paid 2 on return); converged
+    # and cut-short runs, on numpy's engine (toy, toy_wide) and scipy's
+    # (mushrooms)
     data = {"toy": lambda: toy_classification(seed=0), "toy_wide": lambda: toy_classification(seed=1, n=5, d=20),
             "mushrooms": lambda: load_dataset("synth:mushrooms:0")}[name]()
+    assert (data.col_values.size <= NUMPY_MAX_NNZ) == (name != "mushrooms")
     A = data.to_csr()
+    new = []
+    _count_products(data, new)
     for max_iter in (10_000, 3):
-        new, old = [], []
-        got = objectives.power_iteration_sq(_CountingMatrix(A, new), max_iter=max_iter)
+        new.clear()
+        old = []
+        got = objectives.power_iteration_sq(data, max_iter=max_iter)
         want = _power_iteration_old(_CountingMatrix(A, old), max_iter=max_iter)
         assert got == want and type(got[0]) is float
         iterations = (len(old) - 2) // 4 if want[1] else max_iter

@@ -334,6 +334,9 @@ def test_config_validation():
         (RunConfig(method="sdca", stop="grad:1e-6"), obj),
         (RunConfig(method="gd", policy=armijo_policy()), obj),
         (RunConfig(method="saga", gamma=0.1, jit="of"), obj),
+        # a negative gamma ran (and ascended), 0 ran without moving, and NaN
+        # or inf surfaced as divergence at the first checkpoint
+        *((RunConfig(method=m, gamma=g), obj) for m in ("sag", "svrg", "gd") for g in (-1.0, 0.0, np.nan, np.inf)),
     ]
     for config, o in cases:
         with pytest.raises(ConfigError):

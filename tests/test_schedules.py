@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vropt.objectives import GlmObjective, smoothness
 from vropt.schedules import (
     StepsizePolicy,
     armijo_policy,
+    armijo_stochastic,
     default_stepsize,
     fixed_policy,
     lipschitz_scheme,
@@ -29,6 +31,11 @@ def test_scheme_validation():
         lipschitz_scheme([1.0, -1.0])
     with pytest.raises(ValueError):
         lipschitz_scheme([0.0, 0.0])
+    # an inf weight took every draw (probs [0, nan, 0]), a NaN weight made
+    # every probability NaN and every draw index 0
+    for weights in ([1.0, np.inf, 2.0], [1.0, np.nan, 2.0]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lipschitz_scheme(weights)
 
 
 def test_sample_uniform_batches():
@@ -92,6 +99,24 @@ def test_policy_validation():
         StepsizePolicy("adaptive")
     with pytest.raises(ValueError):
         armijo_policy(c=1.5)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            fixed_policy(bad)
+        with pytest.raises(ValueError, match="gamma_max must be positive and finite"):
+            armijo_policy(gamma_max=bad)
+
+
+def test_armijo_backtracks_past_non_finite_trials():
+    # from gamma_max = 1e300 the first trials overflow to inf; they fail the
+    # decrease test and halve like any other, without a warning
+    obj = GlmObjective(toy_classification(seed=0, n=10, d=3), "half_squared", l2=0.1)
+    x = np.ones(obj.d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = armijo_stochastic(obj, 0, x, armijo_policy(gamma_max=1e300))
+    assert 0 < gamma < 1e300
+    gi = obj.grad_i(x, 0)
+    assert obj.value_i(x - gamma * gi, 0) < obj.value_i(x, 0) - 0.5 * gamma * float(gi @ gi)
 
 
 def test_minibatch_smoothness_endpoints():

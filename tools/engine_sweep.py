@@ -1,7 +1,10 @@
-"""Calibration sweep for sparse_jit.LAZY_MIN_D: eager against lazy steps of
-the table kernels (sag, saga) and the shift kernel (sgd, svrg).
+"""Calibration sweeps for the engine limits: sparse_jit.LAZY_MIN_D (eager
+against lazy steps of the table kernels sag, saga and the shift kernel sgd,
+svrg) and, with --products, data.NUMPY_MAX_NNZ (numpy against scipy.sparse
+full products).
 
     PYTHONPATH=src python3 tools/engine_sweep.py [--n 2000] [--epochs 2] [--repeats 3]
+    PYTHONPATH=src python3 tools/engine_sweep.py --products [--repeats 3]
 
 For each width d and row length (nonzeros per row) it builds a random sparse
 logistic problem (n rows, columns uniform without repeats, l2 = 1/n, step
@@ -11,13 +14,27 @@ evaluation, the engine jit = auto picks, and auto's time over the faster
 forced engine's. A run's two checkpoints are inside the timing, and so are
 svrg's refreshes (one full pass per stage of n steps, the same work in both
 engines).
+
+--products times one product pair (Dataset.margins and weighted_sum) per
+nonzero count, under each engine (best of --repeats, engines alternating;
+rows of 20 nonzeros, d = 1000), and measures what importing scipy.sparse
+costs a fresh process (best of 3). It prints the pairs a process must make
+before scipy's faster products repay that import, and the engine the
+current NUMPY_MAX_NNZ picks. The limit is the largest size at which that
+takes at least PAYBACK_PAIRS pairs: more than a process on small data
+makes, since a run or compare takes one pair per checkpoint or svrg
+refresh, and gd and the reference solve one per iteration (about 630 for
+the reference solve on mushrooms).
 """
 
 import argparse
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+from vropt import data as vdata
 from vropt.data import Dataset
 from vropt.objectives import GlmObjective, smoothness
 from vropt.optimizers import RunConfig, run
@@ -26,6 +43,11 @@ from vropt.sparse_jit import choose_engine
 WIDTHS = (100, 1000, 3000, 10_000, 15_000, 20_000, 30_000, 100_000)
 ROW_NNZ = (5, 20, 60)
 METHODS = ("sag", "saga", "sgd", "svrg")
+PRODUCT_NNZ = (500, 1000, 2000, 3000, 5000, 7000, 10_000, 20_000, 200_000)
+PAYBACK_PAIRS = 5000
+IMPORT_PROBE = ("import resource, time, numpy; r0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+                "t0 = time.perf_counter(); import scipy.sparse; t1 = time.perf_counter(); "
+                "print(t1 - t0, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - r0) / 1024)")
 
 
 def problem(n, d, k, seed=0):
@@ -44,12 +66,56 @@ def us_per_eval(obj, method, jit, epochs, gamma):
     return (time.perf_counter() - t0) / res.grad_evals * 1e6
 
 
+def us_per_pair(data, limit, pairs):
+    """Microseconds per margins + weighted_sum pair with NUMPY_MAX_NNZ = limit."""
+    x, s = np.ones(data.d), np.ones(data.n)
+    default, vdata.NUMPY_MAX_NNZ = vdata.NUMPY_MAX_NNZ, limit
+    try:
+        data.weighted_sum(data.margins(x))  # scipy's import and A^T outside the timing
+        t0 = time.perf_counter()
+        for _ in range(pairs):
+            data.margins(x)
+            data.weighted_sum(s)
+        return (time.perf_counter() - t0) / pairs * 1e6
+    finally:
+        vdata.NUMPY_MAX_NNZ = default
+
+
+def products(repeats):
+    probes = [subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                             check=True).stdout.split() for _ in range(3)]
+    import_s = min(float(t) for t, _ in probes)
+    print("import scipy.sparse: %.3f s, %.1f MB RSS" % (import_s, min(float(mb) for _, mb in probes)))
+    print("| nnz | numpy us/pair | scipy us/pair | pairs to repay the import | engine |")
+    print("| --- | --- | --- | --- | --- |")
+    limit = 0
+    for nnz in PRODUCT_NNZ:
+        data = problem(nnz // 20, 1000, 20).data
+        pairs = max(10, 200_000 // nnz)
+        best = {"numpy": np.inf, "scipy": np.inf}
+        for r in range(repeats):
+            for engine in (("numpy", "scipy") if r % 2 == 0 else ("scipy", "numpy")):
+                best[engine] = min(best[engine], us_per_pair(data, nnz if engine == "numpy" else -1, pairs))
+        extra = best["numpy"] - best["scipy"]
+        payback = import_s * 1e6 / extra if extra > 0 else np.inf
+        if payback >= PAYBACK_PAIRS:
+            limit = nnz
+        print("| %d | %.1f | %.1f | %s | %s |" % (nnz, best["numpy"], best["scipy"],
+                                                "never" if payback == np.inf else "%.0f" % payback,
+                                                "numpy" if nnz <= vdata.NUMPY_MAX_NNZ else "scipy"), flush=True)
+    print("largest size repaid after >= %d pairs: %d (NUMPY_MAX_NNZ = %d)" % (PAYBACK_PAIRS, limit, vdata.NUMPY_MAX_NNZ))
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--epochs", type=float, default=2.0)
     p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--products", action="store_true", help="sweep data.NUMPY_MAX_NNZ instead")
     ns = p.parse_args()
+    if ns.products:
+        products(ns.repeats)
+        return
     print("| method | d | nnz/row | eager us/eval | lazy us/eval | auto | auto / best |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
     worst = 0.0
