@@ -24,12 +24,20 @@ RowView = namedtuple("RowView", "indices values")
 
 # Datasets with at most this many stored entries take their full products
 # (Dataset.margins and weighted_sum) on numpy's bincount; larger ones on
-# scipy.sparse, imported at the first such product. The import costs a
-# process about 0.2 s and 14 MB of RSS. At 5,000 nonzeros scipy's faster
-# products repay it only after 5,000-6,400 product pairs, more than a
-# process on such data makes; at 7,000, after about 4,000. Measured on a
-# 2-vCPU x86 VM with tools/engine_sweep.py --products, which re-measures it.
-NUMPY_MAX_NNZ = 5000
+# scipy.sparse, imported at the first such product (0.14-0.20 s and 22 MB
+# of peak RSS in a fresh process). From about 1,000 nonzeros up numpy's
+# products are the slower ones, so the limit is the largest size at which
+# the small-data process making the most products still gains: `vropt
+# validate`, 12,794 A x and 1,255 A^T s (an oracle_suite cycle 12,593 and
+# 1,255, a trace2d 3,743 and 11, a compare of every method at most 783 and
+# 534, a solve-ref at most 268 and 267). Taken at 3,000 nonzeros those cost
+# it 31-94 ms less than scipy with its import in each of four sweeps; at
+# 4,000, from 39 ms less to 17 ms more. A process that makes more (a long
+# gd run) trades wall time for RSS here: at 3,000 numpy takes 12-14 us more
+# per pair, so scipy repays its import after 10,000-16,000 pairs. Measured
+# on a 2-vCPU x86 VM with tools/engine_sweep.py --products, which recounts
+# and re-measures it.
+NUMPY_MAX_NNZ = 3000
 
 
 class Dataset:
