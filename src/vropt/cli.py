@@ -139,17 +139,20 @@ def _read_xstar(path, dim):
 
 
 def _read_fstar(text):
-    """--fstar takes a literal number or a path to a scalar file."""
+    """--fstar takes a literal number or a path to a scalar file; either way
+    a non-finite f* is a usage error."""
     try:
-        return float(text)
+        f_star = float(text)
     except ValueError:
-        pass
-    try:
-        return vecio.read_scalar_text(text)
-    except FileNotFoundError:
-        raise IoError("fstar file not found: %s" % text)
-    except (OSError, ValueError) as e:
-        raise IoError("bad fstar file %s: %s" % (text, e))
+        try:
+            f_star = vecio.read_scalar_text(text)
+        except FileNotFoundError:
+            raise IoError("fstar file not found: %s" % text)
+        except (OSError, ValueError) as e:
+            raise IoError("bad fstar file %s: %s" % (text, e))
+    if not np.isfinite(f_star):
+        raise UsageError("--fstar must be finite, got %r from %s" % (f_star, text))
+    return f_star
 
 
 def _scheme(ns, obj):

@@ -22,22 +22,23 @@ class ParseError(ValueError):
 
 RowView = namedtuple("RowView", "indices values")
 
-# Datasets with at most this many stored entries take their full products
-# (Dataset.margins and weighted_sum) on numpy's bincount; larger ones on
-# scipy.sparse, imported at the first such product (0.14-0.20 s and 22 MB
-# of peak RSS in a fresh process). From about 1,000 nonzeros up numpy's
-# products are the slower ones, so the limit is the largest size at which
-# the small-data process making the most products still gains: `vropt
-# validate`, 12,794 A x and 1,255 A^T s (an oracle_suite cycle 12,593 and
-# 1,255, a trace2d 3,743 and 11, a compare of every method at most 783 and
-# 534, a solve-ref at most 268 and 267). Taken at 3,000 nonzeros those cost
-# it 31-94 ms less than scipy with its import in each of four sweeps; at
-# 4,000, from 39 ms less to 17 ms more. A process that makes more (a long
-# gd run) trades wall time for RSS here: at 3,000 numpy takes 12-14 us more
-# per pair, so scipy repays its import after 10,000-16,000 pairs. Measured
-# on a 2-vCPU x86 VM with tools/engine_sweep.py --products, which recounts
-# and re-measures it.
-NUMPY_MAX_NNZ = 3000
+# A Dataset takes its full products (margins, A x, and weighted_sum, A^T s)
+# on numpy until they have pushed this many stored entries, then on
+# scipy.sparse, imported at that point: the rent-or-buy rule. Loading
+# scipy.sparse costs a fresh process 0.14-0.20 s and 22 MB of peak RSS (and
+# int32 copies of the index arrays); numpy's products cost 2-5 ns more per
+# entry. The budget is the traffic at which numpy's extra time equals the
+# load, so a process pays at most about twice what the better engine in
+# hindsight would cost it. Five sweeps of tools/engine_sweep.py --products
+# on a 2-vCPU x86 VM put it at 49-64M entries. Most processes stay under it
+# and never load scipy: at most 3.0M entries per dataset in a validate
+# check on small data, 8.0M in a run on a 1M-nonzero file, 28.6M in a
+# compare over the mushrooms table (179k nonzeros) with its reference
+# cached. A cold reference solve on that table pushes 230M and loads it.
+NUMPY_BUDGET_NNZ = 50_000_000
+# Above this many stored entries numpy's products run in row-aligned chunks
+# of about this size, so no nnz-sized temporary exists.
+CHUNK_NNZ = 1 << 16
 
 
 class Dataset:
@@ -64,10 +65,13 @@ class Dataset:
         if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
             raise ValueError("indptr must rise monotonically from 0 to nnz=%d" % nnz)
         if nnz:
-            starts = np.zeros(nnz, dtype=bool)
-            starts[indptr[:-1][np.diff(indptr) > 0]] = True  # a row's first entry
-            if (np.diff(indices)[~starts[1:]] <= 0).any():
+            # bool temporaries only: this check can set a large file's peak
+            falls = indices[1:] <= indices[:-1]
+            cuts = indptr[1:-1]
+            falls[cuts[(cuts > 0) & (cuts < nnz)] - 1] = False  # steps into a new row
+            if falls.any():
                 raise ValueError("indices must be strictly increasing")
+            del falls
             if indices.min() < 0 or indices.max() >= d:
                 raise ValueError("index out of range for dim=%d" % d)
         labels = np.array(labels, dtype=np.float64)
@@ -87,6 +91,7 @@ class Dataset:
         self._csr = None
         self._csr_t = None
         self._rows = None
+        self._pushed = 0  # stored entries through numpy's products
         self._hash = None
 
     def row(self, i):
@@ -104,8 +109,7 @@ class Dataset:
 
     def to_csr(self):
         """scipy CSR matrix of shape (n, d) over the dataset's own arrays;
-        built once, cached. Only the products of a dataset above
-        NUMPY_MAX_NNZ build it."""
+        built once, cached. Only products past NUMPY_BUDGET_NNZ build it."""
         if self._csr is None:
             from scipy import sparse
 
@@ -114,24 +118,56 @@ class Dataset:
             )
         return self._csr
 
+    def _on_numpy(self):
+        """True while this dataset's products stay on numpy (and counts this
+        one's entries); False once they have pushed NUMPY_BUDGET_NNZ."""
+        if self._pushed >= NUMPY_BUDGET_NNZ:
+            return False
+        self._pushed += self.col_values.size
+        return True
+
     def _entry_rows(self):
-        """Row index of every stored entry, in CSR order; built once."""
+        """Row index of every stored entry, in CSR order; built once, for
+        data of one chunk only."""
         if self._rows is None:
             self._rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         return self._rows
+
+    def _chunks(self):
+        """(first row, end row, first entry, end entry, row of each entry
+        counted from the first row) of each row-aligned chunk of at most
+        CHUNK_NNZ stored entries (a longer row is a chunk of its own), each
+        chunk's rows built as it comes, so no nnz-sized array is made."""
+        indptr = self.indptr
+        r0 = 0
+        while r0 < self.n:
+            lo = int(indptr[r0])
+            r1 = max(r0 + 1, int(np.searchsorted(indptr, lo + CHUNK_NNZ, "right")) - 1)
+            hi = int(indptr[r1])
+            yield r0, r1, lo, hi, np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
+            r0 = r1
 
     def margins(self, x):
         """All a_i^T x as one vector of length n.
 
         Row i's terms a_ij x_j are summed left to right in column order,
         starting from 0.0, as scipy's CSR loop sums them, so both engines
-        give the same bits: numpy's bincount up to NUMPY_MAX_NNZ nonzeros,
-        scipy.sparse above.
+        give the same bits: numpy's bincount (chunk by chunk above
+        CHUNK_NNZ entries) until the dataset's products have pushed
+        NUMPY_BUDGET_NNZ entries, then scipy.sparse.
         """
         x = _operand(x, self.d)
-        if self.col_values.size > NUMPY_MAX_NNZ:
+        if not self._on_numpy():
             return self.to_csr() @ x
-        return np.bincount(self._entry_rows(), weights=self.col_values * x[self.col_indices], minlength=self.n)
+        if self.col_values.size <= CHUNK_NNZ:
+            return _bin_sums(self._entry_rows(), self.col_values * x[self.col_indices], self.n)
+        out = np.empty(self.n)
+        for r0, r1, lo, hi, rows in self._chunks():
+            terms = x[self.col_indices[lo:hi]]
+            terms *= self.col_values[lo:hi]
+            out[r0:r1] = np.bincount(rows, weights=terms, minlength=r1 - r0)
+            del rows, terms  # before the next chunk's are built
+        return out
 
     def weighted_sum(self, s):
         """sum_i s_i a_i, i.e. A^T s, as one vector of length d.
@@ -139,19 +175,36 @@ class Dataset:
         Coordinate j's terms s_i a_ij are summed left to right in row order,
         starting from 0.0, as scipy's CSC loop over A^T sums them (A^T is
         built once, as a CSC view over the CSR arrays); the engine is chosen
-        as in margins.
+        as in margins. Above CHUNK_NNZ entries each chunk adds its terms to
+        the running sums in entry order (np.add.at); a bincount per chunk
+        added afterwards would round differently.
         """
         s = _operand(s, self.n)
-        if self.col_values.size > NUMPY_MAX_NNZ:
+        if not self._on_numpy():
             if self._csr_t is None:
                 self._csr_t = self.to_csr().T
             return self._csr_t @ s
-        return np.bincount(self.col_indices, weights=self.col_values * s[self._entry_rows()], minlength=self.d)
+        if self.col_values.size <= CHUNK_NNZ:
+            return _bin_sums(self.col_indices, self.col_values * s[self._entry_rows()], self.d)
+        out = np.zeros(self.d)
+        for r0, r1, lo, hi, rows in self._chunks():
+            terms = s[r0:r1][rows]
+            terms *= self.col_values[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):  # silent, as bincount and scipy are
+                np.add.at(out, self.col_indices[lo:hi], terms)
+            del rows, terms
+        return out
+
+
+def _bin_sums(bins, weights, size):
+    """np.bincount's weighted sums, float64 also over no entries (where
+    numpy gives int64 zeros)."""
+    return np.bincount(bins, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
 def _operand(v, size):
-    """v as a 1-d array of the given length."""
-    v = np.asarray(v)
+    """v as a 1-d float64 array of the given length."""
+    v = np.asarray(v, dtype=np.float64)
     if v.shape != (size,):
         raise ValueError("dimension mismatch: operand of shape %s, want (%d,)" % (v.shape, size))
     return v

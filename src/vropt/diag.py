@@ -58,9 +58,14 @@ class StopRule:
         if text is None or text == "epochs":
             return StopRule("epochs")
         kind, sep, eps = text.partition(":")
-        if kind not in ("grad", "gbar", "gap") or not sep:
-            raise ValueError("bad stop rule %r (grad:EPS, gbar:EPS, gap:EPS, epochs)" % text)
-        return StopRule(kind, float(eps))
+        try:
+            eps = float(eps)
+        except ValueError:
+            eps = math.nan
+        # a NaN, negative or infinite EPS would never (or always) fire
+        if kind not in ("grad", "gbar", "gap") or not sep or not 0 <= eps < math.inf:
+            raise ValueError("bad stop rule %r (grad:EPS, gbar:EPS, gap:EPS, epochs; EPS finite and >= 0)" % text)
+        return StopRule(kind, eps)
 
 
 def should_stop(rule, record):

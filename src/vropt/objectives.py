@@ -198,32 +198,34 @@ class GlmObjective:
 
     # -- full-pass quantities (vectorized over examples) ------------------
 
-    def full_value(self, x):
-        """Smooth objective f(x); excludes the l1 term."""
-        m = self.data.margins(x)
+    def full_value(self, x, margins=None):
+        """Smooth objective f(x); excludes the l1 term. margins: A x, when
+        the caller already has it (here and below)."""
+        m = self.data.margins(x) if margins is None else margins
         v = float(np.mean(self.loss.value_vec(m, self.labels)))
         return v + 0.5 * self.l2 * float(np.dot(x, x))
 
-    def objective_value(self, x):
+    def objective_value(self, x, margins=None):
         """f(x) + l1*||x||_1, the quantity traces report."""
-        v = self.full_value(x)
+        v = self.full_value(x, margins)
         if self.l1:
             v += self.l1 * float(np.abs(x).sum())
         return v
 
-    def loss_scalars(self, x):
+    def loss_scalars(self, x, margins=None):
         """Vector of loss'(a_i^T x, b_i) for all i."""
         if not self.loss.smooth:
             raise NonSmoothError("non-smooth loss: %s" % self.loss.name)
-        return self.loss.deriv_vec(self.data.margins(x), self.labels)
+        m = self.data.margins(x) if margins is None else margins
+        return self.loss.deriv_vec(m, self.labels)
 
-    def loss_grad_full(self, x):
+    def loss_grad_full(self, x, margins=None):
         """(1/n) sum_i loss'_i a_i, the loss part of the full gradient."""
-        s = self.loss_scalars(x)
+        s = self.loss_scalars(x, margins)
         return self.data.weighted_sum(s) / self.n
 
-    def full_grad(self, x):
-        return self.loss_grad_full(x) + self.l2 * x
+    def full_grad(self, x, margins=None):
+        return self.loss_grad_full(x, margins) + self.l2 * x
 
     def prox(self, gamma, z):
         """argmin_x 0.5||x-z||^2 + gamma*l1*||x||_1 (identity when l1=0)."""

@@ -621,7 +621,8 @@ class Recorder:
         if self.lazy is not None:
             self.lazy.materialize()
         config, obj, state = self.config, self.obj, self.state
-        f = obj.objective_value(x)
+        m = obj.data.margins(x)  # one A x for f and the gradient norm
+        f = obj.objective_value(x, m)
         if not np.isfinite(f):
             raise DivergenceError("objective diverged (gamma=%s)" % self.gamma, gamma=self.gamma, records=self.records)
         rec = TraceRecord(epoch=evals / obj.n, grad_evals=evals, f=f)
@@ -632,7 +633,7 @@ class Recorder:
         elif self.rule.kind == "gbar":
             rec.grad_norm = float(np.linalg.norm(state.gsum / state.n + obj.l2 * x))
         elif obj.loss.smooth:
-            rec.grad_norm = float(np.linalg.norm(obj.full_grad(x)))
+            rec.grad_norm = float(np.linalg.norm(obj.full_grad(x, m)))
         if self.var_due and self.var_due[0] <= rec.epoch:
             self.var_due = [e for e in self.var_due if e > rec.epoch]
             rec.var_est = enum_stats(obj, method_kernel(config.method, obj, 1, state), x)[1]

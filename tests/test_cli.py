@@ -217,6 +217,25 @@ def test_bad_stepsize_or_regularization_exits_1_before_any_output(args, msg, tmp
         assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("args, msg", [
+    (["--fstar", "nan"], "--fstar must be finite"), (["--fstar", "inf"], "--fstar must be finite"),
+    (["--fstar", "FILE"], "--fstar must be finite"),
+    (["--stop", "grad:nan"], "bad stop rule"), (["--stop", "grad:-1"], "bad stop rule"),
+    (["--stop", "gap:inf"], "bad stop rule"),
+])
+def test_bad_fstar_or_stop_rule_exits_1_before_any_output(args, msg, tmp_path, capsys):
+    # a non-finite f* (literal or from a file) wrote nan subopt cells, and a
+    # NaN, negative or infinite stop EPS never fired; both exited 0
+    fstar = tmp_path / "f.txt"
+    fstar.write_text("nan\n")
+    out = tmp_path / "o.csv"
+    args = [str(fstar) if a == "FILE" else a for a in args]
+    assert _run("run", "--data", "synth:tiny", "--l2", "0.1", "--method", "sag", "--epochs", "2",
+                "--out", str(out), *args) == 1
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_armijo_huge_gamma_max_ends_through_exit_codes(tmp_path, capsys):
     # the first trials from gamma_max = 1e300 overflow; they backtrack
     # instead of raising FloatingPointError out of main
@@ -444,23 +463,28 @@ MUSHROOMS_CHECKS = ("benchmark_ordering", "variance_reduction", "sdca_certificat
 
 
 def test_logistic_processes_load_no_scipy_special(tmp_path):
-    # a process on small data (at most data.NUMPY_MAX_NNZ nonzeros) takes
-    # its products on numpy and loads no scipy module: every validate check
-    # but the mushrooms ones, then solve-ref, run, compare and trace2d. On
-    # the mushrooms table, solve-ref loads scipy.sparse for its products,
-    # and never scipy.special
+    # a process whose products stay within data.NUMPY_BUDGET_NNZ takes them
+    # on numpy and loads no scipy module: every validate check but the
+    # mushrooms ones, then solve-ref, run, compare and trace2d on small data,
+    # and a run on a LIBSVM file of 80,000 nonzeros (numpy's products in
+    # chunks). On the mushrooms table, solve-ref's products pass the budget
+    # and load scipy.sparse, and never scipy.special
     tail = ("mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
             "print(rcs, bool(mods), 'scipy.sparse' in mods, [m for m in mods if m.startswith('scipy.special')])")
     spec = tmp_path / "cmp.spec"
     spec.write_text("data = synth:toyclass\nl2 = 0.1\nepochs = 2\nout = %s\n\n[method]\nname = saga\n"
                     "\n[method]\nname = svrg\n\n[method]\nname = gd\n" % (tmp_path / "grid"))
     objective = ["--data", "synth:toyclass", "--l2", "0.1"]
+    svm = tmp_path / "wide.svm"
+    svm.write_text(write_libsvm(sparse_gaussian(seed=3, n=4000, d=2000, density=0.01)))
     small = [["solve-ref", *objective, "--out", str(tmp_path / "ref")],
              ["run", *objective, "--method", "saga", "--epochs", "2", "--out", str(tmp_path / "saga.csv")],
              ["run", *objective, "--method", "svrg", "--epochs", "2", "--out", str(tmp_path / "svrg.csv")],
              ["compare", str(spec)],
              ["trace2d", "--data", "synth:blobs2d", "--l2", "0.1", "--method", "sag", "--epochs", "2",
-              "--out", str(tmp_path / "fig")]]
+              "--out", str(tmp_path / "fig")],
+             ["run", "--data", str(svm), "--l2", "1e-3", "--method", "saga", "--epochs", "1",
+              "--out", str(tmp_path / "wide.csv")]]
     checks = [name for name in validate.CHECKS if name not in MUSHROOMS_CHECKS]
     code = ("import sys; from vropt import validate; from vropt.cli import main; "
             "rcs = [bool(validate.CHECKS[c]().passed) for c in %r] + [main(a) for a in %r]; " % (checks, small) + tail)

@@ -1,6 +1,8 @@
 import hashlib
 import io
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +160,7 @@ def test_round_trip_property(rows):
 
 
 def test_csr_matches_rows(monkeypatch):
+    monkeypatch.setattr(data, "NUMPY_BUDGET_NNZ", 24)
     ds = parse_libsvm(io.StringIO("1 1:2 3:4\n-1 2:-1\n1 1:1 2:1 3:1\n"))
     m = ds.to_csr().toarray()
     dense = np.zeros((3, 3))
@@ -173,11 +176,12 @@ def test_csr_matches_rows(monkeypatch):
         ds.margins(np.ones(4))
     with pytest.raises(ValueError, match="dimension mismatch"):
         ds.weighted_sum(np.ones((3, 1)))
-    # 6 nonzeros: numpy's engine, which never builds A^T; above the limit,
-    # A^T s comes from the cached transpose, over the CSR arrays themselves
+    # within the budget (here 24 entries: the four products above and below
+    # push 6 each) numpy's engine, which never builds A^T; past it, A^T s
+    # comes from the cached transpose, over the CSR arrays themselves
     assert ds._csr_t is None
     numpy_products = ds.margins(x), ds.weighted_sum(s)
-    monkeypatch.setattr(data, "NUMPY_MAX_NNZ", 5)
+    assert ds._csr_t is None
     assert ds.margins(x).tobytes() == numpy_products[0].tobytes()
     assert ds.weighted_sum(s).tobytes() == numpy_products[1].tobytes()
     assert np.shares_memory(ds._csr_t.data, ds.to_csr().data)
@@ -193,22 +197,26 @@ def _random_csr(seed, n, d, nnz):
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), cols, vals
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30), st.floats(0.0, 1.0),
-       st.sampled_from([None, 0, 1]), st.sampled_from(["random", "zero", "signed_zero"]))
-def test_products_match_scipy_bit_for_bit(seed, n, d, density, at_limit, operand):
+       st.booleans(), st.booleans(), st.sampled_from([None, 1, 2, 3, 7]),
+       st.sampled_from(["random", "zero", "signed_zero"]))
+def test_products_match_scipy_bit_for_bit(seed, n, d, density, big, gaps, chunk, operand):
     # both engines give scipy's A x and A^T s byte for byte (signs of zero
-    # included): random small matrices (empty rows, unused columns, nnz = 0)
-    # under either engine, and matrices of NUMPY_MAX_NNZ and one more
-    # nonzero under the engine the limit picks
+    # included), as float64 (also for nnz = 0): random small matrices, or
+    # (big) 80 x 100 ones of 3,001 nonzeros, with unused columns and (gaps)
+    # runs of empty rows, at budget 0 (scipy's
+    # engine), infinite (numpy's) and nnz (one numpy product, then scipy's);
+    # numpy in one chunk, or (chunk) in chunks of so few entries that rows
+    # outgrow them and empty rows fall at their edges
     from scipy import sparse
 
-    if at_limit is None:
-        nnz = int(density * n * d)
-    else:
-        n, d, nnz = 80, 100, data.NUMPY_MAX_NNZ + at_limit
+    n, d, nnz = (80, 100, 3001) if big else (n, d, int(density * n * d))
     indptr, cols, vals = _random_csr(seed, n, d, nnz)
-    ds = Dataset(indptr, cols, vals, np.ones(n), d)
+    if gaps:
+        lens = np.diff(indptr) * (np.random.default_rng(seed).random(n) < 0.5)
+        keep = np.repeat(lens > 0, np.diff(indptr))
+        indptr, cols, vals = np.concatenate(([0], np.cumsum(lens))), cols[keep], vals[keep]
     a = sparse.csr_matrix((vals, cols, indptr), shape=(n, d))
     rng = np.random.default_rng(seed + 1)
     x, s = rng.normal(size=d), rng.normal(size=n)
@@ -217,14 +225,57 @@ def test_products_match_scipy_bit_for_bit(seed, n, d, density, at_limit, operand
     elif operand == "signed_zero":
         x, s = np.where(rng.random(d) < 0.5, -0.0, x), -np.zeros(n)
     want = (a @ x).tobytes(), (a.T @ s).tobytes()
-    limits = [data.NUMPY_MAX_NNZ] if at_limit is not None else [nnz, nnz - 1]
-    default = data.NUMPY_MAX_NNZ
+    defaults = data.NUMPY_BUDGET_NNZ, data.CHUNK_NNZ
     try:
-        for limit in limits:
-            data.NUMPY_MAX_NNZ = limit
-            assert (ds.margins(x).tobytes(), ds.weighted_sum(s).tobytes()) == want, limit
+        data.CHUNK_NNZ = chunk or data.CHUNK_NNZ
+        for budget in (0, vals.size, math.inf):
+            data.NUMPY_BUDGET_NNZ = budget
+            ds = Dataset(indptr, cols, vals, np.ones(n), d)
+            for _ in range(2):
+                got = ds.margins(x), ds.weighted_sum(s)
+                assert [g.dtype for g in got] == [np.float64] * 2
+                assert tuple(g.tobytes() for g in got) == want, budget
     finally:
-        data.NUMPY_MAX_NNZ = default
+        data.NUMPY_BUDGET_NNZ, data.CHUNK_NNZ = defaults
+
+
+def test_large_products_and_validation_make_no_nnz_sized_temporary(monkeypatch):
+    # 8 chunks of entries (2^19, rows of 32): numpy's products run chunk by
+    # chunk and the constructor checks index order with bool temporaries, so
+    # neither peaks near one nnz-sized int64 or float64 array (4 MiB) above
+    # its output; the products keep scipy's bits
+    from scipy import sparse
+
+    monkeypatch.setattr(data, "NUMPY_BUDGET_NNZ", math.inf)
+    n, k, d = 1 << 14, 32, 1 << 12
+    nnz = n * k
+    assert nnz == 8 * data.CHUNK_NNZ
+    rng = np.random.default_rng(0)
+    cols = np.sort(rng.random((n, d)).argpartition(k, axis=1)[:, :k], axis=1).ravel()
+    vals = rng.normal(size=nnz)
+    indptr = np.arange(n + 1) * k
+    labels = np.ones(n)
+    chunk = data.CHUNK_NNZ * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ds = Dataset(indptr, cols, vals, labels, d)
+        built = tracemalloc.get_traced_memory()[1] - base
+        x, s = rng.normal(size=d), rng.normal(size=n)
+        peaks = []
+        for product, v, size in ((ds.margins, x, n), (ds.weighted_sum, s, d)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            product(v)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base - 8 * size)
+    finally:
+        tracemalloc.stop()
+    assert built <= 2 * nnz + 8 * n + 64_000, built  # two bool arrays, labels
+    assert max(peaks) <= 4 * chunk + 8 * n + 64_000, peaks  # a few chunk-sized arrays
+    a = sparse.csr_matrix((vals, cols, indptr), shape=(n, d))
+    assert ds.margins(x).tobytes() == (a @ x).tobytes()
+    assert ds.weighted_sum(s).tobytes() == (a.T @ s).tobytes()
 
 
 def test_random_source_streams():

@@ -221,7 +221,8 @@ def test_stop_rules():
     assert StopRule.parse("grad:1e-8").eps == 1e-8
     assert StopRule.parse(None).kind == "epochs"
     assert StopRule.parse("epochs").kind == "epochs"
-    for bad in ("grad", "grad:", "loss:1e-3", "gap"):
+    assert StopRule.parse("gap:0").eps == 0.0
+    for bad in ("grad", "grad:", "loss:1e-3", "gap", "grad:nan", "grad:-1", "gbar:inf", "gap:-inf", "grad:x"):
         with pytest.raises(ValueError):
             StopRule.parse(bad)
     rec = TraceRecord(epoch=1.0, grad_evals=10, f=0.5, grad_norm=1e-9, gap=None)

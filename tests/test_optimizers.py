@@ -1,12 +1,15 @@
 import hashlib
+import io
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from vropt import data as vdata
 from vropt.bench_data import blobs_2d, sparse_gaussian, tiny, toy_classification, toy_regression
 from vropt.data import Dataset, RandomSource
-from vropt.diag import dual_objective, solve_reference
+from vropt.diag import dual_objective, solve_reference, write_trace
 from vropt.objectives import GlmObjective, smoothness
 from vropt.optimizers import (
     DRAW_BLOCK,
@@ -178,6 +181,43 @@ def test_checkpoint_cadence():
     assert [r.epoch for r in res.records] == [0, 1, 2, 3, 4, 5]
     res2 = run(RunConfig(method="saga", epochs=5.0, seed=0, checkpoint_every=2.0), obj)
     assert [r.epoch for r in res2.records] == [0, 2, 4, 5]
+
+
+def test_checkpoint_takes_one_product_pair():
+    # a smooth checkpoint takes f and its gradient norm from one A x (and
+    # one A^T s); a gbar checkpoint reads the table's sum, so A x alone
+    obj = GlmObjective(toy_classification(seed=0, n=50, d=5), "logistic", l2=0.1)
+    products = []
+    for name in ("margins", "weighted_sum"):
+        real = getattr(obj.data, name)
+        setattr(obj.data, name, lambda v, real=real, name=name: products.append(name) or real(v))
+    for stop, per_checkpoint in (("epochs", ["margins", "weighted_sum"]), ("gbar:0", ["margins"])):
+        products.clear()
+        res = run(RunConfig(method="sag", epochs=1.0, seed=0, gamma=0.1, stop=stop), obj)
+        assert len(res.records) == 2 and res.records[1].grad_norm is not None
+        assert products == 2 * per_checkpoint, stop
+
+
+def test_products_crossing_the_budget_keep_the_trace(monkeypatch):
+    # a dataset whose products pass NUMPY_BUDGET_NNZ mid-run (numpy's
+    # chunked products, then scipy.sparse's) gives the trace bytes and x of
+    # runs all on numpy and all on scipy: svrg's refreshes and every
+    # checkpoint read the full matrix
+    monkeypatch.setattr(vdata, "CHUNK_NNZ", 64)
+    nnz = sparse_gaussian(seed=2).col_values.size
+    got = {}
+    for budget in (0, 9 * nnz, math.inf):
+        monkeypatch.setattr(vdata, "NUMPY_BUDGET_NNZ", budget)
+        obj = GlmObjective(sparse_gaussian(seed=2), "logistic", l2=1e-3)
+        res = run(RunConfig(method="svrg", epochs=8.0, inner_t=250, seed=0, gamma=0.5), obj)
+        for rec in res.records:
+            rec.time_s = None  # the one column that reads a clock
+        buf = io.StringIO()
+        write_trace(res.records, buf)
+        got[budget] = buf.getvalue(), res.x.tobytes()
+        # numpy took products unless the budget was 0, scipy unless it was inf
+        assert (obj.data._pushed > 0, obj.data._csr is not None) == (budget > 0, budget < math.inf)
+    assert got[0] == got[9 * nnz] == got[math.inf]
 
 
 def test_epochs_zero_single_record():

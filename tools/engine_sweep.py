@@ -1,7 +1,7 @@
-"""Calibration sweeps for the engine limits: sparse_jit.LAZY_MIN_D (eager
+"""Calibration sweeps for the engine choices: sparse_jit.LAZY_MIN_D (eager
 against lazy steps of the table kernels sag, saga and the shift kernel sgd,
-svrg) and, with --products, data.NUMPY_MAX_NNZ (numpy against scipy.sparse
-full products).
+svrg) and, with --products, data.NUMPY_BUDGET_NNZ (the stored entries a
+Dataset pushes through numpy's full products before it loads scipy.sparse).
 
     PYTHONPATH=src python3 tools/engine_sweep.py [--n 2000] [--epochs 2] [--repeats 3]
     PYTHONPATH=src python3 tools/engine_sweep.py --products [--repeats 3]
@@ -15,27 +15,26 @@ forced engine's. A run's two checkpoints are inside the timing, and so are
 svrg's refreshes (one full pass per stage of n steps, the same work in both
 engines).
 
---products measures what importing scipy.sparse costs a fresh process
-(best of 3) and counts the full products (Dataset.margins, A x, and
-Dataset.weighted_sum, A^T s) that each process on small data makes, each
-in a fresh process: one oracle_suite cycle (every validate check but the
-three built on mushrooms), `vropt validate`, and per small synthetic set a
-solve-ref, a compare over every method but sgd_star at its 30 epochs and
-(blobs2d) a trace2d. Only products on data of at most the current
-NUMPY_MAX_NNZ nonzeros, the ones numpy takes, are counted. It then times
-each product per nonzero count under each engine (best of --repeats,
-engines alternating; rows of 20 nonzeros, d = 1000). For each size it
-prints the wall time numpy would cost the worst of those processes, its
-products taken on data of that size, against scipy with its import
-(negative: numpy is faster). The limit is the largest size up to which no
-counted process would lose time. A process that makes more products than
-any counted one (a long gd run, say) can lose time at the limit; the last
-line gives the pairs after which scipy repays its import there, with the
-RSS that import costs.
+--products derives the budget by the rent-or-buy rule: what importing
+scipy.sparse costs a fresh process (best of 3), over the extra time numpy
+takes per stored entry. The extra is timed per size (A x and A^T s, best of
+--repeats, engines alternating; rows of 20 nonzeros, d = 1000) and its
+median over the sizes sets the budget. It then counts the entries each
+process pushes through the products (Dataset.margins and weighted_sum) of
+its busiest dataset, each process run fresh with an empty reference cache:
+one oracle_suite cycle (every validate check but the three built on
+mushrooms), `vropt validate`, per small synthetic set a solve-ref, a compare
+over every method but sgd_star and (blobs2d) a trace2d, and the benchmark's
+own processes (perfbench/inputs.py, seed 0): mushrooms_grid's cold
+solve-ref, its compare (which reuses the solve-ref's cache, as in the
+benchmark) and sparse_ingest's three runs. For each it prints
+the time numpy's products cost beyond scipy's under the budget (the rent)
+against the import (the purchase), and whether the process loads scipy.
 """
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -52,19 +51,23 @@ from vropt.sparse_jit import choose_engine
 WIDTHS = (100, 1000, 3000, 10_000, 15_000, 20_000, 30_000, 100_000)
 ROW_NNZ = (5, 20, 60)
 METHODS = ("sag", "saga", "sgd", "svrg")
-PRODUCT_NNZ = (500, 1000, 1500, 2000, 2500, 3000, 4000, 5000, 7000, 10_000, 20_000, 200_000)
+PRODUCT_NNZ = (2000, 20_000, 200_000, 1_000_000)
 MUSHROOMS_CHECKS = ("benchmark_ordering", "variance_reduction", "sdca_certificates")
 SMALL_SETS = ("tiny", "toyclass", "toyreg", "blobs2d", "sparse")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 # Runs the CLI on its arguments (none: one oracle_suite cycle) with counting
-# wrappers on the two products; prints the exit code and the two counts.
+# wrappers on the two products; prints the exit code, the A x and A^T s
+# calls, and the most entries one dataset pushed.
 COUNT_PROBE = """
 import contextlib, io, sys
 from vropt import data, validate
 from vropt.cli import main
-counts = [0, 0]
+counts, most = [0, 0], [0]
 def counting(k, product):
     def wrapped(self, v):
-        counts[k] += self.col_values.size <= data.NUMPY_MAX_NNZ
+        counts[k] += 1
+        self.counted = getattr(self, "counted", 0) + self.col_values.size
+        most[0] = max(most[0], self.counted)
         return product(self, v)
     return wrapped
 data.Dataset.margins = counting(0, data.Dataset.margins)
@@ -74,7 +77,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         rc = main(sys.argv[1:])
     else:
         rc = [validate.CHECKS[c]() for c in validate.CHECKS if c not in %r] and 0
-print(rc, *counts)
+print(rc, *counts, most[0])
 """ % (MUSHROOMS_CHECKS,)
 # The import's time and the rise of the peak RSS (VmHWM, as ru_maxrss would
 # carry over the forking parent's peak) in a fresh process.
@@ -100,10 +103,12 @@ def us_per_eval(obj, method, jit, epochs, gamma):
     return (time.perf_counter() - t0) / res.grad_evals * 1e6
 
 
-def small_data_processes(tmp):
-    """(label, argv) per counted process: CLI arguments, or None for the
-    oracle_suite cycle."""
-    procs = [("oracle_suite cycle", None), ("validate", ["validate"])]
+def counted_processes(tmp):
+    """(label, argv, cwd, cache) per counted process: CLI arguments, or
+    None for the oracle_suite cycle; the name of its reference cache, the
+    label's own unless it reuses another process's, as mushrooms_grid's
+    compare reuses its solve-ref's."""
+    procs = [("oracle_suite cycle", None, tmp, "oracle"), ("validate", ["validate"], tmp, "validate")]
     for name in SMALL_SETS:
         loss = "half_squared" if name == "toyreg" else "logistic"
         methods = ("gd", "sag", "saga", "svrg", "sarah") + (("sdca",) if loss == "logistic" else ())
@@ -113,33 +118,52 @@ def small_data_processes(tmp):
             fh.writelines("\n[method]\nname = %s\n" % m for m in methods)
             fh.write("\n[method]\nname = sgd\ngamma = 0.05\n\n[method]\nname = sgd_momentum\ngamma = 0.05\nbeta = 0.5\n")
         objective = ["--data", "synth:" + name, "--loss", loss, "--l2", "0.01"]
-        procs.append(("solve-ref " + name, ["solve-ref", *objective, "--out", os.path.join(tmp, name)]))
-        procs.append(("compare " + name, ["compare", spec]))
+        procs.append(("solve-ref " + name, ["solve-ref", *objective, "--out", os.path.join(tmp, name)], tmp,
+                      "ref-" + name))
+        procs.append(("compare " + name, ["compare", spec], tmp, "compare-" + name))
         if name == "blobs2d":
-            procs.append(("trace2d " + name, ["trace2d", *objective, "--method", "sag", "--out", os.path.join(tmp, "fig")]))
+            procs.append(("trace2d " + name, ["trace2d", *objective, "--method", "sag", "--out",
+                                              os.path.join(tmp, "fig")], tmp, "trace2d"))
+    sys.path.insert(0, PERFBENCH)
+    import inputs
+
+    grid = inputs.make("mushrooms_grid", 0, os.path.join(tmp, "grid"))
+    procs.append(("mushrooms_grid solve-ref", ["solve-ref", "--data", grid["data"], "--l2", grid["l2"],
+                                               "--out", os.path.join(tmp, "mref")], tmp, "grid"))
+    procs.append(("mushrooms_grid compare", ["compare", grid["spec"]], tmp, "grid"))
+    sparse_dir = os.path.join(tmp, "sparse")
+    sparse = inputs.make("sparse_ingest", 0, sparse_dir)
+    for method in sparse["labels"]:
+        args = ["run", "--data", sparse["data"], "--loss", "logistic", "--l2", sparse["l2"], "--method", method,
+                "--epochs", str(inputs.SPARSE_EPOCHS), "--out", method + ".csv"]
+        if method == "svrg":
+            args += ["--inner-t", str(inputs.SPARSE_INNER_T)]
+        procs.append(("sparse_ingest run " + method, args, sparse_dir, "sparse-" + method))
     return procs
 
 
 def count_products():
-    """{label: (margins calls, weighted_sum calls)} on numpy-engine data,
-    each process run fresh, with its own empty reference cache."""
+    """{label: (A x calls, A^T s calls, most entries one dataset pushed)},
+    each process run fresh, with its own reference cache."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (label, argv) in enumerate(small_data_processes(tmp)):
-            env = dict(os.environ, VROPT_CACHE=os.path.join(tmp, "cache%d" % i))
-            proc = subprocess.run([sys.executable, "-c", COUNT_PROBE, *(argv or [])], env=env,
+        for label, argv, cwd, cache in counted_processes(tmp):
+            env = dict(os.environ, VROPT_CACHE=os.path.join(tmp, "cache-" + cache), PYTHONPATH=os.pathsep.join(
+                filter(None, (os.path.dirname(os.path.dirname(vdata.__file__)), os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run([sys.executable, "-c", COUNT_PROBE, *(argv or [])], env=env, cwd=cwd,
                                   capture_output=True, text=True)
-            rc, m, w = (proc.stdout.split() or ["?"] * 3)[-3:]
+            rc, m, w, entries = (proc.stdout.split() or ["?"] * 4)[-4:]
             if proc.returncode or rc not in ("0", "None"):
                 raise RuntimeError("%s failed: %s" % (label, proc.stderr[-2000:]))
-            out[label] = (int(m), int(w))
+            out[label] = (int(m), int(w), int(entries))
     return out
 
 
-def us_per_product(data, limit, reps):
-    """Microseconds per (margins, weighted_sum) call with NUMPY_MAX_NNZ = limit."""
+def ns_per_entry(data, budget, reps):
+    """Nanoseconds per stored entry of (margins, weighted_sum) calls with
+    NUMPY_BUDGET_NNZ = budget."""
     x, s = np.ones(data.d), np.ones(data.n)
-    default, vdata.NUMPY_MAX_NNZ = vdata.NUMPY_MAX_NNZ, limit
+    default, vdata.NUMPY_BUDGET_NNZ = vdata.NUMPY_BUDGET_NNZ, budget
     try:
         data.weighted_sum(data.margins(x))  # scipy's import and A^T outside the timing
         t0 = time.perf_counter()
@@ -148,9 +172,9 @@ def us_per_product(data, limit, reps):
         t1 = time.perf_counter()
         for _ in range(reps):
             data.weighted_sum(s)
-        return np.array([t1 - t0, time.perf_counter() - t1]) / reps * 1e6
+        return np.array([t1 - t0, time.perf_counter() - t1]) / reps / data.col_values.size * 1e9
     finally:
-        vdata.NUMPY_MAX_NNZ = default
+        vdata.NUMPY_BUDGET_NNZ = default
 
 
 def products(repeats):
@@ -158,38 +182,34 @@ def products(repeats):
                              check=True).stdout.split() for _ in range(3)]
     import_s = min(float(t) for t, _ in probes)
     import_mb = min(float(mb) for _, mb in probes)
-    counts = count_products()
-    print("| process | A x | A^T s |")
-    print("| --- | --- | --- |")
-    for label, (m, w) in counts.items():
-        print("| %s | %d | %d |" % (label, m, w), flush=True)
     print("import scipy.sparse: %.3f s, %.1f MB RSS" % (import_s, import_mb))
-    print("| nnz | numpy us (A x, A^T s) | scipy us (A x, A^T s) | worst process: numpy - scipy ms | engine |")
+    print("| nnz | numpy ns/entry (A x, A^T s) | scipy ns/entry (A x, A^T s) | extra ns/entry | budget |")
     print("| --- | --- | --- | --- | --- |")
-    limit, lost, at_limit = 0, False, None
+    extras = []
     for nnz in PRODUCT_NNZ:
         data = problem(nnz // 20, 1000, 20).data
-        reps = max(10, 100_000 // nnz)
+        reps = max(3, 2_000_000 // nnz)
         best = {"numpy": np.full(2, np.inf), "scipy": np.full(2, np.inf)}
         for r in range(repeats):
             for engine in (("numpy", "scipy") if r % 2 == 0 else ("scipy", "numpy")):
-                t = us_per_product(data, nnz if engine == "numpy" else -1, reps)
+                t = ns_per_entry(data, np.inf if engine == "numpy" else 0, reps)
                 best[engine] = np.minimum(best[engine], t)
-        extra = best["numpy"] - best["scipy"]
-        label, (m, w) = max(counts.items(), key=lambda kv: kv[1][0] * extra[0] + kv[1][1] * extra[1])
-        cost_ms = (m * extra[0] + w * extra[1]) / 1e3 - import_s * 1e3
-        lost = lost or cost_ms > 0
-        if not lost:
-            limit = nnz
-        if nnz == vdata.NUMPY_MAX_NNZ:
-            at_limit = extra.sum()
-        print("| %d | %.1f, %.1f | %.1f, %.1f | %+.0f (%s) | %s |"
-              % (nnz, *best["numpy"], *best["scipy"], cost_ms, label,
-                 "numpy" if nnz <= vdata.NUMPY_MAX_NNZ else "scipy"), flush=True)
-    print("largest size no counted process loses time at: %d (NUMPY_MAX_NNZ = %d)" % (limit, vdata.NUMPY_MAX_NNZ))
-    if at_limit is not None:
-        print("at NUMPY_MAX_NNZ numpy costs %.1f us more per pair; scipy repays its import (and %.1f MB RSS) "
-              "after %s pairs" % (at_limit, import_mb, "%.0f" % (import_s * 1e6 / at_limit) if at_limit > 0 else "no"))
+        extra = float((best["numpy"] - best["scipy"]).mean())
+        extras.append(extra)
+        print("| %d | %.2f, %.2f | %.2f, %.2f | %.2f | %s |"
+              % (nnz, *best["numpy"], *best["scipy"], extra,
+                 "%.0fM" % (import_s / extra * 1e3) if extra > 0 else "none"), flush=True)
+    extra = statistics.median(extras)
+    budget = import_s / (extra * 1e-9) if extra > 0 else np.inf
+    print("budget = import / median extra = %.3f s / %.2f ns = %.0fM entries (NUMPY_BUDGET_NNZ = %.0fM)"
+          % (import_s, extra, budget / 1e6, vdata.NUMPY_BUDGET_NNZ / 1e6))
+    print("| process | A x | A^T s | entries (busiest dataset) | numpy's extra s | scipy loaded |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    for label, (m, w, entries) in count_products().items():
+        rent = min(entries, vdata.NUMPY_BUDGET_NNZ) * extra * 1e-9
+        print("| %s | %d | %d | %.1fM | %.3f | %s |" % (label, m, w, entries / 1e6, rent,
+              "after %.0fM entries (+%.3f s)" % (vdata.NUMPY_BUDGET_NNZ / 1e6, import_s)
+              if entries > vdata.NUMPY_BUDGET_NNZ else "no"), flush=True)
 
 
 def main():
@@ -197,7 +217,7 @@ def main():
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--epochs", type=float, default=2.0)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--products", action="store_true", help="sweep data.NUMPY_MAX_NNZ instead")
+    p.add_argument("--products", action="store_true", help="derive data.NUMPY_BUDGET_NNZ instead")
     ns = p.parse_args()
     if ns.products:
         products(ns.repeats)
