@@ -25,7 +25,7 @@ from .data import ParseError, read_csr, write_csr
 from .diag import cache_dir, fit_linear_rate, solve_reference, write_trace
 from .objectives import GlmObjective, smoothness
 from .optimizers import METHODS, ConfigError, DivergenceError, RunConfig, resolve, run
-from .schedules import StepsizePolicy, lipschitz_scheme, uniform_scheme
+from .schedules import lipschitz_scheme, uniform_scheme
 from .validate import run_checks
 from . import sparse_jit, vecio
 
@@ -106,16 +106,18 @@ def _load_data(path, dim=None):
 
 
 def _policy_from_text(text):
+    """RunConfig's (gamma, armijo) of a --gamma-policy value: fixed:G is
+    gamma = G, theory and minibatch both name the default stepsize, and
+    armijo[:GMAX] is armijo = GMAX (default 1.0)."""
     kind, sep, rest = text.partition(":")
     if kind == "fixed":
         if not sep:
             raise UsageError("fixed policy needs a value, e.g. fixed:0.1")
-        return StepsizePolicy("fixed", gamma=_number(rest, "gamma"))
+        return _number(rest, "gamma"), None
     if kind == "armijo":
-        gmax = _number(rest, "gamma_max") if sep else 1.0
-        return StepsizePolicy("armijo", gamma_max=gmax)
+        return None, _number(rest, "gamma_max") if sep else 1.0
     if kind in ("theory", "minibatch") and not sep:
-        return StepsizePolicy(kind)
+        return None, None
     raise UsageError("unknown stepsize policy %r (fixed:G, theory, minibatch, armijo[:GMAX])" % text)
 
 
@@ -250,13 +252,15 @@ def _objective(ns):
 
 def _build_config(ns, obj, x_star=None, f_star=None):
     """The RunConfig of a parsed run namespace. compare passes its reference
-    in memory; --xstar and --fstar read one from files."""
+    in memory; --xstar and --fstar read one from files. --gamma and
+    --gamma-policy exclude each other."""
+    gamma, armijo = _policy_from_text(ns.gamma_policy) if ns.gamma_policy else (ns.gamma, None)
     return RunConfig(
         method=ns.method,
         epochs=ns.epochs,
         seed=ns.seed,
-        gamma=ns.gamma,
-        policy=_policy_from_text(ns.gamma_policy) if ns.gamma_policy else None,
+        gamma=gamma,
+        armijo=armijo,
         scheme=_scheme(ns, obj),
         beta=ns.beta,
         inner_t=ns.inner_t,
@@ -565,7 +569,7 @@ def build_parser():
     _add_objective_flags(p)
     _add_run_flags(p)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--grid", type=int, default=61, help="grid points per axis")
+    p.add_argument("--grid", type=_positive_int, default=61, help="grid points per axis")
     p.set_defaults(func=cmd_trace2d)
 
     p = sub.add_parser("validate", help="run the oracle and invariant suite")

@@ -213,9 +213,8 @@ def _operand(v, size):
 class RandomSource:
     """Deterministic 64-bit generator (numpy PCG64) owned by one run.
 
-    Identical (seed, stream) pairs replay identical draw sequences; derived
-    independent streams come from ``child(k)`` which reseeds with
-    SeedSequence([seed, k]).
+    Identical (seed, stream) pairs replay identical draw sequences; each
+    stream k is seeded with SeedSequence([seed, k]).
     """
 
     def __init__(self, seed, stream=0):
@@ -224,9 +223,6 @@ class RandomSource:
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, self.stream]))
         )
-
-    def child(self, stream):
-        return RandomSource(self.seed, stream)
 
     def integers(self, low, high=None, size=None):
         """One int, or an int64 array when size is given; a block of size k

@@ -246,8 +246,8 @@ def prox_l1(z, t):
 
 @dataclass(frozen=True)
 class SmoothnessInfo:
-    """L_i, L_max, L-bar, mu, and the global L (exact-to-tolerance or an
-    upper bound, as l_full_exact says).
+    """L_i, L_max, L-bar, and the global L (exact-to-tolerance or an upper
+    bound, as l_full_exact says).
 
     global_l() returns (l_full, l_full_exact). It runs a power iteration
     that batch-1, Lipschitz-sampled and dual runs never read, so it is
@@ -257,7 +257,6 @@ class SmoothnessInfo:
     per_example: np.ndarray
     l_max: float
     l_mean: float
-    mu_lower: float
     global_l: Callable = field(repr=False, compare=False)
 
     @cached_property
@@ -341,5 +340,5 @@ def smoothness(obj, tol=1e-10, max_iter=10_000):
         return min(M * lam + obj.l2, l_max), True
 
     info = obj._smoothness[key] = SmoothnessInfo(
-        per_example=per, l_max=l_max, l_mean=l_mean, mu_lower=obj.l2, global_l=global_l)
+        per_example=per, l_max=l_max, l_mean=l_mean, global_l=global_l)
     return info

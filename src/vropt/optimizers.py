@@ -25,12 +25,10 @@ from .diag import StopRule, TraceRecord, duality_gap, enum_stats, should_stop
 from .objectives import NonSmoothError, smoothness
 from .schedules import (
     SamplingScheme,
-    StepsizePolicy,
     armijo_stochastic,
     check_batch,
     default_stepsize,
     draw_batches,
-    theory_policy,
     uniform_scheme,
 )
 from .schedules import sample  # noqa: F401 -- perfbench/tracing.py wraps this name here
@@ -467,7 +465,9 @@ def index_batches(scheme, rng, n):
 class RunConfig:
     """Everything one run needs besides the objective itself.
 
-    gamma overrides the policy; policy defaults to the theory stepsize.
+    The stepsize is gamma when set; otherwise, when armijo is set, a
+    backtracking search from gamma_max = armijo at each step; otherwise the
+    theory default (schedules.default_stepsize) for the method and scheme.
     epochs is a budget in units of n gradient evaluations. Checkpoints are
     emitted whenever the evaluation count crosses a multiple of
     checkpoint_every epochs (never inside a full-gradient refresh).
@@ -477,8 +477,8 @@ class RunConfig:
     epochs: float = 10.0
     seed: int = 0
     gamma: float | None = None
-    policy: StepsizePolicy | None = None
-    scheme: SamplingScheme | None = None
+    armijo: float | None = None
+    scheme: SamplingScheme = field(default_factory=uniform_scheme)
     beta: float = 0.0
     inner_t: int | None = None
     jit: str = "auto"  # "auto" | "on" | "off": sparse_jit.choose_engine
@@ -512,15 +512,16 @@ def _validate(config, obj):
         raise ConfigError("sgd_star needs x_star")
     if config.gamma is not None and not 0 < config.gamma < np.inf:
         raise ConfigError("gamma must be positive and finite")
-    scheme = config.scheme or uniform_scheme()
+    if config.armijo is not None and not 0 < config.armijo < np.inf:
+        raise ConfigError("gamma_max must be positive and finite")
     try:
-        check_batch(scheme, obj.n)
+        check_batch(config.scheme, obj.n)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if config.method == "sdca":
-        if scheme.batch != 1:
+        if config.scheme.batch != 1:
             raise ConfigError("sdca is a single-coordinate method (batch=1)")
-        if scheme.kind != "uniform":
+        if config.scheme.kind != "uniform":
             raise ConfigError("sdca supports uniform sampling only")
         if config.warm_start_sgd_epochs:
             raise ConfigError("sdca has no primal step to warm-start with sgd")
@@ -552,7 +553,7 @@ class Resolved:
 
     rule: StopRule
     gamma: float | None  # the constant stepsize; None for sdca and armijo
-    armijo: StepsizePolicy | None  # the per-step policy, when armijo
+    armijo: float | None  # gamma_max of the per-step search, when armijo
     engine: str  # "lazy" or "eager"
     engine_reason: str
 
@@ -564,19 +565,16 @@ def resolve(config, obj):
     Raises ConfigError, or ValueError where no theory stepsize exists."""
     rule = _validate(config, obj)
     gamma = armijo = None
-    policy = config.policy or theory_policy()
     if config.method == "sdca":
         pass  # exact coordinate maximization: no stepsize
     elif config.gamma is not None:
         gamma = float(config.gamma)
-    elif policy.kind == "fixed":
-        gamma = float(policy.gamma)
-    elif policy.kind == "armijo":
+    elif config.armijo is not None:
         if config.method in ("gd", "sgd_momentum"):
             raise ConfigError("armijo stepsizes are per-example; not valid for %s" % config.method)
-        armijo = policy
+        armijo = float(config.armijo)
     else:
-        gamma = default_stepsize(config.method, smoothness(obj), config.scheme or uniform_scheme())
+        gamma = default_stepsize(config.method, smoothness(obj), config.scheme)
     engine, reason = sparse_jit.choose_engine(config, obj, gamma)
     if config.jit == "on" and engine != "lazy":
         raise ConfigError("jit mode unavailable: %s" % reason)
@@ -668,8 +666,7 @@ def run(config, obj, x0=None):
     rule, gamma, armijo, engine = plan.rule, plan.gamma, plan.armijo, plan.engine
     method = config.method
     n = obj.n
-    scheme = config.scheme or uniform_scheme()
-    draws = index_batches(scheme, RandomSource(config.seed), n)
+    draws = index_batches(config.scheme, RandomSource(config.seed), n)
     x = np.zeros(obj.d) if x0 is None else np.array(x0, dtype=np.float64)
 
     warm_budget = int(round(config.warm_start_sgd_epochs * n))
@@ -680,7 +677,7 @@ def run(config, obj, x0=None):
     evals = steps = 0
 
     # method state, and the kernel step(x, batch, gamma)
-    b = scheme.batch
+    b = config.scheme.batch
     state = None
     if method in TABLE_METHODS:
         state = aux["table"] = GradientTable(obj)
@@ -757,16 +754,16 @@ def run(config, obj, x0=None):
     return RunResult(records=recorder.records, x=xf, grad_evals=evals, aux=aux, iterates=iterates)
 
 
-def _armijo_gamma(obj, x, batch, policy, aux):
+def _armijo_gamma(obj, x, batch, gamma_max, aux):
     """Backtracked stepsize on the sampled example along -grad f_i(x).
 
-    Warm-started at twice the previously accepted value (capped at the
-    policy maximum), which keeps the expected number of trial evaluations
+    Warm-started at twice the previously accepted value (capped at
+    gamma_max), which keeps the expected number of trial evaluations
     near one once the scale settles.
     """
     i = int(batch[0])
     warm = aux.get("armijo_last")
-    start = None if warm is None else min(2.0 * warm, policy.gamma_max)
-    g = armijo_stochastic(obj, i, x, policy, gamma_start=start)
+    start = None if warm is None else min(2.0 * warm, gamma_max)
+    g = armijo_stochastic(obj, i, x, gamma_max, gamma_start=start)
     aux["armijo_last"] = g
     return g

@@ -1,4 +1,4 @@
-"""Index sampling schemes and stepsize policies.
+"""Index sampling schemes and stepsizes.
 
 Uniform batches are drawn without replacement (partial Fisher-Yates);
 Lipschitz-weighted sampling draws with replacement, matching the analyses
@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ARMIJO_C = 0.5  # sufficient-decrease constant c
+ARMIJO_FACTOR = 0.5  # backtracking factor
 ARMIJO_FLOOR = 1e-12
 ARMIJO_SKIP_NORM = 1e-8
 
@@ -89,46 +91,6 @@ def draw_batches(scheme, rng, n, count):
             yield batch
 
 
-@dataclass(frozen=True)
-class StepsizePolicy:
-    kind: str  # "fixed", "theory", "minibatch", "armijo"
-    gamma: float | None = None
-    gamma_max: float = 1.0
-    c: float = 0.5
-    factor: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "theory", "minibatch", "armijo"):
-            raise ValueError("unknown stepsize policy %r" % self.kind)
-        if self.kind == "fixed" and self.gamma is None:
-            raise ValueError("fixed policy needs gamma")
-        if self.gamma is not None and not 0 < self.gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
-        if not 0 < self.gamma_max < np.inf:
-            raise ValueError("gamma_max must be positive and finite")
-        if self.kind == "armijo":
-            if not (0 < self.c < 1):
-                raise ValueError("armijo c must lie in (0,1)")
-            if not (0 < self.factor < 1):
-                raise ValueError("backtrack factor must lie in (0,1)")
-
-
-def fixed_policy(gamma):
-    return StepsizePolicy("fixed", gamma=float(gamma))
-
-
-def theory_policy():
-    return StepsizePolicy("theory")
-
-
-def minibatch_policy():
-    return StepsizePolicy("minibatch")
-
-
-def armijo_policy(gamma_max=1.0, c=0.5, factor=0.5):
-    return StepsizePolicy("armijo", gamma_max=gamma_max, c=c, factor=factor)
-
-
 def minibatch_smoothness(l_max, l_full, n, b):
     """The batch-size-b smoothness constant interpolating L_max down to L.
 
@@ -173,25 +135,26 @@ def default_stepsize(method, info, scheme=None):
     return 1.0 / minibatch_smoothness(info.l_max, info.l_full, n, scheme.batch)
 
 
-def armijo_stochastic(obj, i, x, policy, gamma_start=None):
+def armijo_stochastic(obj, i, x, gamma_max, gamma_start=None):
     """Backtracking stepsize on the sampled example alone.
 
-    Finds the largest gamma in {start * factor^m} with
-    f_i(x - gamma grad f_i(x)) < f_i(x) - c gamma ||grad f_i(x)||^2.
+    Finds the largest gamma in {start * ARMIJO_FACTOR^m}, start at most
+    gamma_max, with
+    f_i(x - gamma grad f_i(x)) < f_i(x) - ARMIJO_C gamma ||grad f_i(x)||^2.
     Skips (returns gamma_max) when ||grad f_i(x)|| <= 1e-8; returns the
     floor-level trial when nothing passes.
     """
     gi = obj.grad_i(x, i)
     gnorm_sq = float(np.dot(gi, gi))
     if gnorm_sq <= ARMIJO_SKIP_NORM**2:
-        return policy.gamma_max
+        return gamma_max
     f0 = obj.value_i(x, i)
-    gamma = policy.gamma_max if gamma_start is None else min(gamma_start, policy.gamma_max)
+    gamma = gamma_max if gamma_start is None else min(gamma_start, gamma_max)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trial fails the test
         while True:
             ft = obj.value_i(x - gamma * gi, i)
-            if ft < f0 - policy.c * gamma * gnorm_sq:
+            if ft < f0 - ARMIJO_C * gamma * gnorm_sq:
                 return gamma
             if gamma <= ARMIJO_FLOOR:
                 return gamma
-            gamma = max(gamma * policy.factor, ARMIJO_FLOOR)
+            gamma = max(gamma * ARMIJO_FACTOR, ARMIJO_FLOOR)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .diag import enum_stats  # noqa: F401 -- perfbench/tracing.py wraps this name here
 from .schedules import sample  # noqa: F401 -- perfbench/tracing.py wraps this name here
-from .schedules import uniform_scheme
 
 JIT_MODES = ("auto", "on", "off")
 LAZY_METHODS = ("sag", "saga", "sgd", "sgd_star", "svrg")
@@ -123,7 +122,7 @@ def choose_engine(config, obj, gamma):
         return "eager", "jit = off"
     if config.method not in LAZY_METHODS:
         reason = "only the sag, saga, sgd, sgd_star and svrg steps have lazy updates"
-    elif (config.scheme or uniform_scheme()).batch != 1:
+    elif config.scheme.batch != 1:
         reason = "mini-batch steps touch too much support to stay lazy"
     elif obj.l1:
         reason = "the soft-threshold prox is dense; run with l1=0 or jit off"

@@ -432,19 +432,19 @@ def check_sdca_certificates():
 def check_minibatch_smoothness_curve():
     """Batch smoothness interpolation: exact endpoints and monotone descent."""
     rng = np.random.default_rng(1)
-    ok = True
+    exact = monotone = True
     worst_jump = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 40))
         l_full = float(rng.uniform(0.1, 5.0))
         l_max = l_full * float(rng.uniform(1.0, 20.0))
         vals = [minibatch_smoothness(l_max, l_full, n, b) for b in range(1, n + 1)]
-        ok = ok and vals[0] == l_max and vals[-1] == l_full
+        exact = exact and vals[0] == l_max and vals[-1] == l_full
         jumps = np.diff(vals)
         worst_jump = max(worst_jump, float(jumps.max(initial=-np.inf)))
-        ok = ok and (jumps <= 1e-15 * l_max).all()
-    return CheckResult("minibatch_smoothness_curve", ok,
-                       "endpoints exact; max_increase=%.2e" % worst_jump,
+        monotone = monotone and (jumps <= 1e-15 * l_max).all()
+    return CheckResult("minibatch_smoothness_curve", exact and monotone,
+                       "endpoints %s; max_increase=%.2e" % ("exact" if exact else "off", worst_jump),
                        "L(1)==L_max, L(n)==L, non-increasing")
 
 

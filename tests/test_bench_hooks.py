@@ -56,7 +56,8 @@ def test_perfbench_command_lines_still_parse(tmp_path, monkeypatch):
     obj = GlmObjective(load_dataset("synth:toyclass"), "logistic", l2=0.1)
     configs = {b.label: cli._build_config(b, obj) for b in blocks}
     b16, lip, svrg, jit = configs["svrg-b16"], configs["saga-lip"], configs["svrg"], configs["saga-jit"]
-    assert (b16.method, b16.scheme.batch, b16.scheme.kind, b16.policy.kind) == ("svrg", 16, "uniform", "minibatch")
+    assert (b16.method, b16.scheme.batch, b16.scheme.kind) == ("svrg", 16, "uniform")
+    assert b16.gamma is None and b16.armijo is None
     assert (lip.method, lip.scheme.batch, lip.scheme.kind) == ("saga", 1, "lipschitz")
     assert (svrg.inner_t, jit.method, jit.jit, blocks[2].table) == (inputs.MUSHROOMS_N, "saga", "auto", "scalar")
     info = smoothness(obj)

@@ -78,6 +78,12 @@ def test_usage_exit_codes(capsys, tmp_path):
         _run("run", "--data", "synth:tiny", "--method", "sgd",
              "--gamma", "0.1", "--gamma-policy", "theory")
     assert exc.value.code == 1
+    for grid in ("-1", "0"):  # -1 wrote iterates then failed in numpy; 0 wrote a 0x0 grid
+        with pytest.raises(SystemExit) as exc:
+            _run("trace2d", "--data", "synth:blobs2d", "--method", "gd", "--l2", "0.1",
+                 "--grid", grid, "--out", str(tmp_path / "t"))
+        assert exc.value.code == 1
+        assert os.listdir(tmp_path) == []
     capsys.readouterr()
 
 
@@ -234,6 +240,23 @@ def test_bad_fstar_or_stop_rule_exits_1_before_any_output(args, msg, tmp_path, c
                 "--out", str(out), *args) == 1
     assert msg in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("batch", ["1", "4"])
+def test_policy_spellings_give_the_same_trace(batch, tmp_path):
+    # theory and minibatch both name the default stepsize, and fixed:G is
+    # --gamma G: the traces differ only in the gamma_policy header line
+    base = ["run", "--data", "synth:tiny", "--l2", "0.1", "--method", "sag", "--batch", batch, "--epochs", "3"]
+
+    def trace(name, *flags):
+        out = tmp_path / name
+        assert _run(*base, *flags, "--out", str(out)) == 0
+        return [line for line in out.read_text().splitlines(True) if not line.startswith("# gamma_policy")]
+
+    default = trace("default.csv")
+    assert trace("theory.csv", "--gamma-policy", "theory") == default
+    assert trace("minibatch.csv", "--gamma-policy", "minibatch") == default
+    assert trace("fixed.csv", "--gamma-policy", "fixed:0.25") == trace("gamma.csv", "--gamma", "0.25") != default
 
 
 def test_armijo_huge_gamma_max_ends_through_exit_codes(tmp_path, capsys):

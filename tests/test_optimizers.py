@@ -28,7 +28,7 @@ from vropt.optimizers import (
     star_table,
     svrg_outer_refresh,
 )
-from vropt.schedules import armijo_policy, lipschitz_scheme, minibatch_policy, sample, uniform_scheme
+from vropt.schedules import lipschitz_scheme, sample, uniform_scheme
 from vropt.validate import _dense_table_saga
 
 
@@ -372,7 +372,7 @@ def test_config_validation():
         (RunConfig(method="sag", stop="gap:1e-6", gamma=0.1), obj),
         (RunConfig(method="sgd", stop="gbar:1e-6", gamma=0.1), obj),
         (RunConfig(method="sdca", stop="grad:1e-6"), obj),
-        (RunConfig(method="gd", policy=armijo_policy()), obj),
+        (RunConfig(method="gd", armijo=1.0), obj),
         (RunConfig(method="saga", gamma=0.1, jit="of"), obj),
         # a negative gamma ran (and ascended), 0 ran without moving, and NaN
         # or inf surfaced as divergence at the first checkpoint
@@ -412,7 +412,7 @@ def test_armijo_policy_runs():
     ds = toy_classification(seed=0, n=30, d=5)
     obj = GlmObjective(ds, "logistic", l2=0.1)
     res = run(RunConfig(method="saga", epochs=5.0, seed=0,
-                        policy=armijo_policy(gamma_max=10.0)), obj)
+                        armijo=10.0), obj)
     assert res.records[-1].f < res.records[0].f
 
 
@@ -486,8 +486,7 @@ def test_run_final_iterates_pinned():
          "6104fdba9b10a284c6b919f4a68802f1b0bfe858e8ae7ada7b992ba8fa2820c6"),
         (cls, dict(method="sag", epochs=5.0, seed=6, scheme=lip), 1500,
          "74bf1b91a548012ed1374a9042187231ee7dae1ea64e75da8c9653e0de211173"),
-        (cls, dict(method="svrg", epochs=120.0, seed=7, scheme=uniform_scheme(batch=16),
-                   policy=minibatch_policy()), 39600,
+        (cls, dict(method="svrg", epochs=120.0, seed=7, scheme=uniform_scheme(batch=16)), 39600,
          "6586803f824f77f474c8eaf9888f82e98b4a663d891fdcfb1056095714bab47e"),
         (cls, dict(method="sgd", epochs=5.0, seed=8, gamma=0.05), 1500,
          "eceebc4560ab3ef5db9d99a06b48a2b3664aa68c56db6c8cba12040472cf2a26"),
@@ -503,7 +502,7 @@ def test_run_final_iterates_pinned():
          "0cc7ccdfcd26f0038994f0c565e84716457ceb6368b12315e29cfe847f12c2de"),
         (cls_l1, dict(method="saga", epochs=5.0, seed=14), 1500,
          "389c348839ea41ab3965ccd3710536cb148c85b108f523fcddc866f1a60f6f20"),
-        (cls, dict(method="sgd", epochs=5.0, seed=15, policy=armijo_policy(gamma_max=10.0)), 1500,
+        (cls, dict(method="sgd", epochs=5.0, seed=15, armijo=10.0), 1500,
          "2b222e2fddf0053ceb6b03f9ac8ccf141b2ed9723d83a90df1bc2d3c068502c7"),
         (cls, dict(method="saga", epochs=15.0, seed=16, scheme=lip4), 4500,
          "e233eb767a3c40bf1c6deea85d0407e7d721d43cc23dcf2590ba015396820ac1"),

@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 from vropt.bench_data import toy_classification
 from vropt.data import RandomSource
 from vropt.objectives import GlmObjective, smoothness
+from vropt.optimizers import ConfigError, RunConfig, run
 from vropt.schedules import (
-    StepsizePolicy,
-    armijo_policy,
     armijo_stochastic,
     default_stepsize,
-    fixed_policy,
     lipschitz_scheme,
     minibatch_smoothness,
     sample,
-    theory_policy,
     uniform_scheme,
 )
 
@@ -88,22 +85,16 @@ def test_lipschitz_sampling_frequencies():
 
 
 def test_policy_validation():
-    fixed_policy(0.5)
-    theory_policy()
-    armijo_policy()
-    with pytest.raises(ValueError):
-        fixed_policy(0.0)
-    with pytest.raises(ValueError):
-        StepsizePolicy("fixed")
-    with pytest.raises(ValueError):
-        StepsizePolicy("adaptive")
-    with pytest.raises(ValueError):
-        armijo_policy(c=1.5)
+    # a run's stepsize is gamma, armijo's gamma_max, or the theory default;
+    # run() rejects a gamma or gamma_max outside (0, inf) before any step
+    obj = GlmObjective(toy_classification(seed=0, n=10, d=3), "logistic", l2=0.1)
+    for kw in ({}, {"gamma": 0.5}, {"armijo": 1.0}):
+        run(RunConfig(method="saga", epochs=1.0, **kw), obj)
     for bad in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            fixed_policy(bad)
-        with pytest.raises(ValueError, match="gamma_max must be positive and finite"):
-            armijo_policy(gamma_max=bad)
+        with pytest.raises(ConfigError, match="gamma must be positive and finite"):
+            run(RunConfig(method="saga", gamma=bad), obj)
+        with pytest.raises(ConfigError, match="gamma_max must be positive and finite"):
+            run(RunConfig(method="saga", armijo=bad), obj)
 
 
 def test_armijo_backtracks_past_non_finite_trials():
@@ -113,7 +104,7 @@ def test_armijo_backtracks_past_non_finite_trials():
     x = np.ones(obj.d)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gamma = armijo_stochastic(obj, 0, x, armijo_policy(gamma_max=1e300))
+        gamma = armijo_stochastic(obj, 0, x, 1e300)
     assert 0 < gamma < 1e300
     gi = obj.grad_i(x, 0)
     assert obj.value_i(x - gamma * gi, 0) < obj.value_i(x, 0) - 0.5 * gamma * float(gi @ gi)

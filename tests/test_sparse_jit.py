@@ -10,7 +10,7 @@ from vropt.bench_data import sparse_gaussian, toy_classification
 from vropt.data import Dataset, RandomSource
 from vropt.objectives import GlmObjective
 from vropt.optimizers import ConfigError, RunConfig, run
-from vropt.schedules import armijo_policy, sample, uniform_scheme
+from vropt.schedules import sample, uniform_scheme
 from vropt.sparse_jit import LAZY_MIN_D, LazyIterate, choose_engine
 
 
@@ -119,10 +119,10 @@ def test_jit_compatibility_reasons():
         RunConfig(method="saga", jit="on", scheme=uniform_scheme(batch=2)),
         RunConfig(method="saga", jit="on", record_iterates=True),
         RunConfig(method="saga", jit="on", warm_start_sgd_epochs=1.0),
-        RunConfig(method="saga", jit="on", policy=armijo_policy()),
+        RunConfig(method="saga", jit="on", armijo=1.0),
     ]
     for config in bad:
-        engine, reason = choose_engine(config, obj, 0.1 if config.policy is None else None)
+        engine, reason = choose_engine(config, obj, 0.1 if config.armijo is None else None)
         assert engine == "eager" and reason != "jit = on"
     l1 = GlmObjective(data, "logistic", l2=0.01, l1=0.05)
     assert choose_engine(good, l1, 0.1)[0] == "eager"

@@ -45,6 +45,8 @@ MUTANTS = (
      "return -b * (1.0 / (1.0 + np.exp(b * m)))", "return -b * (0.5 / (1.0 + np.exp(b * m)))"),
     ("sdca_min_gain_stale", "optimizers.py",
      "dual.min_gain = gain", "pass"),
+    ("minibatch_smoothness_lmax", "schedules.py",
+     "n * (b - 1) / (b * (n - 1)) * l_full)", "n * (b - 1) / (b * (n - 1)) * l_max)"),
 )
 
 # tier-1 tests that target faults no validate check sees
