@@ -14,6 +14,7 @@ parsed once per cache; deleting the directory clears both.
 """
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -24,7 +25,7 @@ from .bench_data import load_dataset
 from .data import ParseError, read_csr, write_csr
 from .diag import cache_dir, fit_linear_rate, solve_reference, write_trace
 from .objectives import GlmObjective, smoothness
-from .optimizers import METHODS, ConfigError, DivergenceError, RunConfig, resolve, run
+from .optimizers import METHODS, DivergenceError, RunConfig, check_domain, resolve, run
 from .schedules import lipschitz_scheme, uniform_scheme
 from .validate import run_checks
 from . import sparse_jit, vecio
@@ -110,22 +111,13 @@ def _policy_from_text(text):
     gamma = G, theory and minibatch both name the default stepsize, and
     armijo[:GMAX] is armijo = GMAX (default 1.0)."""
     kind, sep, rest = text.partition(":")
-    if kind == "fixed":
-        if not sep:
-            raise UsageError("fixed policy needs a value, e.g. fixed:0.1")
-        return _number(rest, "gamma"), None
+    if kind == "fixed":  # a bare "fixed" reads G = ''
+        return _arg("gamma")(rest), None
     if kind == "armijo":
-        return None, _number(rest, "gamma_max") if sep else 1.0
+        return None, _arg("gamma_max")(rest) if sep else 1.0
     if kind in ("theory", "minibatch") and not sep:
         return None, None
     raise UsageError("unknown stepsize policy %r (fixed:G, theory, minibatch, armijo[:GMAX])" % text)
-
-
-def _number(text, what):
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError("bad %s value %r" % (what, text))
 
 
 def _read_xstar(path, dim):
@@ -282,7 +274,7 @@ def cmd_solve_ref(ns):
     obj = _objective(ns)
     try:
         x_star, f_star = solve_reference(obj, tol=ns.tol)
-    except (ValueError, RuntimeError) as e:
+    except RuntimeError as e:  # its ValueErrors are bad inputs: usage errors
         raise IoError("reference solve failed: %s" % e)
     xpath = ns.out + ".xstar.vec"
     fpath = ns.out + ".fstar.txt"
@@ -366,10 +358,9 @@ def parse_compare_spec(text):
         raise UsageError("spec needs an out = line")
     if not entries:
         raise UsageError("spec lists no [method] blocks")
-    seeds = top.get("seeds", "0").split()
-    if not seeds or not all(s.isdigit() for s in seeds):
-        raise UsageError("seeds must be a space-separated list of nonnegative integers")
-    top["seeds"] = [int(s) for s in seeds]
+    top["seeds"] = [_arg("seed")(s) for s in top.get("seeds", "0").split()]
+    if not top["seeds"]:
+        raise UsageError("seeds lists no seed")
     top.setdefault("epochs", "30")
     l2_per_n = top.get("l2", "1/n") == "1/n"
     shared = _flags({k: v for k, v in top.items()
@@ -431,7 +422,7 @@ def cmd_compare(ns):
     if obj.loss.smooth:
         try:
             x_star, f_star = solve_reference(obj)
-        except (ValueError, RuntimeError) as e:
+        except RuntimeError as e:  # l2 <= 0, a ValueError, is a usage error
             raise IoError("reference solve failed: %s" % e)
     outdir = top["out"]
     try:
@@ -506,15 +497,13 @@ def cmd_validate(ns):
 # parser
 
 
-def _positive_int(text):
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
-    return int(text)
+def _arg(name):  # a flag's type=; UsageError is no ValueError, so argparse lets it through to main
+    return functools.partial(check_domain, name, error=UsageError)
 
 
 def _add_objective_flags(p):
     p.add_argument("--data", required=True, help="libsvm path or synth:NAME[:SEED]")
-    p.add_argument("--dim", type=_positive_int, default=None, help="feature count of a LIBSVM file (not for synth:)")
+    p.add_argument("--dim", type=_arg("dim"), default=None, help="feature count of a LIBSVM file (not for synth:)")
     p.add_argument("--loss", choices=LOSSES, default="logistic")
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--l1", type=float, default=0.0)
@@ -523,22 +512,22 @@ def _add_objective_flags(p):
 def _add_run_flags(p):
     p.add_argument("--method", required=True, choices=sorted(METHODS))
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--gamma", type=float, default=None)
+    g.add_argument("--gamma", type=_arg("gamma"), default=None)
     g.add_argument("--gamma-policy", default=None,
                    help="fixed:G | theory | minibatch | armijo[:GMAX]")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--batch", type=_positive_int, default=1)
+    p.add_argument("--beta", type=_arg("beta"), default=0.0)
+    p.add_argument("--batch", type=_arg("batch"), default=1)
     p.add_argument("--sampling", choices=("uniform", "lipschitz"), default="uniform")
-    p.add_argument("--inner-t", type=_positive_int, default=None, help="stage length (default n)")
-    p.add_argument("--epochs", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoint-every", type=float, default=1.0)
+    p.add_argument("--inner-t", type=_arg("inner_t"), default=None, help="stage length (default n)")
+    p.add_argument("--epochs", type=_arg("epochs"), default=10.0)
+    p.add_argument("--seed", type=_arg("seed"), default=0)
+    p.add_argument("--checkpoint-every", type=_arg("checkpoint_every"), default=1.0)
     p.add_argument("--xstar", default=None, help="vector file with the reference point")
     p.add_argument("--fstar", default=None, help="reference value or scalar file")
     p.add_argument("--jit", choices=sparse_jit.JIT_MODES, default="auto")
     # one table layout; the flag stays so command lines that name it still run
     p.add_argument("--table", choices=("scalar",), default="scalar")
-    p.add_argument("--warm-start-sgd-epochs", type=float, default=0.0)
+    p.add_argument("--warm-start-sgd-epochs", type=_arg("warm_start_sgd_epochs"), default=0.0)
     p.add_argument("--stop", default="epochs", help="grad:EPS | gbar:EPS | gap:EPS | epochs")
     p.add_argument("--times", action="store_true", help="record wall-clock times")
 
@@ -550,7 +539,7 @@ def build_parser():
 
     p = sub.add_parser("solve-ref", help="solve and cache a certified reference")
     _add_objective_flags(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_arg("tol"), default=1e-12)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_solve_ref)
 
@@ -569,7 +558,7 @@ def build_parser():
     _add_objective_flags(p)
     _add_run_flags(p)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--grid", type=_positive_int, default=61, help="grid points per axis")
+    p.add_argument("--grid", type=_arg("grid"), default=61, help="grid points per axis")
     p.set_defaults(func=cmd_trace2d)
 
     p = sub.add_parser("validate", help="run the oracle and invariant suite")
@@ -579,14 +568,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
-    except UsageError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return EXIT_USAGE
-    except (ConfigError, ValueError) as e:
+    except (UsageError, ValueError) as e:  # optimizers.ConfigError is a ValueError
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
     except IoError as e:

@@ -284,10 +284,10 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
     prox-gradient mapping norm when l1 > 0) is <= tol at the point returned;
     only that test certifies x*. No stochastic method is involved. Results
     are cached under $VROPT_CACHE keyed by solver, dataset hash, d and
-    (loss, l2, l1, tol).
+    (loss, l2, l1, tol); an entry that does not read is solved again.
 
     Raises:
-        ValueError: l2 <= 0, or tol outside (0, inf).
+        ValueError: only for a non-smooth loss, l2 <= 0, or tol outside (0, inf).
         RuntimeError: more than max_iter iterations are needed, or the
             residual is not finite; nothing is cached then.
     """
@@ -305,11 +305,14 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
     xpath = os.path.join(cdir, key + ".vec")
     mpath = os.path.join(cdir, key + ".json")
     if cache and os.path.exists(xpath) and os.path.exists(mpath):
-        x = vecio.read_vector(xpath)
-        with open(mpath) as fh:
-            f = float(json.load(fh)["f_star"])
-        _REF_MEMO[key] = (x.copy(), f)
-        return x, f
+        try:
+            x = vecio.read_vector(xpath)
+            with open(mpath) as fh:
+                f = float(json.load(fh)["f_star"])
+            _REF_MEMO[key] = (x.copy(), f)
+            return x, f
+        except (OSError, ValueError, KeyError):
+            pass  # an entry that does not read is solved and written again
 
     # FISTA (Beck & Teboulle 2009) at gamma = 1/L with gradient restart
     # (O'Donoghue & Candes 2012): y is the extrapolated point, x the last

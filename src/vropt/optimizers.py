@@ -90,10 +90,6 @@ class MomentumState:
     m: np.ndarray
     beta: float
 
-    def __post_init__(self):
-        if not 0 < self.beta < 1:
-            raise ConfigError("momentum beta must lie in (0,1)")
-
 
 @dataclass(frozen=True)
 class StarTable:
@@ -491,6 +487,34 @@ class RunConfig:
     var_epochs: frozenset | None = None  # record var_est at these epochs (None: never)
 
 
+# The domain of every numeric input, read by _validate and (at n = 1) by the CLI's flags:
+# name -> (the kind a flag's text parses as, test(x, n), the phrase after "NAME must be").
+# An epoch count x is a budget of x*n evaluations, which run() rounds to an int.
+_EPOCHS = (float, lambda x, n: x >= 0 and math.isfinite(x * n), "nonnegative, and finite times n")
+_POSITIVE_INT = (int, lambda x, n: x >= 1, "a positive integer")
+_POSITIVE_FINITE = (float, lambda x, n: 0 < x < math.inf, "positive and finite")
+DOMAINS = {
+    "epochs": _EPOCHS, "warm_start_sgd_epochs": _EPOCHS,
+    "checkpoint_every": (float, lambda x, n: x > 0 and math.isfinite(x * n), "positive, and finite times n"),
+    "gamma": _POSITIVE_FINITE, "gamma_max": _POSITIVE_FINITE, "tol": _POSITIVE_FINITE,
+    "beta": (float, lambda x, n: 0 <= x < 1, "in [0, 1)"),
+    "seed": (int, lambda x, n: x >= 0, "a nonnegative integer"),
+    "inner_t": _POSITIVE_INT, "batch": _POSITIVE_INT, "dim": _POSITIVE_INT, "grid": _POSITIVE_INT,
+}
+
+
+def check_domain(name, value, n=1, error=ConfigError):
+    """value, or the number its text spells, if in DOMAINS[name] for n examples; else raises error."""
+    kind, test, phrase = DOMAINS[name]
+    try:
+        x = kind(value) if isinstance(value, str) else value
+    except ValueError:
+        x = math.nan  # in no domain
+    if not test(x, n):
+        raise error("%s must be %s, got %r" % (name, phrase, value))
+    return x
+
+
 @dataclass
 class RunResult:
     records: list
@@ -506,14 +530,14 @@ def _validate(config, obj):
         raise ConfigError("unknown method %r (valid: %s)" % (config.method, ", ".join(METHODS)))
     if config.method != "sdca" and not obj.loss.smooth:
         raise ConfigError("loss %s is only supported by sdca" % obj.loss.name)
-    if config.method == "sgd_momentum" and not 0 < config.beta < 1:
-        raise ConfigError("sgd_momentum needs beta in (0,1)")
+    for name in DOMAINS:  # gamma_max is the armijo field; batch, dim, grid and tol read None
+        value = getattr(config, "armijo" if name == "gamma_max" else name, None)
+        if value is not None:
+            check_domain(name, value, obj.n)
+    if config.method == "sgd_momentum" and not config.beta:
+        raise ConfigError("sgd_momentum needs a momentum beta > 0")
     if config.method == "sgd_star" and config.x_star is None:
         raise ConfigError("sgd_star needs x_star")
-    if config.gamma is not None and not 0 < config.gamma < np.inf:
-        raise ConfigError("gamma must be positive and finite")
-    if config.armijo is not None and not 0 < config.armijo < np.inf:
-        raise ConfigError("gamma_max must be positive and finite")
     try:
         check_batch(config.scheme, obj.n)
     except ValueError as e:
@@ -525,16 +549,8 @@ def _validate(config, obj):
             raise ConfigError("sdca supports uniform sampling only")
         if config.warm_start_sgd_epochs:
             raise ConfigError("sdca has no primal step to warm-start with sgd")
-    if not 0 <= config.epochs < np.inf:
-        raise ConfigError("epochs must be nonnegative and finite")
-    if not 0 <= config.warm_start_sgd_epochs < np.inf:
-        raise ConfigError("warm_start_sgd_epochs must be nonnegative and finite")
-    if not 0 < config.checkpoint_every < np.inf:
-        raise ConfigError("checkpoint_every must be positive and finite")
-    if config.seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    if config.inner_t is not None and config.inner_t < 1:
-        raise ConfigError("inner_t must be a positive integer")
+        if config.gamma is not None or config.armijo is not None:
+            raise ConfigError("sdca maximizes each coordinate exactly; it takes no stepsize")
     if config.jit not in sparse_jit.JIT_MODES:
         raise ConfigError("jit must be one of %s, not %r" % (", ".join(sparse_jit.JIT_MODES), config.jit))
     rule = StopRule.parse(config.stop)
@@ -565,15 +581,15 @@ def resolve(config, obj):
     Raises ConfigError, or ValueError where no theory stepsize exists."""
     rule = _validate(config, obj)
     gamma = armijo = None
-    if config.method == "sdca":
-        pass  # exact coordinate maximization: no stepsize
-    elif config.gamma is not None:
+    if config.gamma is not None:
         gamma = float(config.gamma)
     elif config.armijo is not None:
         if config.method in ("gd", "sgd_momentum"):
             raise ConfigError("armijo stepsizes are per-example; not valid for %s" % config.method)
+        if config.scheme.batch != 1:  # the search reads one example, the step moves along all b
+            raise ConfigError("armijo backtracks on one example; it needs batch 1, not %d" % config.scheme.batch)
         armijo = float(config.armijo)
-    else:
+    elif config.method != "sdca":  # sdca maximizes exactly: no stepsize
         gamma = default_stepsize(config.method, smoothness(obj), config.scheme)
     engine, reason = sparse_jit.choose_engine(config, obj, gamma)
     if config.jit == "on" and engine != "lazy":

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from vropt import cli, diag, objectives, validate
+from vropt import cli, diag, objectives, optimizers, validate
 from vropt.bench_data import load_dataset, sparse_gaussian
 from vropt.data import dataset_hash, parse_libsvm, write_libsvm
 from vropt.diag import read_trace
@@ -79,10 +79,9 @@ def test_usage_exit_codes(capsys, tmp_path):
              "--gamma", "0.1", "--gamma-policy", "theory")
     assert exc.value.code == 1
     for grid in ("-1", "0"):  # -1 wrote iterates then failed in numpy; 0 wrote a 0x0 grid
-        with pytest.raises(SystemExit) as exc:
-            _run("trace2d", "--data", "synth:blobs2d", "--method", "gd", "--l2", "0.1",
-                 "--grid", grid, "--out", str(tmp_path / "t"))
-        assert exc.value.code == 1
+        assert _run("trace2d", "--data", "synth:blobs2d", "--method", "gd", "--l2", "0.1",
+                    "--grid", grid, "--out", str(tmp_path / "t")) == 1
+        assert "positive integer" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
     capsys.readouterr()
 
@@ -124,8 +123,8 @@ def test_solve_ref_bad_tol(tol, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VROPT_CACHE", str(tmp_path / "cache"))
     prefix = str(tmp_path / "ref")
     assert _run("solve-ref", "--data", "synth:tiny", "--l2", "0.1", "--tol", tol,
-                "--out", prefix) == cli.EXIT_IO
-    assert "reference solve failed" in capsys.readouterr().err
+                "--out", prefix) == cli.EXIT_USAGE
+    assert "tol must be positive and finite" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
@@ -208,9 +207,14 @@ def test_compare_batch_above_n_fails_before_any_output(tmp_path, capsys):
     (["--gamma-policy", "armijo:nan"], "gamma_max must be"), (["--gamma-policy", "armijo:inf"], "gamma_max must be"),
     (["--l2", "nan"], "regularization weights"), (["--l2", "inf"], "regularization weights"),
     (["--l1", "nan"], "regularization weights"),
+    (["--method", "sdca", "--gamma", "7"], "takes no stepsize"),
+    (["--method", "sdca", "--gamma-policy", "fixed:7"], "takes no stepsize"),
+    (["--method", "sdca", "--gamma-policy", "armijo:5"], "takes no stepsize"),
+    (["--batch", "4", "--gamma-policy", "armijo"], "needs batch 1"),
 ])
 def test_bad_stepsize_or_regularization_exits_1_before_any_output(args, msg, tmp_path, capsys):
-    # these ran (a negative gamma ascended), reported divergence (exit 3) or
+    # these ran (a negative gamma ascended; sdca dropped its stepsize, and
+    # armijo searched on batch[0] alone), reported divergence (exit 3) or
     # died with a traceback; now each is a usage error and nothing is written
     out = tmp_path / "o.csv"
     assert _run("run", "--data", "synth:tiny", "--l2", "0.1", "--method", "sag", "--epochs", "2",
@@ -240,6 +244,68 @@ def test_bad_fstar_or_stop_rule_exits_1_before_any_output(args, msg, tmp_path, c
                 "--out", str(out), *args) == 1
     assert msg in capsys.readouterr().err
     assert not out.exists()
+
+
+# the probes outside each numeric input's domain, on data with n >= 2, where
+# 1e308 epochs of n evaluations overflow; an integer input reads "1e308" as no
+# integer at all
+PROBES = ("nan", "inf", "-inf", "-1", "0", "1e308")
+_NOT_0 = tuple(p for p in PROBES if p != "0")
+_NOT_1E308 = PROBES[:-1]
+OUTSIDE = {"epochs": _NOT_0, "warm_start_sgd_epochs": _NOT_0, "checkpoint_every": PROBES,
+           "gamma": _NOT_1E308, "gamma_max": _NOT_1E308, "tol": _NOT_1E308, "beta": _NOT_0,
+           "seed": _NOT_0, "inner_t": PROBES, "batch": PROBES, "dim": PROBES, "grid": PROBES}
+
+
+def test_numeric_inputs_outside_their_domain_exit_1(tmp_path, monkeypatch, capsys):
+    # walks optimizers.DOMAINS: every numeric flag of run, trace2d and
+    # solve-ref and every numeric compare key, at each probe outside its
+    # domain, exits 1 with an error line and writes nothing: no trace, no
+    # reference files, no out directory. 1e308 epochs died with an
+    # OverflowError, and a bad --tol exited 2
+    assert set(OUTSIDE) == set(optimizers.DOMAINS)
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path / "cache"))
+    top_keys = ("dim", "epochs", "checkpoint_every", "seed")
+    cases = 0
+    for name, probes in OUTSIDE.items():
+        for value in probes:
+            text = "armijo:" + value if name == "gamma_max" else value
+            flag = "--%s=%s" % ("gamma-policy" if name == "gamma_max" else name.replace("_", "-"), text)
+            entry = "%s = %s" % ({"seed": "seeds", "gamma_max": "gamma_policy"}.get(name, name), text)
+            commands = []
+            if name not in ("grid", "tol"):
+                commands.append(["run", "--data=synth:tiny", "--l2=0.1", "--method=saga", "--out=o.csv", flag])
+                commands.append(["compare", "spec"])
+            if name != "tol":
+                commands.append(["trace2d", "--data=synth:blobs2d", "--l2=0.1", "--method=saga", "--out=t", flag])
+            if name in ("dim", "tol"):
+                commands.append(["solve-ref", "--data=synth:tiny", "--l2=0.1", "--out=ref", flag])
+            for argv in commands:
+                case = tmp_path / str(cases)
+                case.mkdir()
+                monkeypatch.chdir(case)
+                if argv[0] == "compare":
+                    top, block = (entry, "") if name in top_keys else ("", entry)
+                    spec = "data = synth:tiny\nl2 = 0.1\nout = grid\n%s\n[method]\nname = saga\n%s\n"
+                    (case / "spec").write_text(spec % (top, block))
+                assert _run(*argv) == 1, argv
+                assert "error:" in capsys.readouterr().err, argv
+                assert os.listdir(case) == (["spec"] if argv[0] == "compare" else []), argv
+                cases += 1
+    assert not (tmp_path / "cache").exists()
+    assert cases == 179
+
+
+def test_reference_input_errors_exit_1(tmp_path, monkeypatch, capsys):
+    # l2 <= 0 made solve-ref and compare's reference solve exit 2 (I/O)
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path / "cache"))
+    assert _run("solve-ref", "--data", "synth:tiny", "--out", str(tmp_path / "ref")) == cli.EXIT_USAGE
+    assert "l2 > 0" in capsys.readouterr().err
+    spec = tmp_path / "l2.spec"
+    spec.write_text("data = synth:tiny\nl2 = 0\nout = %s\n[method]\nname = saga\n" % (tmp_path / "grid"))
+    assert _run("compare", str(spec)) == cli.EXIT_USAGE
+    assert "l2 > 0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["l2.spec"]
 
 
 @pytest.mark.parametrize("batch", ["1", "4"])
@@ -347,9 +413,8 @@ def test_dim_rejected_for_synthetic_data(tmp_path, capsys):
                 "--method", "gd", "--epochs", "1", "--out", str(out)) == 0
     assert read_trace(str(out))[1]["dim"] == "7"
     for dim in ("0", "-3"):  # a usage error, as in a spec, not an I/O one
-        with pytest.raises(SystemExit) as exc:
-            _run("run", "--data", str(data), "--dim", dim, "--l2", "0.1", "--method", "gd")
-        assert exc.value.code == cli.EXIT_USAGE and "positive integer" in capsys.readouterr().err
+        assert _run("run", "--data", str(data), "--dim", dim, "--l2", "0.1", "--method", "gd") == cli.EXIT_USAGE
+        assert "positive integer" in capsys.readouterr().err
 
 
 def test_trace2d(tmp_path, capsys):

@@ -156,6 +156,21 @@ def test_solve_reference_cache(tmp_path, monkeypatch):
     assert len(os.listdir(tmp_path)) > len(files)
 
 
+def test_solve_reference_solves_past_an_unreadable_entry(tmp_path, monkeypatch):
+    # a corrupt entry raised ValueError, which solve_reference keeps for bad
+    # inputs; it is now a miss, solved and written again
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path))
+    x1, f1 = solve_reference(_toy(), tol=1e-12)
+    for name in os.listdir(tmp_path):
+        (tmp_path / name).write_bytes(b"garbage")
+    monkeypatch.setattr(diag, "_REF_MEMO", {})
+    x2, f2 = solve_reference(_toy(), tol=1e-12)
+    assert np.array_equal(x1, x2) and f1 == f2
+    monkeypatch.setattr(diag, "_REF_MEMO", {})
+    monkeypatch.setattr(diag, "_prox_grad", lambda *a: pytest.fail("solved a readable entry"))
+    assert solve_reference(_toy(), tol=1e-12)[1] == f1
+
+
 def test_solve_reference_cache_keys_dim(tmp_path, monkeypatch):
     # the same rows padded to d=5 are a different problem with a length-5 x*
     monkeypatch.setenv("VROPT_CACHE", str(tmp_path))

@@ -373,6 +373,13 @@ def test_config_validation():
         (RunConfig(method="sgd", stop="gbar:1e-6", gamma=0.1), obj),
         (RunConfig(method="sdca", stop="grad:1e-6"), obj),
         (RunConfig(method="gd", armijo=1.0), obj),
+        (RunConfig(method="saga", armijo=1.0, scheme=uniform_scheme(batch=2)), obj),
+        (RunConfig(method="sdca", gamma=0.1), obj),
+        (RunConfig(method="sdca", armijo=1.0), obj),
+        (RunConfig(method="saga", epochs=1e308), obj),  # x*n overflows: run() rounded it to an int
+        (RunConfig(method="saga", gamma=0.1, warm_start_sgd_epochs=1e308), obj),
+        (RunConfig(method="saga", checkpoint_every=1e308), obj),
+        (RunConfig(method="sgd_momentum", gamma=0.1, beta=1.0), obj),
         (RunConfig(method="saga", gamma=0.1, jit="of"), obj),
         # a negative gamma ran (and ascended), 0 ran without moving, and NaN
         # or inf surfaced as divergence at the first checkpoint

@@ -47,12 +47,17 @@ MUTANTS = (
      "dual.min_gain = gain", "pass"),
     ("minibatch_smoothness_lmax", "schedules.py",
      "n * (b - 1) / (b * (n - 1)) * l_full)", "n * (b - 1) / (b * (n - 1)) * l_max)"),
+    ("table_gsum_no_subtract", "optimizers.py",
+     "gsum[idx] += delta", "gsum[idx] += s * vals"),
+    ("epoch_domain_drop_times_n", "optimizers.py",
+     "x >= 0 and math.isfinite(x * n)", "x >= 0 and math.isfinite(x)"),
 )
 
 # tier-1 tests that target faults no validate check sees
 TESTS = (
     "tests/test_optimizers.py::test_sdca_gain_is_scaled_dual_increase",
     "tests/test_optimizers.py::test_momentum_full_batch_is_heavy_ball",
+    "tests/test_cli.py::test_numeric_inputs_outside_their_domain_exit_1",
 )
 
 
