@@ -10,16 +10,17 @@ import os
 
 import numpy as np
 
-from .data import Dataset, RandomSource, parse_libsvm
+from .data import Dataset, RandomSource, parse_libsvm, readonly
 
 # attribute arities; they sum to 112 and include a single-valued attribute
 ARITIES = (6, 4, 10, 2, 9, 2, 2, 2, 12, 2, 5, 4, 4, 9, 9, 1, 4, 3, 5, 9, 6, 2)
 
 
 def _dense(a, labels):
-    """Dataset whose rows are the rows of the dense (n, d) array a."""
+    """Dataset whose rows are the rows of the dense (n, d) array a, which
+    it takes over: a becomes read-only."""
     n, d = a.shape
-    return Dataset(np.arange(0, n * d + 1, d), np.tile(np.arange(d), n), a.ravel(), labels, d)
+    return Dataset(*readonly(np.arange(0, n * d + 1, d), np.tile(np.arange(d), n), a.ravel()), labels, d)
 
 
 def mushrooms_like(seed=0, scale=1.0, gap=0.8):
@@ -69,7 +70,7 @@ def mushrooms_like(seed=0, scale=1.0, gap=0.8):
     cols = offsets[None, :] + cats
     margins = w * x_true[cols].sum(axis=1)
     labels = np.where(margins >= 0, 1.0, -1.0)
-    return Dataset(np.arange(0, cols.size + 1, groups), cols.ravel(), np.full(cols.size, w), labels, d)
+    return Dataset(*readonly(np.arange(0, cols.size + 1, groups), cols.ravel(), np.full(cols.size, w)), labels, d)
 
 
 def blobs_2d(seed=0, n=400, flip=0.08):
@@ -105,7 +106,7 @@ def sparse_gaussian(seed=0, n=500, d=200, density=0.02):
     prob = 1.0 / (1.0 + np.exp(-margins))
     labels = np.where(rng.random(n) < prob, 1.0, -1.0)
     indptr = np.cumsum([0] + [idx.size for idx in col_indices])
-    return Dataset(indptr, np.concatenate(col_indices), np.concatenate(col_values), labels, d)
+    return Dataset(*readonly(indptr, np.concatenate(col_indices), np.concatenate(col_values)), labels, d)
 
 
 def toy_classification(seed=0, n=50, d=10):

@@ -6,8 +6,12 @@ shifted at parse time.
 """
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
+import os
 import struct
+import sys
 from array import array
 from collections import namedtuple
 
@@ -22,23 +26,27 @@ class ParseError(ValueError):
 
 RowView = namedtuple("RowView", "indices values")
 
-# A Dataset takes its full products (margins, A x, and weighted_sum, A^T s)
-# on numpy until they have pushed this many stored entries, then on
-# scipy.sparse, imported at that point: the rent-or-buy rule. Loading
-# scipy.sparse costs a fresh process 0.14-0.20 s and 22 MB of peak RSS (and
-# int32 copies of the index arrays); numpy's products cost 2-5 ns more per
-# entry. The budget is the traffic at which numpy's extra time equals the
-# load, so a process pays at most about twice what the better engine in
-# hindsight would cost it. Five sweeps of tools/engine_sweep.py --products
-# on a 2-vCPU x86 VM put it at 49-64M entries. Most processes stay under it
-# and never load scipy: at most 3.0M entries per dataset in a validate
-# check on small data, 8.0M in a run on a 1M-nonzero file, 28.6M in a
-# compare over the mushrooms table (179k nonzeros) with its reference
-# cached. A cold reference solve on that table pushes 230M and loads it.
-NUMPY_BUDGET_NNZ = 50_000_000
-# Above this many stored entries numpy's products run in row-aligned chunks
-# of about this size, so no nnz-sized temporary exists.
-CHUNK_NNZ = 1 << 16
+
+def _load_sparsetools():
+    """scipy's compiled sparse loops, the extension module behind
+    csr_matrix @ x and csr.T @ s, loaded from its file beside scipy's
+    package. That runs neither scipy's nor scipy.sparse's __init__, whose
+    import costs a fresh process 0.14-0.20 s and 22 MB of peak RSS. A
+    process that has loaded scipy.sparse already shares its copy."""
+    loaded = sys.modules.get("scipy.sparse._sparsetools")
+    if loaded is not None:
+        return loaded
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "_sparsetools", [os.path.join(p, "sparse") for p in scipy.submodule_search_locations or ()])
+    if spec is None:
+        raise ImportError("vropt's sparse products need scipy's compiled loops (scipy/sparse/_sparsetools)")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 class Dataset:
@@ -46,14 +54,18 @@ class Dataset:
 
     Held as CSR only: row i is col_indices/col_values[indptr[i]:indptr[i+1]],
     indices strictly increasing within a row and in [0, d), no stored zeros
-    (dropped here), values and labels finite. The arrays are read-only views;
-    the caller's stay writable.
+    (dropped here), values and labels finite. The arrays are read-only, and
+    no caller can write them: the products read x[col_indices[k]] with no
+    bounds check, so an indptr, col_indices or col_values handed over
+    writable, or viewing a writable array, is copied before it is checked.
+    One handed over read-only (readonly(): parse_libsvm, read_csr and
+    bench_data's generators) is kept as it is.
     """
 
     def __init__(self, indptr, col_indices, col_values, labels, d):
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(col_indices, dtype=np.int64)
-        values = np.asarray(col_values, dtype=np.float64)
+        indptr = _owned(indptr, np.int64)
+        indices = _owned(col_indices, np.int64)
+        values = _owned(col_values, np.float64)
         if indptr.ndim != 1 or indptr.size < 2:
             raise ValueError("empty dataset: indptr needs n+1 >= 2 entries in one dimension")
         n = indptr.size - 1
@@ -82,16 +94,9 @@ class Dataset:
             indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
             indices = indices[keep]
             values = values[keep]
-        self.indptr, self.col_indices, self.col_values = indptr.view(), indices.view(), values.view()
-        self.labels = labels
-        for a in (self.indptr, self.col_indices, self.col_values, self.labels):
-            a.setflags(write=False)
+        self.indptr, self.col_indices, self.col_values, self.labels = readonly(indptr, indices, values, labels)
         self.n = n
         self.d = int(d)
-        self._csr = None
-        self._csr_t = None
-        self._rows = None
-        self._pushed = 0  # stored entries through numpy's products
         self._hash = None
 
     def row(self, i):
@@ -107,104 +112,62 @@ class Dataset:
         tracer (perfbench/tracing.py), per-example loops call row(i)."""
         return (RowView(*self.row(i)) for i in range(self.n))
 
-    def to_csr(self):
-        """scipy CSR matrix of shape (n, d) over the dataset's own arrays;
-        built once, cached. Only products past NUMPY_BUDGET_NNZ build it."""
-        if self._csr is None:
-            from scipy import sparse
-
-            self._csr = sparse.csr_matrix(
-                (self.col_values, self.col_indices, self.indptr), shape=(self.n, self.d)
-            )
-        return self._csr
-
-    def _on_numpy(self):
-        """True while this dataset's products stay on numpy (and counts this
-        one's entries); False once they have pushed NUMPY_BUDGET_NNZ."""
-        if self._pushed >= NUMPY_BUDGET_NNZ:
-            return False
-        self._pushed += self.col_values.size
-        return True
-
-    def _entry_rows(self):
-        """Row index of every stored entry, in CSR order; built once, for
-        data of one chunk only."""
-        if self._rows is None:
-            self._rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return self._rows
-
-    def _chunks(self):
-        """(first row, end row, first entry, end entry, row of each entry
-        counted from the first row) of each row-aligned chunk of at most
-        CHUNK_NNZ stored entries (a longer row is a chunk of its own), each
-        chunk's rows built as it comes, so no nnz-sized array is made."""
-        indptr = self.indptr
-        r0 = 0
-        while r0 < self.n:
-            lo = int(indptr[r0])
-            r1 = max(r0 + 1, int(np.searchsorted(indptr, lo + CHUNK_NNZ, "right")) - 1)
-            hi = int(indptr[r1])
-            yield r0, r1, lo, hi, np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
-            r0 = r1
-
     def margins(self, x):
         """All a_i^T x as one vector of length n.
 
         Row i's terms a_ij x_j are summed left to right in column order,
-        starting from 0.0, as scipy's CSR loop sums them, so both engines
-        give the same bits: numpy's bincount (chunk by chunk above
-        CHUNK_NNZ entries) until the dataset's products have pushed
-        NUMPY_BUDGET_NNZ entries, then scipy.sparse.
+        starting from 0.0: scipy's CSR loop (csr_matvec), the one
+        csr_matrix @ x runs, here over the int64 arrays themselves.
         """
-        x = _operand(x, self.d)
-        if not self._on_numpy():
-            return self.to_csr() @ x
-        if self.col_values.size <= CHUNK_NNZ:
-            return _bin_sums(self._entry_rows(), self.col_values * x[self.col_indices], self.n)
-        out = np.empty(self.n)
-        for r0, r1, lo, hi, rows in self._chunks():
-            terms = x[self.col_indices[lo:hi]]
-            terms *= self.col_values[lo:hi]
-            out[r0:r1] = np.bincount(rows, weights=terms, minlength=r1 - r0)
-            del rows, terms  # before the next chunk's are built
+        out = np.zeros(self.n)
+        _sparsetools.csr_matvec(self.n, self.d, self.indptr, self.col_indices, self.col_values,
+                                _operand(x, self.d), out)
         return out
 
     def weighted_sum(self, s):
         """sum_i s_i a_i, i.e. A^T s, as one vector of length d.
 
         Coordinate j's terms s_i a_ij are summed left to right in row order,
-        starting from 0.0, as scipy's CSC loop over A^T sums them (A^T is
-        built once, as a CSC view over the CSR arrays); the engine is chosen
-        as in margins. Above CHUNK_NNZ entries each chunk adds its terms to
-        the running sums in entry order (np.add.at); a bincount per chunk
-        added afterwards would round differently.
+        starting from 0.0: scipy's CSC loop (csc_matvec), the one csr.T @ s
+        runs, reading the CSR arrays as those of A^T in CSC.
         """
-        s = _operand(s, self.n)
-        if not self._on_numpy():
-            if self._csr_t is None:
-                self._csr_t = self.to_csr().T
-            return self._csr_t @ s
-        if self.col_values.size <= CHUNK_NNZ:
-            return _bin_sums(self.col_indices, self.col_values * s[self._entry_rows()], self.d)
         out = np.zeros(self.d)
-        for r0, r1, lo, hi, rows in self._chunks():
-            terms = s[r0:r1][rows]
-            terms *= self.col_values[lo:hi]
-            with np.errstate(over="ignore", invalid="ignore"):  # silent, as bincount and scipy are
-                np.add.at(out, self.col_indices[lo:hi], terms)
-            del rows, terms
+        _sparsetools.csc_matvec(self.d, self.n, self.indptr, self.col_indices, self.col_values,
+                                _operand(s, self.n), out)
         return out
 
 
-def _bin_sums(bins, weights, size):
-    """np.bincount's weighted sums, float64 also over no entries (where
-    numpy gives int64 zeros)."""
-    return np.bincount(bins, weights=weights, minlength=size).astype(np.float64, copy=False)
+def readonly(*arrays):
+    """The arrays, each marked read-only with every array under it, and
+    returned: how a builder that keeps no writable view of them hands them
+    to Dataset without a copy."""
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            a.setflags(write=False)
+            a = a.base
+    return arrays
+
+
+def _owned(a, dtype):
+    """a as a C-contiguous array of dtype that no caller can write. An
+    array built here (from a list or another dtype) is kept, and so is one
+    handed over read-only down to its last array base (a bytes or array
+    buffer under that is the builder's: parse_libsvm, read_csr); any other
+    is copied."""
+    out = np.asarray(a, dtype=dtype, order="C")
+    if out is not a and out.base is None:
+        return out
+    base = out
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return out.copy()
+        base = base.base
+    return out
 
 
 def _operand(v, size):
-    """v as a 1-d float64 array of the given length."""
-    v = np.asarray(v, dtype=np.float64)
+    """v as a C-contiguous 1-d float64 array of the given length."""
+    v = np.asarray(v, dtype=np.float64, order="C")
     if v.shape != (size,):
         raise ValueError("dimension mismatch: operand of shape %s, want (%d,)" % (v.shape, size))
     return v
@@ -311,8 +274,8 @@ def parse_libsvm(source, dim=None):
             raise ParseError("dim override %d smaller than max index %d" % (d, max_idx))
     if d < 1:
         raise ParseError("empty dataset")  # rows exist but carry no features
-    return Dataset(np.frombuffer(indptr, dtype=np.int64), np.frombuffer(col_indices, dtype=np.int64),
-                   np.frombuffer(col_values, dtype=np.float64), labels, d)
+    return Dataset(*readonly(np.frombuffer(indptr, dtype=np.int64), np.frombuffer(col_indices, dtype=np.int64),
+                             np.frombuffer(col_values, dtype=np.float64)), labels, d)
 
 
 def write_libsvm(dataset):
@@ -355,7 +318,8 @@ def write_csr(path, dataset):
 
 def read_csr(path):
     """The Dataset write_csr stored, rebuilt through the validating
-    constructor (no copy of the index and value arrays).
+    constructor over read-only views of the bytes read (no copy of the
+    index and value arrays).
 
     Raises:
         OSError: the file cannot be read.
@@ -372,8 +336,6 @@ def read_csr(path):
     arrays = []
     offset = 24
     for dtype, count in (("<i8", n + 1), ("<i8", nnz), ("<f8", nnz), ("<f8", n)):
-        # one buffer per array: a view into one array holding them all would
-        # look like a slice to scipy, which copies such slices
         arrays.append(np.frombuffer(raw, dtype=dtype, count=count, offset=offset))
         offset += 8 * count
     return Dataset(*arrays, d)

@@ -284,7 +284,8 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
     prox-gradient mapping norm when l1 > 0) is <= tol at the point returned;
     only that test certifies x*. No stochastic method is involved. Results
     are cached under $VROPT_CACHE keyed by solver, dataset hash, d and
-    (loss, l2, l1, tol); an entry that does not read is solved again.
+    (loss, l2, l1, tol); an entry that does not read is solved again, and
+    one that cannot be written is kept in this process only.
 
     Raises:
         ValueError: only for a non-smooth loss, l2 <= 0, or tol outside (0, inf).
@@ -338,10 +339,13 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
     x = y
     f = obj.objective_value(x)
     if cache:
-        os.makedirs(cdir, exist_ok=True)
-        vecio.write_vectors(xpath, x)
-        vecio.atomic_write_text(mpath, json.dumps({"f_star": f, "tol": tol}) + "\n")
         _REF_MEMO[key] = (x.copy(), f)
+        try:
+            os.makedirs(cdir, exist_ok=True)
+            vecio.write_vectors(xpath, x)
+            vecio.atomic_write_text(mpath, json.dumps({"f_star": f, "tol": tol}) + "\n")
+        except OSError:
+            pass  # an unwritable cache costs the next process a solve, nothing more
     return x, f
 
 

@@ -1,7 +1,9 @@
 import hashlib
 import io
-import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -113,8 +115,8 @@ def test_csr_file_round_trip(tmp_path):
     assert (again.n, again.d) == (ds.n, ds.d)
     for name in ("indptr", "col_indices", "col_values", "labels"):
         assert np.array_equal(getattr(again, name), getattr(ds, name)), name
-    # each array owns its own buffer: scipy copies arrays that look like slices
-    assert again.to_csr().data.base is again.col_values.base
+    # the arrays are read-only views of the bytes read, taken without a copy
+    assert all(isinstance(a.base, bytes) for a in (again.indptr, again.col_indices, again.col_values))
     raw = (tmp_path / "ds.csr").read_bytes()
     for bad in (raw[:-1], raw + b"\0" * 8, raw[:20], b""):
         (tmp_path / "bad.csr").write_bytes(bad)
@@ -159,15 +161,13 @@ def test_round_trip_property(rows):
     assert np.array_equal(again.col_values, ds.col_values)
 
 
-def test_csr_matches_rows(monkeypatch):
-    monkeypatch.setattr(data, "NUMPY_BUDGET_NNZ", 24)
+def test_csr_matches_rows():
     ds = parse_libsvm(io.StringIO("1 1:2 3:4\n-1 2:-1\n1 1:1 2:1 3:1\n"))
-    m = ds.to_csr().toarray()
     dense = np.zeros((3, 3))
     for i in range(ds.n):
         idx, vals = ds.row(i)
         dense[i, idx] = vals
-    assert np.array_equal(m, dense)
+    assert dense.tolist() == [[2.0, 0.0, 4.0], [0.0, -1.0, 0.0], [1.0, 1.0, 1.0]]
     x = np.array([1.0, -2.0, 0.5])
     s = np.array([0.5, -3.0, 2.0])
     assert np.allclose(ds.margins(x), dense @ x)
@@ -176,15 +176,8 @@ def test_csr_matches_rows(monkeypatch):
         ds.margins(np.ones(4))
     with pytest.raises(ValueError, match="dimension mismatch"):
         ds.weighted_sum(np.ones((3, 1)))
-    # within the budget (here 24 entries: the four products above and below
-    # push 6 each) numpy's engine, which never builds A^T; past it, A^T s
-    # comes from the cached transpose, over the CSR arrays themselves
-    assert ds._csr_t is None
-    numpy_products = ds.margins(x), ds.weighted_sum(s)
-    assert ds._csr_t is None
-    assert ds.margins(x).tobytes() == numpy_products[0].tobytes()
-    assert ds.weighted_sum(s).tobytes() == numpy_products[1].tobytes()
-    assert np.shares_memory(ds._csr_t.data, ds.to_csr().data)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ds.margins(1.0)
 
 
 def _random_csr(seed, n, d, nnz):
@@ -197,18 +190,28 @@ def _random_csr(seed, n, d, nnz):
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), cols, vals
 
 
+def _layout(v, layout):
+    """v (1-d float64) as the operand layout under test: the array itself,
+    a reversed (negative-stride) view, a column of a 2-d array (stride 3
+    elements), or a list."""
+    if layout == "reversed":
+        return v[::-1].copy()[::-1]
+    if layout == "column":
+        m = np.zeros((v.size, 3))
+        m[:, 1] = v
+        return m[:, 1]
+    return v.tolist() if layout == "list" else v
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30), st.floats(0.0, 1.0),
-       st.booleans(), st.booleans(), st.sampled_from([None, 1, 2, 3, 7]),
-       st.sampled_from(["random", "zero", "signed_zero"]))
-def test_products_match_scipy_bit_for_bit(seed, n, d, density, big, gaps, chunk, operand):
-    # both engines give scipy's A x and A^T s byte for byte (signs of zero
+       st.booleans(), st.booleans(), st.sampled_from(["random", "zero", "signed_zero"]),
+       st.sampled_from(["contiguous", "reversed", "column", "list"]))
+def test_products_match_scipy_bit_for_bit(seed, n, d, density, big, gaps, operand, layout):
+    # A x and A^T s are scipy.sparse's byte for byte (signs of zero
     # included), as float64 (also for nnz = 0): random small matrices, or
     # (big) 80 x 100 ones of 3,001 nonzeros, with unused columns and (gaps)
-    # runs of empty rows, at budget 0 (scipy's
-    # engine), infinite (numpy's) and nnz (one numpy product, then scipy's);
-    # numpy in one chunk, or (chunk) in chunks of so few entries that rows
-    # outgrow them and empty rows fall at their edges
+    # runs of empty rows; the operand contiguous, strided or a list
     from scipy import sparse
 
     n, d, nnz = (80, 100, 3001) if big else (n, d, int(density * n * d))
@@ -225,37 +228,85 @@ def test_products_match_scipy_bit_for_bit(seed, n, d, density, big, gaps, chunk,
     elif operand == "signed_zero":
         x, s = np.where(rng.random(d) < 0.5, -0.0, x), -np.zeros(n)
     want = (a @ x).tobytes(), (a.T @ s).tobytes()
-    defaults = data.NUMPY_BUDGET_NNZ, data.CHUNK_NNZ
-    try:
-        data.CHUNK_NNZ = chunk or data.CHUNK_NNZ
-        for budget in (0, vals.size, math.inf):
-            data.NUMPY_BUDGET_NNZ = budget
-            ds = Dataset(indptr, cols, vals, np.ones(n), d)
-            for _ in range(2):
-                got = ds.margins(x), ds.weighted_sum(s)
-                assert [g.dtype for g in got] == [np.float64] * 2
-                assert tuple(g.tobytes() for g in got) == want, budget
-    finally:
-        data.NUMPY_BUDGET_NNZ, data.CHUNK_NNZ = defaults
+    ds = Dataset(indptr, cols, vals, np.ones(n), d)
+    for _ in range(2):
+        got = ds.margins(_layout(x, layout)), ds.weighted_sum(_layout(s, layout))
+        assert [g.dtype for g in got] == [np.float64] * 2
+        assert tuple(g.tobytes() for g in got) == want
 
 
-def test_large_products_and_validation_make_no_nnz_sized_temporary(monkeypatch):
-    # 8 chunks of entries (2^19, rows of 32): numpy's products run chunk by
-    # chunk and the constructor checks index order with bool temporaries, so
-    # neither peaks near one nnz-sized int64 or float64 array (4 MiB) above
-    # its output; the products keep scipy's bits
+def test_products_hold_after_the_caller_writes_its_arrays():
+    # the products read x[col_indices[k]] with no bounds check, so the
+    # constructor copies arrays handed over writable: an out-of-range index
+    # written into the caller's col_indices, or a moved indptr entry, changes
+    # neither product nor the digest; arrays handed over read-only are kept
+    indptr, cols, vals = _random_csr(5, 40, 30, 300)
+    ds = Dataset(indptr, cols, vals, np.ones(40), 30)
+    rng = np.random.default_rng(6)
+    x, s = rng.normal(size=30), rng.normal(size=40)
+    before = ds.margins(x).tobytes(), ds.weighted_sum(s).tobytes(), dataset_hash(ds)
+    for a in (ds.indptr, ds.col_indices, ds.col_values, ds.labels):
+        assert not a.flags.writeable
+    assert not any(np.shares_memory(a, b) for a, b in ((ds.indptr, indptr), (ds.col_indices, cols),
+                                                       (ds.col_values, vals)))
+    cols[0] = 30  # d: one past the end of x (further could fault rather than fail)
+    indptr[5] = indptr[-1]
+    vals[:] = np.nan
+    ds._hash = None  # digest again, from the arrays
+    assert (ds.margins(x).tobytes(), ds.weighted_sum(s).tobytes(), dataset_hash(ds)) == before
+    # a read-only view of an array the caller can still write is copied too
+    views = [a.view() for a in _random_csr(5, 40, 30, 300)]
+    for v in views:
+        v.setflags(write=False)
+    ds = Dataset(*views, np.ones(40), 30)
+    assert not any(np.shares_memory(a, v) for a, v in zip((ds.indptr, ds.col_indices, ds.col_values), views))
+    kept = data.readonly(*_random_csr(5, 40, 30, 300))
+    ds = Dataset(*kept, np.ones(40), 30)
+    assert ds.indptr is kept[0] and ds.col_indices is kept[1] and ds.col_values is kept[2]
+
+
+def test_products_bit_equal_in_either_import_order():
+    # the loops are loaded without importing scipy.sparse; a process that
+    # imports scipy.sparse afterwards, or did before, gets scipy's bits
+    code = """
+import sys
+import numpy as np
+first = sys.argv[1] == "scipy"
+if first:
+    import scipy.sparse
+from vropt import data
+assert first == (data._sparsetools is sys.modules.get("scipy.sparse._sparsetools"))
+ds = data.parse_libsvm("1 1:0.5 3:-2e-8\\n-1 2:1e8\\n1\\n1 1:3 2:0.25 3:7\\n")
+rng = np.random.default_rng(0)
+x, s = rng.normal(size=3), rng.normal(size=4)
+got = ds.margins(x).tobytes(), ds.weighted_sum(s).tobytes()
+from scipy import sparse
+a = sparse.csr_matrix((ds.col_values, ds.col_indices, ds.indptr), shape=(ds.n, ds.d))
+print(got == ((a @ x).tobytes(), (a.T @ s).tobytes()), ds.margins(x).tobytes() == got[0])
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (os.path.dirname(os.path.dirname(data.__file__)), os.environ.get("PYTHONPATH")))))
+    for order in ("vropt", "scipy"):
+        proc = subprocess.run([sys.executable, "-c", code, order], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "True True\n"), (order, proc.stderr[-2000:])
+
+
+def test_large_products_and_validation_make_no_nnz_sized_temporary():
+    # 2^19 entries, rows of 32: the constructor checks index order with bool
+    # temporaries and takes arrays handed over read-only without a copy, and
+    # each product allocates its output only, so neither peaks near one
+    # nnz-sized int64 or float64 array (4 MiB) above what it keeps; the
+    # products keep scipy's bits
     from scipy import sparse
 
-    monkeypatch.setattr(data, "NUMPY_BUDGET_NNZ", math.inf)
     n, k, d = 1 << 14, 32, 1 << 12
     nnz = n * k
-    assert nnz == 8 * data.CHUNK_NNZ
     rng = np.random.default_rng(0)
     cols = np.sort(rng.random((n, d)).argpartition(k, axis=1)[:, :k], axis=1).ravel()
     vals = rng.normal(size=nnz)
     indptr = np.arange(n + 1) * k
     labels = np.ones(n)
-    chunk = data.CHUNK_NNZ * 8
+    data.readonly(indptr, cols, vals)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -272,7 +323,7 @@ def test_large_products_and_validation_make_no_nnz_sized_temporary(monkeypatch):
     finally:
         tracemalloc.stop()
     assert built <= 2 * nnz + 8 * n + 64_000, built  # two bool arrays, labels
-    assert max(peaks) <= 4 * chunk + 8 * n + 64_000, peaks  # a few chunk-sized arrays
+    assert max(peaks) <= 64_000, peaks
     a = sparse.csr_matrix((vals, cols, indptr), shape=(n, d))
     assert ds.margins(x).tobytes() == (a @ x).tobytes()
     assert ds.weighted_sum(s).tobytes() == (a.T @ s).tobytes()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import expit
 
-from vropt import data as vdata
 from vropt import objectives
 from vropt.bench_data import load_dataset, tiny, toy_classification
 from vropt.objectives import (
@@ -221,32 +220,24 @@ def _count_products(data, products):
 
 
 @pytest.mark.parametrize("name", ["toy", "toy_wide", "mushrooms"])
-def test_power_iteration_takes_one_product_pair_per_iteration(name, monkeypatch):
+def test_power_iteration_takes_one_product_pair_per_iteration(name):
     # the same lambda bits as the loop that took B v twice per iteration on
     # a scipy matrix, with 2 Dataset products per iteration instead of 4
     # (plus 2 at the start, where the old loop paid 2 on return); converged
-    # and cut-short runs, on numpy's engine throughout (toy, toy_wide, within
-    # the budget) and on mushrooms at budget 0 (scipy's throughout) and at a
-    # budget its products cross mid-run
+    # and cut-short runs
     load = {"toy": lambda: toy_classification(seed=0), "toy_wide": lambda: toy_classification(seed=1, n=5, d=20),
             "mushrooms": lambda: load_dataset("synth:mushrooms:0")}[name]
-    nnz = load().col_values.size
-    budgets = [vdata.NUMPY_BUDGET_NNZ] if name != "mushrooms" else [0, 7 * nnz]
-    for budget in budgets:
-        monkeypatch.setattr(vdata, "NUMPY_BUDGET_NNZ", budget)
-        for max_iter in (10_000, 3):
-            data = load()
-            A = sparse.csr_matrix((data.col_values, data.col_indices, data.indptr), shape=(data.n, data.d))
-            new, old = [], []
-            _count_products(data, new)
-            got = objectives.power_iteration_sq(data, max_iter=max_iter)
-            want = _power_iteration_old(_CountingMatrix(A, old), max_iter=max_iter)
-            assert got == want and type(got[0]) is float
-            iterations = (len(old) - 2) // 4 if want[1] else max_iter
-            assert len(new) == 2 * iterations + 2
-            assert len(old) == 4 * iterations + (2 if want[1] else 0)
-            # the engine: scipy's matrix exists once the products pass the budget
-            assert (data._csr is None) == ((len(new) - 1) * nnz < budget), (budget, max_iter)
+    for max_iter in (10_000, 3):
+        data = load()
+        A = sparse.csr_matrix((data.col_values, data.col_indices, data.indptr), shape=(data.n, data.d))
+        new, old = [], []
+        _count_products(data, new)
+        got = objectives.power_iteration_sq(data, max_iter=max_iter)
+        want = _power_iteration_old(_CountingMatrix(A, old), max_iter=max_iter)
+        assert got == want and type(got[0]) is float
+        iterations = (len(old) - 2) // 4 if want[1] else max_iter
+        assert len(new) == 2 * iterations + 2
+        assert len(old) == 4 * iterations + (2 if want[1] else 0)
 
 
 # margins where exp overflows or underflows, and -0.0

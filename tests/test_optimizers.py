@@ -1,15 +1,12 @@
 import hashlib
-import io
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vropt import data as vdata
 from vropt.bench_data import blobs_2d, sparse_gaussian, tiny, toy_classification, toy_regression
 from vropt.data import Dataset, RandomSource
-from vropt.diag import dual_objective, solve_reference, write_trace
+from vropt.diag import dual_objective, solve_reference
 from vropt.objectives import GlmObjective, smoothness
 from vropt.optimizers import (
     DRAW_BLOCK,
@@ -196,28 +193,6 @@ def test_checkpoint_takes_one_product_pair():
         res = run(RunConfig(method="sag", epochs=1.0, seed=0, gamma=0.1, stop=stop), obj)
         assert len(res.records) == 2 and res.records[1].grad_norm is not None
         assert products == 2 * per_checkpoint, stop
-
-
-def test_products_crossing_the_budget_keep_the_trace(monkeypatch):
-    # a dataset whose products pass NUMPY_BUDGET_NNZ mid-run (numpy's
-    # chunked products, then scipy.sparse's) gives the trace bytes and x of
-    # runs all on numpy and all on scipy: svrg's refreshes and every
-    # checkpoint read the full matrix
-    monkeypatch.setattr(vdata, "CHUNK_NNZ", 64)
-    nnz = sparse_gaussian(seed=2).col_values.size
-    got = {}
-    for budget in (0, 9 * nnz, math.inf):
-        monkeypatch.setattr(vdata, "NUMPY_BUDGET_NNZ", budget)
-        obj = GlmObjective(sparse_gaussian(seed=2), "logistic", l2=1e-3)
-        res = run(RunConfig(method="svrg", epochs=8.0, inner_t=250, seed=0, gamma=0.5), obj)
-        for rec in res.records:
-            rec.time_s = None  # the one column that reads a clock
-        buf = io.StringIO()
-        write_trace(res.records, buf)
-        got[budget] = buf.getvalue(), res.x.tobytes()
-        # numpy took products unless the budget was 0, scipy unless it was inf
-        assert (obj.data._pushed > 0, obj.data._csr is not None) == (budget > 0, budget < math.inf)
-    assert got[0] == got[9 * nnz] == got[math.inf]
 
 
 def test_epochs_zero_single_record():
