@@ -4,7 +4,8 @@ Subcommands: solve-ref (certified reference solution), run (single trace),
 compare (method grid from a spec file), trace2d (iterate dump plus level-set
 grid for 2-feature problems), validate (oracle suite).
 
-Exit codes are a stable contract: 0 success, 1 usage, 2 I/O, 3 divergence.
+Exit codes are a stable contract: 0 success, 1 usage, 2 I/O (or a compare
+worker that died), 3 divergence.
 Identical invocations produce byte-identical output files; wall-clock times
 are only written under --times.
 
@@ -14,6 +15,7 @@ parsed once per cache; deleting the directory clears both.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import os
@@ -212,13 +214,14 @@ def _write_iterates(iterates, path, meta):
         raise IoError("cannot write %s: %s" % (path, e))
 
 
-def _run_and_write(ns, config, obj, meta, out, where=""):
-    """run() once and write what it recorded to out (stdout when None): its
-    trace, or its iterates under record_iterates. On divergence the header
-    gains diverged = gamma=G, a file out still gets the partial record,
-    stderr names the error (where says which run), and the result is None."""
+def _run_and_write(ns, result, meta, out, where=""):
+    """Take result(), a run's RunResult, and write what it recorded to out
+    (stdout when None): its trace, or its iterates under ns.record_iterates.
+    If result() raises DivergenceError, the header gains diverged = gamma=G,
+    a file out still gets the partial record, stderr names the error (where
+    says which run), and the return is None."""
     try:
-        res = run(config, obj)
+        res = result()
         records, iterates = res.records, res.iterates
     except DivergenceError as e:
         meta["diverged"] = "gamma=%s" % _fmt(e.gamma)
@@ -226,7 +229,7 @@ def _run_and_write(ns, config, obj, meta, out, where=""):
         if out is None:
             return None
         res, records, iterates = None, e.records, np.empty((0, 2))
-    if config.record_iterates:
+    if getattr(ns, "record_iterates", False):
         _write_iterates(iterates, out, meta)
     else:
         _write_run_trace(records, out, meta, ns.times)
@@ -290,7 +293,7 @@ def cmd_solve_ref(ns):
 def cmd_run(ns):
     obj = _objective(ns)
     config = _build_config(ns, obj)
-    res = _run_and_write(ns, config, obj, _run_meta(ns, resolve(config, obj)), ns.out)
+    res = _run_and_write(ns, functools.partial(run, config, obj), _run_meta(ns, resolve(config, obj)), ns.out)
     if res is None:
         return EXIT_DIVERGED
     if ns.out:
@@ -403,8 +406,8 @@ def cmd_compare(ns):
 
     # every block and seed passes run()'s checks before the reference solve
     # and the output exist; they only test x* against None, so a stand-in
-    # serves. The configs are built again one at a time, so a grid holds one
-    # scheme
+    # serves. Each config is built again by the process that runs it, so a
+    # process holds one scheme at a time
     stand_in = np.zeros(obj.d) if obj.loss.smooth else None
     runs = []
     for block in blocks:
@@ -430,22 +433,31 @@ def cmd_compare(ns):
     except OSError as e:
         raise IoError("cannot create output directory %s: %s" % (outdir, e))
 
+    # the runs fan out to forked workers; this process writes every file, in
+    # spec order, and stops at the first divergence. fanout is imported here
+    # so that no other command compiles it
+    from .fanout import in_order
+
+    def one_run(i):
+        return run(_build_config(runs[i][0], obj, x_star, f_star), obj)
+
+    names = ["%s seed %d" % (seeded.label, seeded.seed) for seeded, _ in runs]
     summary = ["label,method,seed,final_f,final_subopt,rho_hat,r2"]
-    for seeded, meta in runs:
-        label, seed = seeded.label, seeded.seed
-        config = _build_config(seeded, obj, x_star, f_star)
-        out = os.path.join(outdir, "%s_seed%d.csv" % (label, seed))
-        res = _run_and_write(seeded, config, obj, meta, out, " (%s seed %d)" % (label, seed))
-        if res is None:
-            return EXIT_DIVERGED
-        final = res.records[-1]
-        try:
-            fit = fit_linear_rate(res.records)
-            rho, r2 = "%.17g" % fit.rho_hat, "%.17g" % fit.r2
-        except ValueError:
-            rho = r2 = ""
-        summary.append("%s,%s,%d,%s,%s,%s,%s" % (
-            label, seeded.method, seed, _fmt(final.f), _fmt(final.subopt), rho, r2))
+    with contextlib.closing(in_order(one_run, names)) as results:
+        for (seeded, meta), name in zip(runs, names):
+            label, seed = seeded.label, seeded.seed
+            out = os.path.join(outdir, "%s_seed%d.csv" % (label, seed))
+            res = _run_and_write(seeded, functools.partial(next, results), meta, out, " (%s)" % name)
+            if res is None:
+                return EXIT_DIVERGED
+            final = res.records[-1]
+            try:
+                fit = fit_linear_rate(res.records)
+                rho, r2 = "%.17g" % fit.rho_hat, "%.17g" % fit.r2
+            except ValueError:
+                rho = r2 = ""
+            summary.append("%s,%s,%d,%s,%s,%s,%s" % (
+                label, seeded.method, seed, _fmt(final.f), _fmt(final.subopt), rho, r2))
     spath = os.path.join(outdir, "summary.csv")
     _atomic_text(spath, "\n".join(summary) + "\n")
     print("wrote %d trace files and %s" % (len(runs), spath))
@@ -459,7 +471,7 @@ def cmd_trace2d(ns):
     ns.record_iterates = True
     config = _build_config(ns, obj)
     ipath = ns.out + ".iterates.csv"
-    res = _run_and_write(ns, config, obj, _run_meta(ns, resolve(config, obj)), ipath)
+    res = _run_and_write(ns, functools.partial(run, config, obj), _run_meta(ns, resolve(config, obj)), ipath)
     if res is None:
         return EXIT_DIVERGED
     lo = res.iterates.min(axis=0)
@@ -574,7 +586,7 @@ def main(argv=None):
     except (UsageError, ValueError) as e:  # optimizers.ConfigError is a ValueError
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
-    except IoError as e:
+    except (IoError, ChildProcessError) as e:  # the latter: a compare worker died
         sys.stderr.write("error: %s\n" % e)
         return EXIT_IO
     except DivergenceError as e:

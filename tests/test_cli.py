@@ -1,7 +1,10 @@
 import hashlib
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -772,16 +775,206 @@ def test_header_names_engine(tmp_path):
         assert (meta["engine"], meta["label"]) == (engine, label)
 
 
+def _cpus(monkeypatch, n):
+    # compare fans its runs out to min(runs, CPUs) workers: pretend to n CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _log_pid(path, real):
+    # wrap a function to append the calling process's pid to path: a forked
+    # worker's calls are counted as well as this process's
+    def wrapped(*a, **k):
+        with open(path, "a") as fh:
+            fh.write("%d\n" % os.getpid())
+        return real(*a, **k)
+    return wrapped
+
+
+def _pids(path):
+    return [int(line) for line in path.read_text().split()] if path.exists() else []
+
+
 def test_compare_shares_one_global_l(tmp_path, monkeypatch):
-    # the reference solve, gd's 1/L and svrg-b16's L(b) read one power iteration
-    calls = []
-    real = objectives.power_iteration_sq
-    monkeypatch.setattr(objectives, "power_iteration_sq",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    # the reference solve, gd's 1/L and svrg-b16's L(b) read one power
+    # iteration, in this process: no worker runs it again
+    calls = tmp_path / "power_calls"
+    monkeypatch.setattr(objectives, "power_iteration_sq", _log_pid(calls, objectives.power_iteration_sq))
+    monkeypatch.setattr(cli, "run", _log_pid(tmp_path / "run_calls", cli.run))
     monkeypatch.setattr(diag, "_REF_MEMO", {})
+    _cpus(monkeypatch, 2)
     spec = tmp_path / "g.spec"
     spec.write_text("data = synth:toyclass\nl2 = 0.1\nepochs = 2\nout = %s\n[method]\nname = gd\n"
                     "[method]\nname = svrg\nlabel = svrg-b16\nbatch = 16\ngamma_policy = minibatch\n"
                     % (tmp_path / "grid"))
     assert _run("compare", str(spec)) == 0
-    assert len(calls) == 1
+    assert _pids(calls) == [os.getpid()]
+    assert len(_pids(tmp_path / "run_calls")) == 2 and os.getpid() not in _pids(tmp_path / "run_calls")
+
+
+# a grid of several blocks and two seeds, so two workers each take several runs
+FAN_SPEC = ("data = synth:toyclass\nl2 = 0.1\nepochs = 3\nseeds = 0 1\nout = %s\n"
+            "[method]\nname = gd\n[method]\nname = saga\n[method]\nname = saga\nlabel = saga-lip\n"
+            "sampling = lipschitz\n[method]\nname = svrg\nlabel = svrg-b16\nbatch = 16\n"
+            "gamma_policy = minibatch\n[method]\nname = sgd\n[method]\nname = sdca\n")
+
+# saga, then sag at a step that diverges, then two runs a serial compare never starts
+DIVERGING_SPEC = ("data = synth:toyclass\nl2 = 0.1\nepochs = 5\nout = %s\n[method]\nname = saga\n"
+                  "[method]\nname = sag\ngamma = 1e6\n[method]\nname = svrg\n[method]\nname = sgd\n")
+
+
+def _files(outdir):
+    return {name: (outdir / name).read_bytes() for name in sorted(os.listdir(outdir))}
+
+
+def test_compare_fanned_out_matches_serial(tmp_path, monkeypatch, capsys):
+    # one CPU runs the grid in this process; two fan it out to two forked
+    # workers. Traces, summary.csv and stdout are the same bytes
+    seen = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        pids = tmp_path / ("pids%d" % cpus)
+        monkeypatch.setattr(cli, "run", _log_pid(pids, optimizers.run))
+        outdir = tmp_path / ("grid%d" % cpus)
+        spec = tmp_path / ("fan%d.spec" % cpus)
+        spec.write_text(FAN_SPEC % "grid")
+        monkeypatch.chdir(tmp_path)  # the same out = line in both specs
+        assert _run("compare", str(spec)) == 0
+        os.rename(tmp_path / "grid", outdir)
+        seen[cpus] = _files(outdir), capsys.readouterr()
+        assert len(_pids(pids)) == 12 and len(set(_pids(pids))) == cpus
+        assert (os.getpid() in _pids(pids)) == (cpus == 1)
+    assert len(seen[1][0]) == 13
+    assert seen[1] == seen[2]
+
+
+def test_compare_runs_in_process_beside_a_thread(tmp_path, monkeypatch):
+    # fork copies only the calling thread, so a process running a second
+    # thread runs its grid itself
+    _cpus(monkeypatch, 2)
+    pids = tmp_path / "pids"
+    monkeypatch.setattr(cli, "run", _log_pid(pids, optimizers.run))
+    spec = tmp_path / "fan.spec"
+    spec.write_text(FAN_SPEC % (tmp_path / "grid"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _run("compare", str(spec)) == 0
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert _pids(pids) == [os.getpid()] * 12
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_compare_stops_at_the_first_divergence(cpus, tmp_path, monkeypatch, capsys):
+    # fanned out or not, compare exits 3 after writing saga's trace and sag's
+    # partial one: no later trace and no summary.csv, one diverged line
+    _cpus(monkeypatch, cpus)
+    outdir = tmp_path / "grid"
+    spec = tmp_path / "div.spec"
+    spec.write_text(DIVERGING_SPEC % outdir)
+    assert _run("compare", str(spec)) == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("diverged:")] == [
+        "diverged: objective diverged (gamma=1000000.0) (sag seed 0)"]
+    assert sorted(os.listdir(outdir)) == ["sag_seed0.csv", "saga_seed0.csv"]
+    assert read_trace(str(outdir / "sag_seed0.csv"))[1]["diverged"] == "gamma=1000000"
+
+
+# compare in a fresh process at two CPUs, then whether that process has a
+# child left, live or unreaped. Every run() appends its process's pid to
+# the pid file; an svrg one misbehaves as the case says
+CHILDREN_LEFT = """
+import os, signal, sys, time
+from vropt import cli, optimizers
+os.sched_getaffinity = lambda pid: {0, 1}
+case, spec, pids = sys.argv[1:]
+compare = os.getpid()
+def run(config, obj):
+    with open(pids, "a") as fh:
+        fh.write("%d\\n" % os.getpid())
+    if config.method == "svrg" and case == "dies" and config.seed == 1:
+        os._exit(9)
+    if config.method == "svrg" and case == "interrupt":
+        os.killpg(0, signal.SIGINT)  # Ctrl-C at a terminal: the whole foreground group
+        time.sleep(600)
+    if config.method == "svrg" and case == "killed":
+        os.kill(compare, signal.SIGKILL)
+    if config.method == "svrg" and case == "worker interrupted":
+        os.kill(os.getpid(), signal.SIGINT)
+    return optimizers.run(config, obj)
+cli.run = run
+try:
+    rc = cli.main(["compare", spec])
+except KeyboardInterrupt:
+    rc = "interrupted"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "child left"
+except ChildProcessError:
+    left = "no child"
+print(rc, left)
+"""
+
+
+def _compare_case(case, spec, tmp_path):
+    path = tmp_path / "case.spec"
+    path.write_text(spec % (tmp_path / "grid"))
+    return subprocess.run([sys.executable, "-c", CHILDREN_LEFT, case, str(path), str(tmp_path / "pids")],
+                          capture_output=True, text=True, env=_src_env(), timeout=120, start_new_session=True)
+
+
+@pytest.mark.parametrize("case, spec, rc", [
+    ("ok", FAN_SPEC, "0"),
+    ("diverges", DIVERGING_SPEC, "3"),
+    ("dies", FAN_SPEC, "2"),
+    ("interrupt", FAN_SPEC, "interrupted"),
+    ("worker interrupted", FAN_SPEC, "0"),
+], ids=["ok", "diverges", "dies", "interrupt", "worker-interrupted"])
+def test_compare_leaves_no_process_running(case, spec, rc, tmp_path):
+    # success, divergence, a worker that dies and Ctrl-C all end compare
+    # promptly, with every worker ended and reaped. An interrupt is the
+    # compare process's to take: one sent to a worker alone changes nothing
+    proc = _compare_case(case, spec, tmp_path)
+    assert proc.stdout.splitlines()[-1:] == ["%s no child" % rc], proc.stderr[-2000:]
+    assert len(set(_pids(tmp_path / "pids"))) == 2  # two workers ran the grid
+    if case == "dies":
+        assert "error: the worker process running svrg-b16 seed 1 died\n" in proc.stderr
+    if case in ("dies", "interrupt"):
+        assert not (tmp_path / "grid" / "summary.csv").exists()
+    if case in ("interrupt", "worker interrupted"):
+        assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+
+
+def _alive(pid):
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_compare_workers_exit_when_compare_is_killed(tmp_path):
+    # a compare process killed outright ends no worker itself; each worker
+    # sees its pipe close and exits, rather than wait for an index forever
+    proc = _compare_case("killed", FAN_SPEC, tmp_path)
+    assert proc.returncode == -signal.SIGKILL
+    workers = set(_pids(tmp_path / "pids"))
+    assert len(workers) == 2
+    deadline = time.monotonic() + 60
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, workers))
+
+
+def test_import_cli_loads_no_process_machinery():
+    # compare imports vropt.fanout, and that multiprocessing only when it
+    # forks; importing the CLI (which every command pays) loads none of them
+    # and no concurrent.futures
+    code = ("import sys, vropt.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent') or m == 'vropt.fanout'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
