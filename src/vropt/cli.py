@@ -30,7 +30,7 @@ from .objectives import GlmObjective, smoothness
 from .optimizers import METHODS, DivergenceError, RunConfig, check_domain, resolve, run
 from .schedules import lipschitz_scheme, uniform_scheme
 from .validate import run_checks
-from . import sparse_jit, vecio
+from . import optimizers, sparse_jit, vecio
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -435,19 +435,29 @@ def cmd_compare(ns):
 
     # the runs fan out to forked workers; this process writes every file, in
     # spec order, and stops at the first divergence. fanout is imported here
-    # so that no other command compiles it
-    from .fanout import in_order
+    # so that no other command compiles it. A run replaced on this module (a
+    # tracer's wrapper, say) may record what it sees in this process, where a
+    # worker's records would be lost, so that one runs the grid here
+    from .fanout import WorkerDied, in_order
 
     def one_run(i):
         return run(_build_config(runs[i][0], obj, x_star, f_star), obj)
 
-    names = ["%s seed %d" % (seeded.label, seeded.seed) for seeded, _ in runs]
+    if run is optimizers.run:
+        results = in_order(one_run, len(runs))
+    else:
+        results = (one_run(i) for i in range(len(runs)))
     summary = ["label,method,seed,final_f,final_subopt,rho_hat,r2"]
-    with contextlib.closing(in_order(one_run, names)) as results:
-        for (seeded, meta), name in zip(runs, names):
+    with contextlib.closing(results):
+        for seeded, meta in runs:
             label, seed = seeded.label, seeded.seed
             out = os.path.join(outdir, "%s_seed%d.csv" % (label, seed))
-            res = _run_and_write(seeded, functools.partial(next, results), meta, out, " (%s)" % name)
+            try:
+                res = _run_and_write(seeded, functools.partial(next, results), meta, out,
+                                     " (%s seed %d)" % (label, seed))
+            except WorkerDied as e:  # the worker of this run or of a later one
+                dead = runs[e.args[0]][0]
+                raise IoError("the worker process running %s seed %d died" % (dead.label, dead.seed)) from None
             if res is None:
                 return EXIT_DIVERGED
             final = res.records[-1]
@@ -586,7 +596,7 @@ def main(argv=None):
     except (UsageError, ValueError) as e:  # optimizers.ConfigError is a ValueError
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
-    except (IoError, ChildProcessError) as e:  # the latter: a compare worker died
+    except IoError as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_IO
     except DivergenceError as e:

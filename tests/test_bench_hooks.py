@@ -27,6 +27,28 @@ def test_perfbench_tracer_finds_every_hook(monkeypatch):
     assert optimizers.run is run and sparse_jit.run_jit is run_jit
 
 
+def test_perfbench_traces_every_compare_run(tmp_path, monkeypatch):
+    """The traced benchmark reads each run's span from the compare process's
+    own span file. With the tracer's cli.run installed, compare runs its grid
+    in that process even where it has CPUs to fan out to."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spec = tmp_path / "g.spec"
+    spec.write_text("data = synth:toyclass\nl2 = 0.1\nepochs = 2\nseeds = 0 1\nout = %s\n"
+                    "[method]\nname = saga\n[method]\nname = svrg\n" % (tmp_path / "grid"))
+    tracer = tracing.Tracer(0)
+    try:
+        tracer.install()
+        assert tracer.call(tracing.ROOT, cli.main, ["compare", str(spec)]) == 0
+    finally:
+        tracer.uninstall()
+    tracer.dump(str(tmp_path / "spans.npz"))
+    spans = tracing.SpanFile(str(tmp_path / "spans.npz"))
+    assert [method for _, method, _, _ in tracing.run_spans(spans, None)] == ["saga", "saga", "svrg", "svrg"]
+
+
 def test_perfbench_dataset_hooks(monkeypatch):
     """The tracer's result hooks read Dataset.indptr and iterate Dataset.rows
     for the byte count; the rows' payload is the CSR arrays, once more."""

@@ -799,7 +799,7 @@ def test_compare_shares_one_global_l(tmp_path, monkeypatch):
     # iteration, in this process: no worker runs it again
     calls = tmp_path / "power_calls"
     monkeypatch.setattr(objectives, "power_iteration_sq", _log_pid(calls, objectives.power_iteration_sq))
-    monkeypatch.setattr(cli, "run", _log_pid(tmp_path / "run_calls", cli.run))
+    monkeypatch.setattr(optimizers, "resolve", _log_pid(tmp_path / "run_calls", optimizers.resolve))
     monkeypatch.setattr(diag, "_REF_MEMO", {})
     _cpus(monkeypatch, 2)
     spec = tmp_path / "g.spec"
@@ -828,12 +828,14 @@ def _files(outdir):
 
 def test_compare_fanned_out_matches_serial(tmp_path, monkeypatch, capsys):
     # one CPU runs the grid in this process; two fan it out to two forked
-    # workers. Traces, summary.csv and stdout are the same bytes
+    # workers. Traces, summary.csv and stdout are the same bytes. Every run()
+    # starts with optimizers.resolve, which logs the process it runs in
     seen = {}
+    real_resolve = optimizers.resolve
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         pids = tmp_path / ("pids%d" % cpus)
-        monkeypatch.setattr(cli, "run", _log_pid(pids, optimizers.run))
+        monkeypatch.setattr(optimizers, "resolve", _log_pid(pids, real_resolve))
         outdir = tmp_path / ("grid%d" % cpus)
         spec = tmp_path / ("fan%d.spec" % cpus)
         spec.write_text(FAN_SPEC % "grid")
@@ -852,7 +854,7 @@ def test_compare_runs_in_process_beside_a_thread(tmp_path, monkeypatch):
     # thread runs its grid itself
     _cpus(monkeypatch, 2)
     pids = tmp_path / "pids"
-    monkeypatch.setattr(cli, "run", _log_pid(pids, optimizers.run))
+    monkeypatch.setattr(optimizers, "resolve", _log_pid(pids, optimizers.resolve))
     spec = tmp_path / "fan.spec"
     spec.write_text(FAN_SPEC % (tmp_path / "grid"))
     stop = threading.Event()
@@ -864,6 +866,18 @@ def test_compare_runs_in_process_beside_a_thread(tmp_path, monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+    assert _pids(pids) == [os.getpid()] * 12
+
+
+def test_compare_runs_a_replaced_run_in_process(tmp_path, monkeypatch):
+    # a run replaced on the cli module (a tracer's wrapper, say) records in
+    # this process, so compare calls it here, at any number of CPUs
+    _cpus(monkeypatch, 2)
+    pids = tmp_path / "pids"
+    monkeypatch.setattr(cli, "run", _log_pid(pids, optimizers.run))
+    spec = tmp_path / "fan.spec"
+    spec.write_text(FAN_SPEC % (tmp_path / "grid"))
+    assert _run("compare", str(spec)) == 0
     assert _pids(pids) == [os.getpid()] * 12
 
 
@@ -884,15 +898,17 @@ def test_compare_stops_at_the_first_divergence(cpus, tmp_path, monkeypatch, caps
 
 
 # compare in a fresh process at two CPUs, then whether that process has a
-# child left, live or unreaped. Every run() appends its process's pid to
-# the pid file; an svrg one misbehaves as the case says
+# child left, live or unreaped. Every run() starts with optimizers.resolve,
+# which appends its process's pid to the pid file; an svrg one misbehaves as
+# the case says
 CHILDREN_LEFT = """
 import os, signal, sys, time
 from vropt import cli, optimizers
 os.sched_getaffinity = lambda pid: {0, 1}
 case, spec, pids = sys.argv[1:]
 compare = os.getpid()
-def run(config, obj):
+real_resolve = optimizers.resolve
+def resolve(config, obj):
     with open(pids, "a") as fh:
         fh.write("%d\\n" % os.getpid())
     if config.method == "svrg" and case == "dies" and config.seed == 1:
@@ -904,8 +920,8 @@ def run(config, obj):
         os.kill(compare, signal.SIGKILL)
     if config.method == "svrg" and case == "worker interrupted":
         os.kill(os.getpid(), signal.SIGINT)
-    return optimizers.run(config, obj)
-cli.run = run
+    return real_resolve(config, obj)
+optimizers.resolve = resolve
 try:
     rc = cli.main(["compare", spec])
 except KeyboardInterrupt:
@@ -959,9 +975,11 @@ def _alive(pid):
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
 def test_compare_workers_exit_when_compare_is_killed(tmp_path):
     # a compare process killed outright ends no worker itself; each worker
-    # sees its pipe close and exits, rather than wait for an index forever
+    # sees its pipe close and exits quietly, rather than wait for an index
+    # forever. Output is read to its end, so the workers have exited by then
     proc = _compare_case("killed", FAN_SPEC, tmp_path)
     assert proc.returncode == -signal.SIGKILL
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
     workers = set(_pids(tmp_path / "pids"))
     assert len(workers) == 2
     deadline = time.monotonic() + 60
