@@ -869,18 +869,6 @@ def test_compare_runs_in_process_beside_a_thread(tmp_path, monkeypatch):
     assert _pids(pids) == [os.getpid()] * 12
 
 
-def test_compare_runs_a_replaced_run_in_process(tmp_path, monkeypatch):
-    # a run replaced on the cli module (a tracer's wrapper, say) records in
-    # this process, so compare calls it here, at any number of CPUs
-    _cpus(monkeypatch, 2)
-    pids = tmp_path / "pids"
-    monkeypatch.setattr(cli, "run", _log_pid(pids, optimizers.run))
-    spec = tmp_path / "fan.spec"
-    spec.write_text(FAN_SPEC % (tmp_path / "grid"))
-    assert _run("compare", str(spec)) == 0
-    assert _pids(pids) == [os.getpid()] * 12
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_compare_stops_at_the_first_divergence(cpus, tmp_path, monkeypatch, capsys):
     # fanned out or not, compare exits 3 after writing saga's trace and sag's
