@@ -25,7 +25,7 @@ import numpy as np
 
 from .bench_data import load_dataset
 from .data import ParseError, read_csr, write_csr
-from .diag import cache_dir, fit_linear_rate, solve_reference, write_trace
+from .diag import _fmt, fit_linear_rate, solve_reference, write_trace
 from .objectives import GlmObjective, smoothness
 from .optimizers import METHODS, DivergenceError, RunConfig, check_domain, resolve, run
 from .schedules import lipschitz_scheme, uniform_scheme
@@ -68,30 +68,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _data_entry(path, dim):
-    """Data-cache path of a LIBSVM file: a sha256 over the tag, the dim
+    """Data-cache entry name of a LIBSVM file: a sha256 over the tag, the dim
     override and the file's bytes, read 1 MiB at a time."""
     h = hashlib.sha256(DATA_CACHE_TAG + b"|%s|" % str(dim).encode())
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
-    return os.path.join(cache_dir(), h.hexdigest()[:24] + ".csr")
+    return h.hexdigest()[:24] + ".csr"
 
 
 def _load_data(path, dim=None):
     """The Dataset behind --data. A LIBSVM file that parses is kept in the
-    data cache, and a later load of the same bytes and dim reads it back
-    instead of parsing; an absent, short or unreadable entry is parsed and
-    written again. Synthetic data, and what is not a regular file (a pipe,
-    say, which hashing would drain), is never cached."""
+    data cache (vecio.cached), and a later load of the same bytes and dim
+    reads it back instead of parsing. Synthetic data, and what is not a
+    regular file (a pipe, say, which hashing would drain), is never cached."""
     try:
         if path.startswith("synth:") or not os.path.isfile(path):
             return load_dataset(path, dim=dim)
-        entry = _data_entry(path, dim)
-        try:
-            return read_csr(entry)
-        except (OSError, ValueError):
-            pass
-        data = load_dataset(path, dim=dim)
+        return vecio.cached(_data_entry(path, dim), read_csr, lambda: load_dataset(path, dim=dim), write_csr)
     except FileNotFoundError as e:
         raise IoError("dataset not found: %s" % (e.filename or path))
     except OSError as e:
@@ -100,12 +94,6 @@ def _load_data(path, dim=None):
         raise IoError("%s: %s" % (path, e))
     except ValueError as e:
         raise UsageError(str(e))
-    try:
-        os.makedirs(os.path.dirname(entry), exist_ok=True)
-        write_csr(entry, data)
-    except OSError:
-        pass  # an unwritable cache costs the next load a parse, nothing more
-    return data
 
 
 def _policy_from_text(text):
@@ -155,14 +143,6 @@ def _scheme(ns, obj):
     if ns.sampling == "lipschitz":
         return lipschitz_scheme(smoothness(obj).per_example, batch=ns.batch)
     return uniform_scheme(batch=ns.batch)
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
 
 
 def _run_meta(ns, plan):
@@ -279,14 +259,11 @@ def cmd_solve_ref(ns):
         x_star, f_star = solve_reference(obj, tol=ns.tol)
     except RuntimeError as e:  # its ValueErrors are bad inputs: usage errors
         raise IoError("reference solve failed: %s" % e)
-    xpath = ns.out + ".xstar.vec"
-    fpath = ns.out + ".fstar.txt"
     try:
-        vecio.write_vectors(xpath, x_star)
-        vecio.write_scalar_text(fpath, f_star)
+        vecio.write_reference(ns.out, (x_star, f_star))
     except OSError as e:
         raise IoError("cannot write reference files: %s" % e)
-    print("wrote %s and %s (f* = %.17g)" % (xpath, fpath, f_star))
+    print("wrote %s.xstar.vec and %s.fstar.txt (f* = %.17g)" % (ns.out, ns.out, f_star))
     return EXIT_OK
 
 

@@ -12,9 +12,7 @@ statistics are those of the step a run takes.
 import hashlib
 import io
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,11 +250,6 @@ def golden_section_max(fn, lo, hi, tol=1e-12, max_iter=200):
 
 
 REF_SOLVER = "fista-restart"  # part of the cache key: a new solver never reads old entries
-_REF_MEMO = {}
-
-
-def cache_dir():
-    return os.environ.get("VROPT_CACHE") or os.path.join(os.path.expanduser("~"), ".cache", "vropt")
 
 
 def _ref_key(obj, tol):
@@ -283,9 +276,9 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
     gradient per iteration, until the residual (||grad f||, or the
     prox-gradient mapping norm when l1 > 0) is <= tol at the point returned;
     only that test certifies x*. No stochastic method is involved. Results
-    are cached under $VROPT_CACHE keyed by solver, dataset hash, d and
-    (loss, l2, l1, tol); an entry that does not read is solved again, and
-    one that cannot be written is kept in this process only.
+    are cached under $VROPT_CACHE (vecio.cached) as the pair solve-ref
+    writes, <key>.xstar.vec and <key>.fstar.txt, the key a hash of solver,
+    dataset hash, d and (loss, l2, l1, tol).
 
     Raises:
         ValueError: only for a non-smooth loss, l2 <= 0, or tol outside (0, inf).
@@ -298,26 +291,16 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
         raise ValueError("reference solver needs l2 > 0")
     if not 0 < tol < math.inf:
         raise ValueError("reference tolerance must lie in (0, inf), got %r" % tol)
-    key = _ref_key(obj, tol)
-    if cache and key in _REF_MEMO:
-        x, f = _REF_MEMO[key]
-        return x.copy(), f
-    cdir = cache_dir()
-    xpath = os.path.join(cdir, key + ".vec")
-    mpath = os.path.join(cdir, key + ".json")
-    if cache and os.path.exists(xpath) and os.path.exists(mpath):
-        try:
-            x = vecio.read_vector(xpath)
-            with open(mpath) as fh:
-                f = float(json.load(fh)["f_star"])
-            _REF_MEMO[key] = (x.copy(), f)
-            return x, f
-        except (OSError, ValueError, KeyError):
-            pass  # an entry that does not read is solved and written again
+    if not cache:
+        return _fista(obj, tol, max_iter)
+    return vecio.cached(_ref_key(obj, tol), vecio.read_reference,
+                        lambda: _fista(obj, tol, max_iter), vecio.write_reference)
 
-    # FISTA (Beck & Teboulle 2009) at gamma = 1/L with gradient restart
-    # (O'Donoghue & Candes 2012): y is the extrapolated point, x the last
-    # step; the residual at y certifies y, the point returned
+
+def _fista(obj, tol, max_iter):
+    """FISTA (Beck & Teboulle 2009) at gamma = 1/L with gradient restart
+    (O'Donoghue & Candes 2012): y is the extrapolated point, x the last
+    step; the residual at y certifies y, the point returned with its f."""
     gamma = 1.0 / smoothness(obj).l_full
     x = y = np.zeros(obj.d)
     t = 1.0
@@ -336,17 +319,7 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
         x, t = step, t_next
         step, res = _prox_grad(obj, y, gamma)
         iters += 1
-    x = y
-    f = obj.objective_value(x)
-    if cache:
-        _REF_MEMO[key] = (x.copy(), f)
-        try:
-            os.makedirs(cdir, exist_ok=True)
-            vecio.write_vectors(xpath, x)
-            vecio.atomic_write_text(mpath, json.dumps({"f_star": f, "tol": tol}) + "\n")
-        except OSError:
-            pass  # an unwritable cache costs the next process a solve, nothing more
-    return x, f
+    return y, obj.objective_value(y)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +359,13 @@ def fit_linear_rate(trace, burn_in=0.0):
 
 
 def _fmt(v):
+    """A value as every output file prints it: a float to 17 significant
+    digits (it reads back exactly), None as an empty cell, else str(v)."""
     if v is None:
         return ""
-    return "%.17g" % v
+    if isinstance(v, float):
+        return "%.17g" % v
+    return str(v)
 
 
 def write_trace(trace, sink, meta=None):
@@ -420,13 +397,11 @@ def write_trace(trace, sink, meta=None):
 
 
 def read_trace(source):
-    """Inverse of write_trace; returns (records, meta dict)."""
+    """Inverse of write_trace: source is a path or a text file object;
+    returns (records, meta dict)."""
     if isinstance(source, str):
-        if os.path.exists(source):
-            with open(source) as fh:
-                text = fh.read()
-        else:
-            text = source
+        with open(source) as fh:
+            text = fh.read()
     else:
         text = source.read()
     meta = {}

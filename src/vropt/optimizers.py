@@ -636,7 +636,8 @@ class Recorder:
             self.lazy.materialize()
         config, obj, state = self.config, self.obj, self.state
         m = obj.data.margins(x)  # one A x for f and the gradient norm
-        f = obj.objective_value(x, m)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite f raises just below
+            f = obj.objective_value(x, m)
         if not np.isfinite(f):
             raise DivergenceError("objective diverged (gamma=%s)" % self.gamma, gamma=self.gamma, records=self.records)
         rec = TraceRecord(epoch=evals / obj.n, grad_evals=evals, f=f)

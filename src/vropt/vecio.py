@@ -1,10 +1,10 @@
-"""Flat binary vector files for reference solutions and per-example tables.
+"""Flat binary vector files, the reference pair, and the cache that holds both.
 
-Layout: 16-byte header (8-byte magic "VROPTV01", uint32 rows, uint32 cols,
-little-endian) followed by rows*cols little-endian float64 values, row-major.
-A single vector is stored as rows=1.
+Vector layout: 16-byte header (8-byte magic "VROPTV01", uint32 rows = 1,
+uint32 cols, little-endian) followed by cols little-endian float64 values.
 """
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -15,39 +15,30 @@ MAGIC = b"VROPTV01"
 _HEADER = struct.Struct("<8sII")
 
 
-def write_vectors(path, arr):
-    """Write a (rows, cols) float64 array (1-d input becomes one row)."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ValueError("expected a 1-d or 2-d array")
-    payload = _HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]) + arr.astype("<f8").tobytes()
-    atomic_write_bytes(path, (payload,))
-
-
-def read_vectors(path):
-    """Read back a (rows, cols) float64 array; raises ValueError on bad files."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError("%s: truncated header" % path)
-        magic, rows, cols = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValueError("%s: not a vropt vector file" % path)
-        body = fh.read()
-    expect = rows * cols * 8
-    if len(body) != expect:
-        raise ValueError("%s: expected %d payload bytes, found %d" % (path, expect, len(body)))
-    return np.frombuffer(body, dtype="<f8").reshape(rows, cols).astype(np.float64)
+def write_vectors(path, x):
+    """Write a 1-d float64 vector as a one-row file."""
+    x = np.asarray(x, dtype="<f8")
+    if x.ndim != 1:
+        raise ValueError("expected a 1-d array")
+    atomic_write_bytes(path, (_HEADER.pack(MAGIC, 1, x.size), x.tobytes()))
 
 
 def read_vector(path):
-    """Read a file holding exactly one row and return it 1-d."""
-    arr = read_vectors(path)
-    if arr.shape[0] != 1:
-        raise ValueError("%s: expected a single row, found %d" % (path, arr.shape[0]))
-    return arr[0]
+    """Read back the vector write_vectors stored; raises ValueError on a file
+    that does not hold exactly one."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError("%s: truncated header" % path)
+    magic, rows, cols = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise ValueError("%s: not a vropt vector file" % path)
+    if rows != 1:
+        raise ValueError("%s: expected a single row, found %d" % (path, rows))
+    body = len(raw) - _HEADER.size
+    if body != 8 * cols:
+        raise ValueError("%s: expected %d payload bytes, found %d" % (path, 8 * cols, body))
+    return np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(np.float64)
 
 
 def write_scalar_text(path, value):
@@ -57,6 +48,45 @@ def write_scalar_text(path, value):
 def read_scalar_text(path):
     with open(path) as fh:
         return float(fh.read().strip())
+
+
+def write_reference(prefix, ref):
+    """Store a reference (x*, f*) as prefix.xstar.vec and prefix.fstar.txt,
+    the f* file last."""
+    x, f = ref
+    write_vectors(prefix + ".xstar.vec", x)
+    write_scalar_text(prefix + ".fstar.txt", f)
+
+
+def read_reference(prefix):
+    """The (x*, f*) pair write_reference stored at prefix. The f* file is
+    read first: it is written last, so a missing pair raises
+    FileNotFoundError before read_vector is called."""
+    f = read_scalar_text(prefix + ".fstar.txt")
+    return read_vector(prefix + ".xstar.vec"), f
+
+
+def cache_dir():
+    return os.environ.get("VROPT_CACHE") or os.path.join(os.path.expanduser("~"), ".cache", "vropt")
+
+
+def cached(name, read, make, write):
+    """The value of cache entry `name`: read(path) for the path under
+    cache_dir(), or, when that raises OSError or ValueError (no entry, or
+    one that does not read), make(), then write(path, value). A cache that
+    cannot be written costs the next process the make, nothing more; make's
+    own exceptions propagate."""
+    cdir = cache_dir()
+    path = os.path.join(cdir, name)
+    try:
+        return read(path)
+    except (OSError, ValueError):
+        pass
+    value = make()
+    with contextlib.suppress(OSError):
+        os.makedirs(cdir, exist_ok=True)
+        write(path, value)
+    return value
 
 
 def atomic_write_bytes(path, chunks):

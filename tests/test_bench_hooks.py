@@ -111,3 +111,29 @@ def test_perfbench_reads_run_results(monkeypatch):
         assert (got["method"], got["evals"], got["lazy"]) == (config.method, 60, lazy)
         assert got["table_bytes"] == 60 * 8 + 40 * 8 + 60
         assert (got["touched"] > 0) is lazy and (got["prefix_bytes"] > 0) is lazy
+
+
+def test_perfbench_splits_cold_and_warm_reference_solves(tmp_path, monkeypatch):
+    """The traced benchmark counts a reference solve as warm when a vecio.read
+    span sits directly under it (tracing.layer_metrics). A cold solve-ref
+    must read no vector, even on its way to a miss, and a warm one reads the
+    entry's x* once."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    argv = ["solve-ref", "--data", "synth:toyclass", "--l2", "0.1", "--out", str(tmp_path / "ref")]
+    tracer = tracing.Tracer(0)
+    try:
+        tracer.install()
+        for _ in range(2):
+            assert tracer.call(tracing.ROOT, cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    tracer.dump(str(tmp_path / "spans.npz"))
+    spans = tracing.SpanFile(str(tmp_path / "spans.npz"))
+    cold, warm = spans.outermost(tracing.REF)
+    reads = [spans.parent[i] for i in spans.outermost("vecio.read")]
+    assert reads == [warm]
+    m = tracing.layer_metrics([spans], [[]], [], {})
+    assert m["diag.solve_reference_cold_s"][0] == spans.dur[cold] > 0
+    assert m["diag.solve_reference_warm_s"][0] == spans.dur[warm] > 0

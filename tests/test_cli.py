@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import signal
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from vropt import cli, diag, objectives, optimizers, validate
-from vropt.bench_data import load_dataset, sparse_gaussian
+from vropt.bench_data import load_dataset, sparse_gaussian, toy_classification
 from vropt.data import dataset_hash, parse_libsvm, write_libsvm
 from vropt.diag import read_trace
 from vropt.objectives import GlmObjective
@@ -40,8 +41,7 @@ def test_run_writes_deterministic_trace(tmp_path):
 def test_run_stdout_when_no_out(capsys):
     assert _run("run", "--data", "synth:tiny", "--l2", "0.1",
                 "--method", "gd", "--epochs", "1") == 0
-    text = capsys.readouterr().out
-    recs, meta = read_trace(text)
+    recs, meta = read_trace(io.StringIO(capsys.readouterr().out))
     assert len(recs) == 2 and meta["method"] == "gd"
 
 
@@ -108,17 +108,67 @@ def test_divergence_exit_code(tmp_path, capsys):
     assert len(recs) >= 1
 
 
+# main() in a fresh process that sees argv[1] CPUs
+MAIN_AT_CPUS = ("import os, sys; from vropt import cli; os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1]))); "
+                "sys.exit(cli.main(sys.argv[2:]))")
+
+
+def test_divergence_prints_only_its_diverged_line(tmp_path):
+    # f at a diverging checkpoint overflowed in numpy, which printed its
+    # RuntimeWarning and source line before the diverged: line; a run and a
+    # compare, fanned out or not, now print that line alone
+    env = dict(_src_env(), VROPT_CACHE=str(tmp_path / "cache"))
+    spec = tmp_path / "div.spec"
+    spec.write_text(DIVERGING_SPEC % (tmp_path / "grid"))
+    cases = [(1, ["run", "--data", "synth:toyclass", "--l2", "0.1", "--method", "sgd", "--gamma", "1e6",
+                  "--epochs", "5", "--out", str(tmp_path / "d.csv")], "")]
+    cases += [(cpus, ["compare", str(spec)], " (sag seed 0)") for cpus in (1, 2)]
+    for cpus, argv, where in cases:
+        proc = subprocess.run([sys.executable, "-c", MAIN_AT_CPUS, str(cpus), *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == cli.EXIT_DIVERGED, proc.stderr
+        assert proc.stderr == "diverged: objective diverged (gamma=1000000.0)%s\n" % where, argv
+
+
 def test_solve_ref_idempotent(tmp_path, monkeypatch):
-    monkeypatch.setenv("VROPT_CACHE", str(tmp_path / "cache"))
+    # the cache entry a solve leaves is its --out pair, byte for byte, under
+    # the reference key; a second solve-ref reads it and writes the same pair
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VROPT_CACHE", str(cache))
     prefix = str(tmp_path / "ref")
     args = ["solve-ref", "--data", "synth:toyclass", "--l2", "0.1", "--out", prefix]
     assert _run(*args) == 0
-    with open(prefix + ".xstar.vec", "rb") as fh:
-        first = fh.read()
-    assert _run(*args) == 0  # cache hit, same bytes
-    with open(prefix + ".xstar.vec", "rb") as fh:
-        assert fh.read() == first
-    assert os.path.exists(prefix + ".fstar.txt")
+    key = diag._ref_key(GlmObjective(load_dataset("synth:toyclass"), "logistic", l2=0.1), 1e-12)
+    pair = {ext: (tmp_path / ("ref" + ext)).read_bytes() for ext in (".fstar.txt", ".xstar.vec")}
+    assert {name: (cache / name).read_bytes() for name in os.listdir(cache)} == {
+        key + ext: data for ext, data in pair.items()}
+    monkeypatch.setattr(diag, "_prox_grad", lambda *a: pytest.fail("solved a cached reference"))
+    assert _run(*args) == 0
+    assert {ext: (tmp_path / ("ref" + ext)).read_bytes() for ext in pair} == pair
+
+
+def _entries(cache):
+    # what a rewrite changes: a file's mtime, and its inode (atomic_write_bytes renames a new file in)
+    return {name: (os.stat(cache / name).st_mtime_ns, os.stat(cache / name).st_ino) for name in os.listdir(cache)}
+
+
+def test_compare_after_solve_ref_rewrites_no_cache_entry(tmp_path, monkeypatch):
+    # the benchmark's gate: solve-ref leaves the reference and the parsed
+    # data in the cache, and a compare on the same data and l2 reads both,
+    # neither solving, parsing nor writing an entry again
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VROPT_CACHE", str(cache))
+    data = _write_svm(tmp_path, "d.svm", write_libsvm(toy_classification(seed=1, n=40, d=6)))
+    assert _run("solve-ref", "--data", data, "--l2", "0.1", "--out", str(tmp_path / "ref")) == 0
+    before = _entries(cache)
+    assert sorted(os.path.splitext(name)[1] for name in before) == [".csr", ".txt", ".vec"]
+    spec = tmp_path / "g.spec"
+    spec.write_text("data = %s\nl2 = 0.1\nepochs = 2\nout = %s\n[method]\nname = saga\n[method]\nname = svrg\n"
+                    % (data, tmp_path / "grid"))
+    monkeypatch.setattr(diag, "_prox_grad", lambda *a: pytest.fail("solved a cached reference"))
+    _no_parse(monkeypatch)
+    assert _run("compare", str(spec)) == 0
+    assert _entries(cache) == before
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -594,11 +644,9 @@ def test_unwritable_reference_cache_still_writes_out(tmp_path, monkeypatch, caps
     cache = tmp_path / "cache"
     cache.write_text("not a directory\n")
     monkeypatch.setenv("VROPT_CACHE", str(cache))
-    monkeypatch.setattr(diag, "_REF_MEMO", {})  # solve, not recall
     prefix = tmp_path / "ref"
     assert _run("solve-ref", "--data", "synth:tiny", "--l2", "0.1", "--out", str(prefix)) == 0
     assert os.path.exists(str(prefix) + ".xstar.vec") and os.path.exists(str(prefix) + ".fstar.txt")
-    monkeypatch.setattr(diag, "_REF_MEMO", {})
     spec = tmp_path / "t.spec"
     spec.write_text("data = synth:tiny\nl2 = 0.1\nepochs = 1\nout = %s\n\n[method]\nname = saga\n"
                     % (tmp_path / "grid"))
@@ -744,7 +792,6 @@ def test_global_l_computed_where_read(tmp_path, monkeypatch):
     assert _run("run", *base, "--method", "saga", "--batch", "4", "--gamma-policy", "minibatch",
                 "--epochs", "1", "--out", str(tmp_path / "m.csv")) == 0
     assert len(calls) == 2
-    monkeypatch.setattr(diag, "_REF_MEMO", {})  # solve, not recall
     assert _run("solve-ref", *base, "--out", str(tmp_path / "ref")) == 0
     assert len(calls) == 3
 
@@ -800,7 +847,6 @@ def test_compare_shares_one_global_l(tmp_path, monkeypatch):
     calls = tmp_path / "power_calls"
     monkeypatch.setattr(objectives, "power_iteration_sq", _log_pid(calls, objectives.power_iteration_sq))
     monkeypatch.setattr(optimizers, "resolve", _log_pid(tmp_path / "run_calls", optimizers.resolve))
-    monkeypatch.setattr(diag, "_REF_MEMO", {})
     _cpus(monkeypatch, 2)
     spec = tmp_path / "g.spec"
     spec.write_text("data = synth:toyclass\nl2 = 0.1\nepochs = 2\nout = %s\n[method]\nname = gd\n"

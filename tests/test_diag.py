@@ -147,9 +147,12 @@ def test_solve_reference_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("VROPT_CACHE", str(tmp_path))
     obj = _toy()
     x1, f1 = solve_reference(obj, tol=1e-12)
-    files = os.listdir(tmp_path)
-    assert files
-    x2, f2 = solve_reference(obj, tol=1e-12)
+    files = sorted(os.listdir(tmp_path))
+    key = diag._ref_key(obj, 1e-12)  # the entry is the pair solve-ref writes
+    assert files == [key + ".fstar.txt", key + ".xstar.vec"]
+    with monkeypatch.context() as m:
+        m.setattr(diag, "_prox_grad", lambda *a: pytest.fail("solved a cached reference"))
+        x2, f2 = solve_reference(obj, tol=1e-12)
     assert np.array_equal(x1, x2) and f1 == f2
     # different l2 keys a different entry
     solve_reference(_toy(l2=0.2), tol=1e-12)
@@ -163,10 +166,8 @@ def test_solve_reference_solves_past_an_unreadable_entry(tmp_path, monkeypatch):
     x1, f1 = solve_reference(_toy(), tol=1e-12)
     for name in os.listdir(tmp_path):
         (tmp_path / name).write_bytes(b"garbage")
-    monkeypatch.setattr(diag, "_REF_MEMO", {})
     x2, f2 = solve_reference(_toy(), tol=1e-12)
     assert np.array_equal(x1, x2) and f1 == f2
-    monkeypatch.setattr(diag, "_REF_MEMO", {})
     monkeypatch.setattr(diag, "_prox_grad", lambda *a: pytest.fail("solved a readable entry"))
     assert solve_reference(_toy(), tol=1e-12)[1] == f1
 
@@ -180,7 +181,6 @@ def test_solve_reference_cache_keys_dim(tmp_path, monkeypatch):
     solve_reference(GlmObjective(narrow, "logistic", l2=0.1), tol=1e-12)
     obj = GlmObjective(wide, "logistic", l2=0.1)
     assert solve_reference(obj, tol=1e-12)[0].shape == (5,)
-    monkeypatch.setattr(diag, "_REF_MEMO", {})  # the next call reads the files
     assert solve_reference(obj, tol=1e-12)[0].shape == (5,)
 
 
@@ -205,15 +205,18 @@ def test_empty_trace_header_only():
     write_trace([], buf)
     text = buf.getvalue()
     assert text.splitlines() == ["epoch,grad_evals,f,subopt,grad_norm,var_est,gap,time_s"]
-    back, meta = read_trace(text)
+    back, meta = read_trace(io.StringIO(text))
     assert back == [] and meta == {}
 
 
-def test_read_trace_rejects_garbage():
+def test_read_trace_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
-        read_trace("epoch,foo\n")
+        read_trace(io.StringIO("epoch,foo\n"))
     with pytest.raises(ValueError):
-        read_trace("epoch,grad_evals,f,subopt,grad_norm,var_est,gap,time_s\n1,2\n")
+        read_trace(io.StringIO("epoch,grad_evals,f,subopt,grad_norm,var_est,gap,time_s\n1,2\n"))
+    # a path that names no file is an error of its own, not trace text
+    with pytest.raises(FileNotFoundError):
+        read_trace(str(tmp_path / "missing.csv"))
 
 
 def test_fit_linear_rate_planted():
