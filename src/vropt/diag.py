@@ -3,10 +3,10 @@
 Everything here either measures a run (traces, rate fits, duality gaps) or
 checks an analytic claim by a dumb independent route (finite differences,
 exhaustive enumeration over examples, golden-section maximization, a
-deterministic FISTA reference solver certified by its residual). Oracles
-deliberately avoid the fast code paths they are used to test, with one
-exception: the enumeration steps the kernel its caller hands it, so its
-statistics are those of the step a run takes.
+deterministic Newton-CG or FISTA reference solver certified by its
+residual). Oracles deliberately avoid the fast code paths they are used to
+test, with one exception: the enumeration steps the kernel its caller hands
+it, so its statistics are those of the step a run takes.
 """
 
 import hashlib
@@ -249,13 +249,26 @@ def golden_section_max(fn, lo, hi, tol=1e-12, max_iter=200):
 # reference solver
 
 
-REF_SOLVER = "fista-restart"  # part of the cache key: a new solver never reads old entries
+REF_SOLVER = "newton-cg|fista-restart"  # part of the cache key: a new solver never reads old entries
+ARMIJO_HALVINGS = 30  # the shortest step the reference line search tries is 2^-30 of Newton's
 
 
 def _ref_key(obj, tol):
     raw = "|".join([REF_SOLVER, dataset_hash(obj.data), "%d" % obj.d, obj.loss.name,
                     "%.17g" % obj.l2, "%.17g" % obj.l1, "%.17g" % tol])
     return hashlib.sha256(raw.encode()).hexdigest()[:24]
+
+
+def _certified(res, tol, iters, max_iter):
+    """res <= tol for the residual at a reference iterate, which both solvers
+    test once per iterate; RuntimeError if res is not finite or iters reached max_iter."""
+    if res <= tol:
+        return True
+    if not math.isfinite(res):
+        raise RuntimeError("reference solve reached a non-finite residual (%r) at iteration %d" % (res, iters))
+    if iters >= max_iter:
+        raise RuntimeError("reference solve exceeded %d iterations" % max_iter)
+    return False
 
 
 def _prox_grad(obj, x, gamma):
@@ -272,18 +285,19 @@ def _prox_grad(obj, x, gamma):
 def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
     """Deterministic reference solution (x*, f*) certified by its residual.
 
-    Accelerated (prox-)gradient descent from 0 at gamma = 1/L, one full
-    gradient per iteration, until the residual (||grad f||, or the
-    prox-gradient mapping norm when l1 > 0) is <= tol at the point returned;
-    only that test certifies x*. No stochastic method is involved. Results
-    are cached under $VROPT_CACHE (vecio.cached) as the pair solve-ref
-    writes, <key>.xstar.vec and <key>.fstar.txt, the key a hash of solver,
-    dataset hash, d and (loss, l2, l1, tol).
+    Truncated Newton at l1 = 0 (_newton_cg, max_iter Newton steps), else
+    accelerated proximal gradient (_fista, max_iter full gradients), from 0
+    until the residual (||grad f||, or the prox-gradient mapping norm when
+    l1 > 0) is <= tol at the point returned; only that test certifies x*. No
+    stochastic method is involved. Results are cached under $VROPT_CACHE
+    (vecio.cached) as the pair solve-ref writes, <key>.xstar.vec and
+    <key>.fstar.txt, the key a hash of solver, dataset hash, d and (loss, l2, l1, tol).
 
     Raises:
         ValueError: only for a non-smooth loss, l2 <= 0, or tol outside (0, inf).
-        RuntimeError: more than max_iter iterations are needed, or the
-            residual is not finite; nothing is cached then.
+        RuntimeError: more than max_iter iterations are needed, the
+            residual is not finite, or the line search finds no decrease;
+            nothing is cached then.
     """
     if not obj.loss.smooth:
         raise NonSmoothError("reference solver needs a smooth loss")
@@ -291,10 +305,11 @@ def solve_reference(obj, tol=1e-12, cache=True, max_iter=1_000_000):
         raise ValueError("reference solver needs l2 > 0")
     if not 0 < tol < math.inf:
         raise ValueError("reference tolerance must lie in (0, inf), got %r" % tol)
+    solve = _fista if obj.l1 else _newton_cg
     if not cache:
-        return _fista(obj, tol, max_iter)
+        return solve(obj, tol, max_iter)
     return vecio.cached(_ref_key(obj, tol), vecio.read_reference,
-                        lambda: _fista(obj, tol, max_iter), vecio.write_reference)
+                        lambda: solve(obj, tol, max_iter), vecio.write_reference)
 
 
 def _fista(obj, tol, max_iter):
@@ -306,12 +321,7 @@ def _fista(obj, tol, max_iter):
     t = 1.0
     step, res = _prox_grad(obj, y, gamma)
     iters = 0
-    while not res <= tol:
-        if not math.isfinite(res):
-            raise RuntimeError("reference solve reached a non-finite residual (%r) at iteration %d"
-                               % (res, iters))
-        if iters >= max_iter:
-            raise RuntimeError("reference solve exceeded %d iterations" % max_iter)
+    while not _certified(res, tol, iters, max_iter):
         if np.dot(y - step, step - x) > 0:  # momentum points uphill: restart
             t = 1.0
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -320,6 +330,50 @@ def _fista(obj, tol, max_iter):
         step, res = _prox_grad(obj, y, gamma)
         iters += 1
     return y, obj.objective_value(y)
+
+
+def _newton_cg(obj, tol, max_iter):
+    """Truncated Newton (Dembo, Eisenstat & Steihaug 1982) from 0: conjugate
+    gradients solve H p = -g to min(0.5, sqrt(||g||)) ||g|| (or for 20 d steps);
+    H v = A^T(loss''(A x) * A v) / n + l2 v is positive definite, so p descends.
+    x + t p takes the first t in 1, 1/2, ..., 2^-ARMIJO_HALVINGS that meets
+    Armijo's condition on f, or on ||g|| where f's change is within its
+    rounding (16 ulp); none raises. The residual ||g|| at x certifies x."""
+    data, l2 = obj.data, obj.l2
+    x, m = np.zeros(obj.d), np.zeros(obj.n)  # m = A x
+    for iters in itertools.count():
+        g = obj.full_grad(x, m)
+        res = float(np.linalg.norm(g))
+        if _certified(res, tol, iters, max_iter):
+            return x, obj.full_value(x, m)
+        w = obj.loss.curv_vec(m, obj.labels) / obj.n
+        p, r = np.zeros(obj.d), -g
+        d, rr = r.copy(), float(np.dot(g, g))
+        for _ in range(20 * obj.d):
+            hd = data.weighted_sum(w * data.margins(d)) + l2 * d
+            dhd = float(np.dot(d, hd))
+            if not dhd > 0:  # only a non-finite product gets here
+                break
+            p += (rr / dhd) * d
+            r -= (rr / dhd) * hd
+            rr, rr_old = float(np.dot(r, r)), rr
+            if math.sqrt(rr) <= min(0.5, math.sqrt(res)) * res:
+                break
+            d = r + (rr / rr_old) * d
+        f, slope, t = obj.full_value(x, m), float(np.dot(g, p)), 1.0
+        for _ in range(ARMIJO_HALVINGS + 1):
+            x_t = x + t * p
+            m_t = data.margins(x_t)
+            f_t = obj.full_value(x_t, m_t)
+            if slope < 0 and f_t <= f + 1e-4 * t * slope:
+                break
+            if (f_t <= f + 16.0 * np.finfo(float).eps * abs(f)  # f cannot resolve the step; ||g|| can
+                    and np.linalg.norm(obj.full_grad(x_t, m_t)) <= (1.0 - 1e-4 * t) * res):
+                break
+            t *= 0.5
+        else:
+            raise RuntimeError("reference line search found no decrease at Newton step %d" % iters)
+        x, m = x_t, m_t
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ class HalfSquaredLoss:
 
     value_vec = staticmethod(lambda m, b: 0.5 * (m - b) ** 2)
     deriv_vec = staticmethod(lambda m, b: m - b)
+    curv_vec = staticmethod(lambda m, b: np.ones_like(m))  # loss'' at each margin
 
     @staticmethod
     def conjugate(u, b):
@@ -73,6 +74,9 @@ class LogisticLoss:
         # deriv's formula via numpy's exp: within 4 ulp of deriv, 0 on overflow
         with np.errstate(over="ignore"):
             return -b * (1.0 / (1.0 + np.exp(b * m)))
+
+    # loss'' = expit(m) expit(-m) for b = +-1, via tanh, which cannot overflow
+    curv_vec = staticmethod(lambda m, b: 0.25 * (1.0 - np.tanh(0.5 * m) ** 2))
 
     @staticmethod
     def conjugate(u, b):
@@ -150,10 +154,10 @@ class GlmObjective:
             raise ValueError("hinge loss requires l2 > 0")
         labels = data.labels
         if loss.classification:
-            vals = set(np.unique(labels))
-            if vals <= {0.0, 1.0}:
+            # elementwise tests, not np.unique: numpy 2.4's imports numpy.ma
+            if ((labels == 0.0) | (labels == 1.0)).all():
                 labels = np.where(labels > 0, 1.0, -1.0)
-            elif not vals <= {-1.0, 1.0}:
+            elif not ((labels == -1.0) | (labels == 1.0)).all():
                 raise ValueError("classification labels must be in {-1,+1} (or {0,1})")
         self.data = data
         self.loss = loss

@@ -756,7 +756,8 @@ def run(config, obj, x0=None):
     if record:
         iterates[0] = x
     try:
-        sparse_jit.run_jit(stepping) if lazy is not None else stepping()
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step raises at its next margin or checkpoint
+            sparse_jit.run_jit(stepping) if lazy is not None else stepping()
     except DivergenceError as err:
         err.records = recorder.records
         raise

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,37 @@ def test_divergence_prints_only_its_diverged_line(tmp_path):
         assert proc.stderr == "diverged: objective diverged (gamma=1000000.0)%s\n" % where, argv
 
 
+@pytest.mark.parametrize("method", ["sag", "saga", "sgd"])
+def test_kernel_overflow_prints_only_its_diverged_line(method, tmp_path, capsys):
+    # at gamma = 1e200 the step itself overflows, before any checkpoint, and
+    # numpy warned from the kernels' lines; a run now steps under one
+    # errstate and says only diverged:, eager (logistic, l2 = 0.1, the decay
+    # 1 - gamma*l2 overflowing) and lazy (half_squared, l2 = 0, so jit on applies)
+    out = str(tmp_path / "d.csv")
+    cases = [["--l2", "0.1", "--jit", "off"], ["--loss", "half_squared", "--l2", "0", "--jit", "off"],
+             ["--loss", "half_squared", "--l2", "0", "--jit", "on"]]
+    for extra in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = _run("run", "--data", "synth:toyclass", "--method", method, "--gamma", "1e200",
+                      "--epochs", "3", "--out", out, *extra)
+        assert (rc, [str(w.message) for w in caught]) == (cli.EXIT_DIVERGED, []), extra
+        assert capsys.readouterr().err == "diverged: non-finite value encountered (gamma=1e+200)\n", extra
+        assert read_trace(out)[1]["engine"] == ("lazy" if extra[-1] == "on" else "eager")
+
+
+def test_run_imports_no_numpy_ma(tmp_path):
+    # the label check once called np.unique, whose numpy 2.4 code imports
+    # numpy.ma, a cost in time and memory that every process paid
+    base = ["--data", "synth:toyclass", "--l2", "0.1"]
+    argvs = [["run", *base, "--method", "saga", "--epochs", "1", "--out", str(tmp_path / "r.csv")],
+             ["solve-ref", *base, "--out", str(tmp_path / "ref")]]
+    code = "import sys; from vropt.cli import main; print([main(a) for a in %r], 'numpy.ma' in sys.modules)" % argvs
+    env = dict(_src_env(), VROPT_CACHE=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stderr
+
+
 def test_solve_ref_idempotent(tmp_path, monkeypatch):
     # the cache entry a solve leaves is its --out pair, byte for byte, under
     # the reference key; a second solve-ref reads it and writes the same pair
@@ -142,7 +174,7 @@ def test_solve_ref_idempotent(tmp_path, monkeypatch):
     pair = {ext: (tmp_path / ("ref" + ext)).read_bytes() for ext in (".fstar.txt", ".xstar.vec")}
     assert {name: (cache / name).read_bytes() for name in os.listdir(cache)} == {
         key + ext: data for ext, data in pair.items()}
-    monkeypatch.setattr(diag, "_prox_grad", lambda *a: pytest.fail("solved a cached reference"))
+    monkeypatch.setattr(diag, "_certified", lambda *a: pytest.fail("solved a cached reference"))
     assert _run(*args) == 0
     assert {ext: (tmp_path / ("ref" + ext)).read_bytes() for ext in pair} == pair
 
@@ -165,7 +197,7 @@ def test_compare_after_solve_ref_rewrites_no_cache_entry(tmp_path, monkeypatch):
     spec = tmp_path / "g.spec"
     spec.write_text("data = %s\nl2 = 0.1\nepochs = 2\nout = %s\n[method]\nname = saga\n[method]\nname = svrg\n"
                     % (data, tmp_path / "grid"))
-    monkeypatch.setattr(diag, "_prox_grad", lambda *a: pytest.fail("solved a cached reference"))
+    monkeypatch.setattr(diag, "_certified", lambda *a: pytest.fail("solved a cached reference"))
     _no_parse(monkeypatch)
     assert _run("compare", str(spec)) == 0
     assert _entries(cache) == before
@@ -607,8 +639,7 @@ def test_logistic_processes_load_no_scipy_special(tmp_path):
     # no process loads a scipy module, scipy.sparse and scipy.special
     # included: every validate check but the mushrooms ones, then solve-ref,
     # run, compare and trace2d on small data, a run on a LIBSVM file of
-    # 80,000 nonzeros, and a cold solve-ref on the mushrooms table (230M
-    # stored entries through the products)
+    # 80,000 nonzeros, and a cold solve-ref on the mushrooms table
     tail = "print(rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     spec = tmp_path / "cmp.spec"
     spec.write_text("data = synth:toyclass\nl2 = 0.1\nepochs = 2\nout = %s\n\n[method]\nname = saga\n"
@@ -781,7 +812,8 @@ def test_run_hit_needs_no_parse_and_no_global_l(method, tmp_path, monkeypatch):
 
 
 def test_global_l_computed_where_read(tmp_path, monkeypatch):
-    # gd's 1/L, the mini-batch L(b) and the reference solver read the global L
+    # gd's 1/L, the mini-batch L(b) and the reference solver at l1 > 0 (its
+    # FISTA step) read the global L; its Newton solve at l1 = 0 does not
     calls = []
     real = objectives.power_iteration_sq
     monkeypatch.setattr(objectives, "power_iteration_sq",
@@ -793,6 +825,8 @@ def test_global_l_computed_where_read(tmp_path, monkeypatch):
                 "--epochs", "1", "--out", str(tmp_path / "m.csv")) == 0
     assert len(calls) == 2
     assert _run("solve-ref", *base, "--out", str(tmp_path / "ref")) == 0
+    assert len(calls) == 2
+    assert _run("solve-ref", *base, "--l1", "1e-3", "--out", str(tmp_path / "ref1")) == 0
     assert len(calls) == 3
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -80,11 +81,12 @@ def test_golden_section_parabola():
 
 def test_solve_reference_pinned():
     # x* bytes and f* must not move: every suboptimality figure is measured
-    # against them; a cap one short of the iterations needed raises
+    # against them; a cap one short of the iterations needed (Newton steps
+    # at l1 = 0, full gradients at l1 > 0) raises
     sparse = load_dataset("synth:sparse:0")
     cases = [
-        (GlmObjective(toy_classification(seed=0, n=30, d=6), "logistic", l2=0.1), 20,
-         "1ff531739137c765b0340ed80a706eae28745c187d1b711182d0615bdcea766a", 0.6336334678319745),
+        (GlmObjective(toy_classification(seed=0, n=30, d=6), "logistic", l2=0.1), 5,
+         "73b5f8823ebe5b850f0299ba7cb0f41507bbab5179ddd252e959d711aa095338", 0.6336334678319743),
         (GlmObjective(toy_regression(seed=0), "half_squared", l2=0.1, l1=0.05), 20,
          "18ee339aa0ca0e6cf53d761a578119207ceaf118d01fe194cd1a33823fa7fb29", 0.5386007815911933),
         (GlmObjective(sparse, "logistic", l2=1.0 / sparse.n, l1=1e-3), 67,
@@ -119,8 +121,74 @@ def test_solve_reference_rejects_non_finite_residual(tmp_path, monkeypatch):
     monkeypatch.setenv("VROPT_CACHE", str(tmp_path))
     ds = Dataset([0, 1, 2], [0, 0], [1.0, 1.0], [1.7e308, 1.7e308], 1)
     obj = GlmObjective(ds, "half_squared", l2=0.1)
-    with pytest.raises(RuntimeError, match="non-finite residual"):
+    with warnings.catch_warnings(), pytest.raises(RuntimeError, match="non-finite residual"):
+        warnings.simplefilter("error")  # and no numpy warning on the way
         solve_reference(obj, tol=1e-12)
+    assert os.listdir(tmp_path) == []
+
+
+def _cross_check_cases():
+    sparse = load_dataset("synth:sparse:0")
+    return [GlmObjective(toy_classification(seed=0, n=30, d=6), "logistic", l2=0.1),
+            GlmObjective(toy_regression(seed=0), "half_squared", l2=0.1),
+            GlmObjective(sparse, "logistic", l2=1.0 / sparse.n)]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_newton_cg_agrees_with_fista(tol):
+    # two solvers, one problem: strong convexity puts each certified point
+    # within tol/l2 of x*, and f there within a few ulp of f*
+    for obj in _cross_check_cases():
+        xn, fn = solve_reference(obj, tol=tol, cache=False)
+        xf, ff = diag._fista(obj, tol, 1_000_000)
+        for x in (xn, xf):
+            assert np.linalg.norm(obj.full_grad(x)) <= tol
+        assert np.linalg.norm(xn - xf) <= 2 * tol / obj.l2
+        assert abs(fn - ff) <= 4 * np.spacing(ff)
+
+
+def test_newton_cg_line_search_backtracks(monkeypatch):
+    # logistic curvature peaks at margin 0 and half_squared is quadratic, so
+    # Newton's unit step from 0 never raises f; a Hessian that under-reports
+    # the loss curvature 10-fold makes it overshoot, the line search must cut
+    # it, and the point returned is still certified
+    obj = _cross_check_cases()[1]
+    real = type(obj.loss).curv_vec
+    monkeypatch.setattr(type(obj.loss), "curv_vec", staticmethod(lambda m, b: 0.1 * real(m, b)))
+    values = []
+    full_value = obj.full_value
+    monkeypatch.setattr(obj, "full_value", lambda x, m=None: values.append(full_value(x, m)) or values[-1])
+    x, f = solve_reference(obj, tol=1e-12, cache=False)
+    assert values[1] > values[0] == obj.full_value(np.zeros(obj.d))  # f at 0, then at the unit step
+    assert np.linalg.norm(obj.full_grad(x)) <= 1e-12
+    assert np.linalg.norm(x - diag._fista(obj, 1e-12, 1_000_000)[0]) <= 2e-12 / obj.l2
+
+
+def test_newton_cg_raises_where_no_step_descends(tmp_path, monkeypatch):
+    # a derivative of the wrong sign makes every Newton direction climb f:
+    # the line search gives up after its halvings, and nothing is cached
+    # (half the derivative would not do: it is the gradient of f with 2 l2
+    # in place of l2, whose minimizer both solvers certify)
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path))
+    obj = _cross_check_cases()[0]
+    real = type(obj.loss).deriv_vec
+    monkeypatch.setattr(type(obj.loss), "deriv_vec", staticmethod(lambda m, b: -real(m, b)))
+    values = []
+    full_value = obj.full_value
+    monkeypatch.setattr(obj, "full_value", lambda x, m=None: values.append(full_value(x, m)) or values[-1])
+    with pytest.raises(RuntimeError, match="line search found no decrease at Newton step 0"):
+        solve_reference(obj, tol=1e-12)
+    assert len(values) == 2 + diag.ARMIJO_HALVINGS  # f at 0, then one per trial step
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("l1", [0.0, 1e-3])
+def test_cold_solve_trips_the_certificate_hook(l1, tmp_path, monkeypatch):
+    # the hook the "nothing solved" tests patch is on both solvers' paths
+    monkeypatch.setenv("VROPT_CACHE", str(tmp_path))
+    monkeypatch.setattr(diag, "_certified", lambda *a: pytest.fail("solved"))
+    with pytest.raises(pytest.fail.Exception, match="solved"):
+        solve_reference(GlmObjective(toy_classification(seed=0, n=30, d=6), "logistic", l2=0.1, l1=l1))
     assert os.listdir(tmp_path) == []
 
 
@@ -151,7 +219,7 @@ def test_solve_reference_cache(tmp_path, monkeypatch):
     key = diag._ref_key(obj, 1e-12)  # the entry is the pair solve-ref writes
     assert files == [key + ".fstar.txt", key + ".xstar.vec"]
     with monkeypatch.context() as m:
-        m.setattr(diag, "_prox_grad", lambda *a: pytest.fail("solved a cached reference"))
+        m.setattr(diag, "_certified", lambda *a: pytest.fail("solved a cached reference"))
         x2, f2 = solve_reference(obj, tol=1e-12)
     assert np.array_equal(x1, x2) and f1 == f2
     # different l2 keys a different entry
@@ -168,7 +236,7 @@ def test_solve_reference_solves_past_an_unreadable_entry(tmp_path, monkeypatch):
         (tmp_path / name).write_bytes(b"garbage")
     x2, f2 = solve_reference(_toy(), tol=1e-12)
     assert np.array_equal(x1, x2) and f1 == f2
-    monkeypatch.setattr(diag, "_prox_grad", lambda *a: pytest.fail("solved a readable entry"))
+    monkeypatch.setattr(diag, "_certified", lambda *a: pytest.fail("solved a readable entry"))
     assert solve_reference(_toy(), tol=1e-12)[1] == f1
 
 
