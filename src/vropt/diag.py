@@ -336,9 +336,9 @@ def _newton_cg(obj, tol, max_iter):
     """Truncated Newton (Dembo, Eisenstat & Steihaug 1982) from 0: conjugate
     gradients solve H p = -g to min(0.5, sqrt(||g||)) ||g|| (or for 20 d steps);
     H v = A^T(loss''(A x) * A v) / n + l2 v is positive definite, so p descends.
-    x + t p takes the first t in 1, 1/2, ..., 2^-ARMIJO_HALVINGS that meets
-    Armijo's condition on f, or on ||g|| where f's change is within its
-    rounding (16 ulp); none raises. The residual ||g|| at x certifies x."""
+    x + t p takes the first t in 1, 1/2, ..., 2^-ARMIJO_HALVINGS meeting Armijo's
+    condition on f, or on ||g|| where the decrease it asks of f is within f's
+    rounding (16 ulp), else raises RuntimeError. ||g|| at x certifies x."""
     data, l2 = obj.data, obj.l2
     x, m = np.zeros(obj.d), np.zeros(obj.n)  # m = A x
     for iters in itertools.count():
@@ -364,11 +364,10 @@ def _newton_cg(obj, tol, max_iter):
         for _ in range(ARMIJO_HALVINGS + 1):
             x_t = x + t * p
             m_t = data.margins(x_t)
-            f_t = obj.full_value(x_t, m_t)
-            if slope < 0 and f_t <= f + 1e-4 * t * slope:
-                break
-            if (f_t <= f + 16.0 * np.finfo(float).eps * abs(f)  # f cannot resolve the step; ||g|| can
-                    and np.linalg.norm(obj.full_grad(x_t, m_t)) <= (1.0 - 1e-4 * t) * res):
+            if -1e-4 * t * slope > 16.0 * np.finfo(float).eps * abs(f):  # f can show Armijo's decrease
+                if obj.full_value(x_t, m_t) <= f + 1e-4 * t * slope:
+                    break
+            elif slope < 0 and np.linalg.norm(obj.full_grad(x_t, m_t)) <= (1.0 - 1e-4 * t) * res:
                 break
             t *= 0.5
         else:
