@@ -154,7 +154,7 @@ class GlmObjective:
             raise ValueError("hinge loss requires l2 > 0")
         labels = data.labels
         if loss.classification:
-            # elementwise tests, not np.unique: numpy 2.4's imports numpy.ma
+            # elementwise tests: numpy 2.4's np.unique imports numpy.ma
             if ((labels == 0.0) | (labels == 1.0)).all():
                 labels = np.where(labels > 0, 1.0, -1.0)
             elif not ((labels == -1.0) | (labels == 1.0)).all():
