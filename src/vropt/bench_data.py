@@ -10,17 +10,16 @@ import os
 
 import numpy as np
 
-from .data import Dataset, RandomSource, parse_libsvm, readonly
+from .data import Dataset, RandomSource, parse_libsvm
 
 # attribute arities; they sum to 112 and include a single-valued attribute
 ARITIES = (6, 4, 10, 2, 9, 2, 2, 2, 12, 2, 5, 4, 4, 9, 9, 1, 4, 3, 5, 9, 6, 2)
 
 
 def _dense(a, labels):
-    """Dataset whose rows are the rows of the dense (n, d) array a, which
-    it takes over: a becomes read-only."""
+    """Dataset whose rows are the rows of the dense (n, d) array a."""
     n, d = a.shape
-    return Dataset(*readonly(np.arange(0, n * d + 1, d), np.tile(np.arange(d), n), a.ravel()), labels, d)
+    return Dataset(np.arange(0, n * d + 1, d), np.tile(np.arange(d), n), a.ravel(), labels, d)
 
 
 def mushrooms_like(seed=0, scale=1.0, gap=0.8):
@@ -48,18 +47,18 @@ def mushrooms_like(seed=0, scale=1.0, gap=0.8):
         p = rng.random(r) + 2.0
         cum.append(np.cumsum(p / p.sum()))
     w = 1.0 / np.sqrt(groups)
-    cats = np.empty((n, groups), dtype=np.int64)
+    cols = np.empty((n, groups), dtype=np.int64)  # row i's column in each attribute group
 
     def draw(rows_idx):
         for g in range(groups):
             u = rng.random(rows_idx.size)
-            cats[rows_idx, g] = np.searchsorted(cum[g], u, side="right").clip(0, ARITIES[g] - 1)
+            cols[rows_idx, g] = offsets[g] + np.searchsorted(cum[g], u, side="right").clip(0, ARITIES[g] - 1)
 
+    margins = np.empty(n)  # each row's, from its last draw
     pending = np.arange(n)
     draw(pending)
     for _ in range(200):
-        cols = offsets[None, :] + cats[pending]
-        m = w * x_true[cols].sum(axis=1)
+        margins[pending] = m = w * x_true[cols[pending]].sum(axis=1)
         bad = pending[np.abs(m) < gap]
         if bad.size == 0:
             break
@@ -67,10 +66,11 @@ def mushrooms_like(seed=0, scale=1.0, gap=0.8):
         pending = bad
     else:
         raise RuntimeError("margin rejection sampling did not converge")
-    cols = offsets[None, :] + cats
-    margins = w * x_true[cols].sum(axis=1)
     labels = np.where(margins >= 0, 1.0, -1.0)
-    return Dataset(*readonly(np.arange(0, cols.size + 1, groups), cols.ravel(), np.full(cols.size, w)), labels, d)
+    # handed over as views of bytes, which Dataset keeps without a copy
+    indptr = np.frombuffer(np.arange(0, cols.size + 1, groups).tobytes(), dtype=np.int64)
+    values = np.frombuffer(np.float64(w).tobytes() * cols.size, dtype=np.float64)
+    return Dataset(indptr, np.frombuffer(cols.tobytes(), dtype=np.int64), values, labels, d)
 
 
 def blobs_2d(seed=0, n=400, flip=0.08):
@@ -106,7 +106,7 @@ def sparse_gaussian(seed=0, n=500, d=200, density=0.02):
     prob = 1.0 / (1.0 + np.exp(-margins))
     labels = np.where(rng.random(n) < prob, 1.0, -1.0)
     indptr = np.cumsum([0] + [idx.size for idx in col_indices])
-    return Dataset(*readonly(indptr, np.concatenate(col_indices), np.concatenate(col_values)), labels, d)
+    return Dataset(indptr, np.concatenate(col_indices), np.concatenate(col_values), labels, d)
 
 
 def toy_classification(seed=0, n=50, d=10):

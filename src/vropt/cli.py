@@ -576,6 +576,9 @@ def main(argv=None):
     except IoError as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_IO
+    except MemoryError as e:  # e.g. a LIBSVM index so large that d-sized vectors do not fit
+        sys.stderr.write("error: out of memory: %s\n" % (str(e) or "MemoryError"))
+        return EXIT_IO
     except DivergenceError as e:
         sys.stderr.write("diverged: %s\n" % e)
         return EXIT_DIVERGED

@@ -54,22 +54,24 @@ class Dataset:
 
     Held as CSR only: row i is col_indices/col_values[indptr[i]:indptr[i+1]],
     indices strictly increasing within a row and in [0, d), no stored zeros
-    (dropped here), values and labels finite. The arrays are read-only, and
-    no caller can write them: the products read x[col_indices[k]] with no
-    bounds check, so an indptr, col_indices or col_values handed over
-    writable, or viewing a writable array, is copied before it is checked.
-    One handed over read-only (readonly(): parse_libsvm, read_csr and
-    bench_data's generators) is kept as it is.
+    (dropped here), values and labels finite. The products read
+    x[col_indices[k]] with no bounds check, so no caller may write the
+    arrays: each of indptr, col_indices, col_values and labels is a 1-d
+    C-contiguous view of an immutable bytes object, whose memory no Python
+    object can write and whose view numpy will not make writable. An array
+    handed over as such a view (read_csr's, parse_libsvm's) is kept; any
+    other is copied into bytes once, before it is checked.
     """
 
     def __init__(self, indptr, col_indices, col_values, labels, d):
-        indptr = _owned(indptr, np.int64)
-        indices = _owned(col_indices, np.int64)
-        values = _owned(col_values, np.float64)
+        indptr = _frozen(indptr, np.int64)
+        indices = _frozen(col_indices, np.int64)
+        values = _frozen(col_values, np.float64)
+        labels = _frozen(labels, np.float64)
         if indptr.ndim != 1 or indptr.size < 2:
             raise ValueError("empty dataset: indptr needs n+1 >= 2 entries in one dimension")
         n = indptr.size - 1
-        if len(labels) != n:
+        if labels.shape != (n,):
             raise ValueError("labels length must equal row count")
         if indices.shape != values.shape or indices.ndim != 1:
             raise ValueError("indices and values must be 1-d and the same length")
@@ -86,15 +88,14 @@ class Dataset:
             del falls
             if indices.min() < 0 or indices.max() >= d:
                 raise ValueError("index out of range for dim=%d" % d)
-        labels = np.array(labels, dtype=np.float64)
         if not (np.isfinite(values).all() and np.isfinite(labels).all()):
             raise ValueError("values and labels must be finite")
         keep = values != 0.0
         if not keep.all():
-            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-            indices = indices[keep]
-            values = values[keep]
-        self.indptr, self.col_indices, self.col_values, self.labels = readonly(indptr, indices, values, labels)
+            indptr = _frozen(np.concatenate(([0], np.cumsum(keep)))[indptr], np.int64)
+            indices = _frozen(indices[keep], np.int64)
+            values = _frozen(values[keep], np.float64)
+        self.indptr, self.col_indices, self.col_values, self.labels = indptr, indices, values, labels
         self.n = n
         self.d = int(d)
         self._hash = None
@@ -137,32 +138,14 @@ class Dataset:
         return out
 
 
-def readonly(*arrays):
-    """The arrays, each marked read-only with every array under it, and
-    returned: how a builder that keeps no writable view of them hands them
-    to Dataset without a copy."""
-    for a in arrays:
-        while isinstance(a, np.ndarray):
-            a.setflags(write=False)
-            a = a.base
-    return arrays
-
-
-def _owned(a, dtype):
-    """a as a C-contiguous array of dtype that no caller can write. An
-    array built here (from a list or another dtype) is kept, and so is one
-    handed over read-only down to its last array base (a bytes or array
-    buffer under that is the builder's: parse_libsvm, read_csr); any other
-    is copied."""
-    out = np.asarray(a, dtype=dtype, order="C")
-    if out is not a and out.base is None:
-        return out
-    base = out
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            return out.copy()
-        base = base.base
-    return out
+def _frozen(a, dtype):
+    """a as a 1-d array of dtype viewing an immutable bytes object: kept if
+    it is a C-contiguous view of bytes, else copied into bytes. An a of
+    another shape is returned as an array for the caller to refuse."""
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 1 or (type(a.base) is bytes and a.flags.c_contiguous):
+        return a
+    return np.frombuffer(a.tobytes(), dtype=dtype)
 
 
 def _operand(v, size):
@@ -274,8 +257,12 @@ def parse_libsvm(source, dim=None):
             raise ParseError("dim override %d smaller than max index %d" % (d, max_idx))
     if d < 1:
         raise ParseError("empty dataset")  # rows exist but carry no features
-    return Dataset(*readonly(np.frombuffer(indptr, dtype=np.int64), np.frombuffer(col_indices, dtype=np.int64),
-                             np.frombuffer(col_values, dtype=np.float64)), labels, d)
+    # into bytes one at a time, so that only one array is ever held twice
+    indptr = indptr.tobytes()
+    col_indices = col_indices.tobytes()
+    col_values = col_values.tobytes()
+    return Dataset(np.frombuffer(indptr, dtype=np.int64), np.frombuffer(col_indices, dtype=np.int64),
+                   np.frombuffer(col_values, dtype=np.float64), labels, d)
 
 
 def write_libsvm(dataset):
@@ -318,8 +305,8 @@ def write_csr(path, dataset):
 
 def read_csr(path):
     """The Dataset write_csr stored, rebuilt through the validating
-    constructor over read-only views of the bytes read (no copy of the
-    index and value arrays).
+    constructor over views of the bytes read: Dataset keeps them, so no
+    array is copied.
 
     Raises:
         OSError: the file cannot be read.

@@ -99,6 +99,24 @@ def test_io_exit_codes(tmp_path, capsys):
                 "--epochs", "1", "--out", out) == 2
 
 
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # a LIBSVM index of 10^12 parses, but its d-sized vectors do not fit; a
+    # patched objective raises the MemoryError their allocation would, so no
+    # d-sized array is ever asked for
+    path = tmp_path / "huge.libsvm"
+    path.write_text("1 1000000000000:1\n-1 1:1\n")
+    out = tmp_path / "t.csv"
+    for exc in (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"), MemoryError()):
+        def objective(data, *args, **kwargs):
+            assert data.d == 10**12
+            raise exc
+        monkeypatch.setattr(cli, "GlmObjective", objective)
+        assert _run("run", "--data", str(path), "--l2", "0.1", "--method", "gd", "--epochs", "1",
+                    "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: out of memory: %s\n" % (str(exc) or "MemoryError")
+        assert not out.exists()
+
+
 def test_divergence_exit_code(tmp_path, capsys):
     out = str(tmp_path / "d.csv")
     rc = _run("run", "--data", "synth:toyclass", "--l2", "0.1", "--method", "sgd",

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -235,11 +236,55 @@ def test_products_match_scipy_bit_for_bit(seed, n, d, density, big, gaps, operan
         assert tuple(g.tobytes() for g in got) == want
 
 
+def _base_chain(a):
+    """a and every object under it, through ndarray.base and memoryview.obj."""
+    chain = [a]
+    while isinstance(chain[-1], (np.ndarray, memoryview)):
+        under = chain[-1].base if isinstance(chain[-1], np.ndarray) else chain[-1].obj
+        if under is None:
+            break
+        chain.append(under)
+    return chain
+
+
+def test_dataset_arrays_view_immutable_bytes_on_every_path(tmp_path):
+    # the products read x[col_indices[k]] with no bounds check, so on every
+    # path into a Dataset each array must end, down its base chain, in an
+    # immutable bytes object, with nothing on the way that can be written
+    # or made writable
+    text = "1 1:0.5 3:-2e-8\n-1 2:1e8\n1\n1 1:3 2:0.25 3:7 4:0\n"
+    path = str(tmp_path / "d.csr")
+    data.write_csr(path, parse_libsvm(text))
+    caller = [*_random_csr(5, 40, 30, 300), np.ones(40)]
+    views = [a.view() for a in caller]
+    for v in views:
+        v.setflags(write=False)
+    built = {"parse_libsvm": parse_libsvm(text), "read_csr": data.read_csr(path),
+             "writable caller arrays": Dataset(*caller, 30), "read-only views of them": Dataset(*views, 30),
+             "lists, a stored zero": Dataset([0, 2, 3], [0, 4, 1], [1.0, 0.0, 2.0], [1.0, -1.0], 5)}
+    built.update((name, gen()) for name, gen in sorted(bench_data._SYNTH.items()))
+    for name, ds in built.items():
+        for a in (ds.indptr, ds.col_indices, ds.col_values, ds.labels):
+            chain = _base_chain(a)
+            assert type(chain[-1]) is bytes, (name, chain)
+            for obj in chain:
+                assert not isinstance(obj, (array, bytearray)), (name, obj)
+                assert not (isinstance(obj, memoryview) and not obj.readonly), name
+                if isinstance(obj, np.ndarray):
+                    with pytest.raises(ValueError):
+                        obj.setflags(write=True)
+    # a cache hit copies nothing: all four arrays view the file's bytes
+    csr = built["read_csr"]
+    raw = csr.indptr.base
+    assert len(raw) == os.path.getsize(path)
+    assert all(a.base is raw for a in (csr.col_indices, csr.col_values, csr.labels))
+
+
 def test_products_hold_after_the_caller_writes_its_arrays():
     # the products read x[col_indices[k]] with no bounds check, so the
     # constructor copies arrays handed over writable: an out-of-range index
     # written into the caller's col_indices, or a moved indptr entry, changes
-    # neither product nor the digest; arrays handed over read-only are kept
+    # neither product nor the digest; views of bytes are kept
     indptr, cols, vals = _random_csr(5, 40, 30, 300)
     ds = Dataset(indptr, cols, vals, np.ones(40), 30)
     rng = np.random.default_rng(6)
@@ -260,9 +305,9 @@ def test_products_hold_after_the_caller_writes_its_arrays():
         v.setflags(write=False)
     ds = Dataset(*views, np.ones(40), 30)
     assert not any(np.shares_memory(a, v) for a, v in zip((ds.indptr, ds.col_indices, ds.col_values), views))
-    kept = data.readonly(*_random_csr(5, 40, 30, 300))
-    ds = Dataset(*kept, np.ones(40), 30)
-    assert ds.indptr is kept[0] and ds.col_indices is kept[1] and ds.col_values is kept[2]
+    kept = [np.frombuffer(a.tobytes(), dtype=a.dtype) for a in (*_random_csr(5, 40, 30, 300), np.ones(40))]
+    ds = Dataset(*kept, 30)
+    assert all(a is b for a, b in zip((ds.indptr, ds.col_indices, ds.col_values, ds.labels), kept))
 
 
 def test_products_bit_equal_in_either_import_order():
@@ -293,26 +338,30 @@ print(got == ((a @ x).tobytes(), (a.T @ s).tobytes()), ds.margins(x).tobytes() =
 
 def test_large_products_and_validation_make_no_nnz_sized_temporary():
     # 2^19 entries, rows of 32: the constructor checks index order with bool
-    # temporaries and takes arrays handed over read-only without a copy, and
-    # each product allocates its output only, so neither peaks near one
-    # nnz-sized int64 or float64 array (4 MiB) above what it keeps; the
-    # products keep scipy's bits
+    # temporaries, takes views of bytes without a copy and copies writable
+    # arrays once, and each product allocates its output only, so neither
+    # peaks near one nnz-sized int64 or float64 array (4 MiB) above what it
+    # keeps; the products keep scipy's bits
     from scipy import sparse
 
     n, k, d = 1 << 14, 32, 1 << 12
     nnz = n * k
     rng = np.random.default_rng(0)
-    cols = np.sort(rng.random((n, d)).argpartition(k, axis=1)[:, :k], axis=1).ravel()
+    # k strictly increasing columns in [0, d) per row
+    cols = (np.sort(rng.integers(0, d - k + 1, size=(n, k)), axis=1) + np.arange(k)).ravel()
     vals = rng.normal(size=nnz)
     indptr = np.arange(n + 1) * k
     labels = np.ones(n)
-    data.readonly(indptr, cols, vals)
+    writable = indptr, cols, vals, labels
+    kept = [np.frombuffer(a.tobytes(), dtype=a.dtype) for a in writable]
     tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        ds = Dataset(indptr, cols, vals, labels, d)
-        built = tracemalloc.get_traced_memory()[1] - base
+        built = []
+        for arrays in (writable, kept):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ds = Dataset(*arrays, d)
+            built.append(tracemalloc.get_traced_memory()[1] - base)
         x, s = rng.normal(size=d), rng.normal(size=n)
         peaks = []
         for product, v, size in ((ds.margins, x, n), (ds.weighted_sum, s, d)):
@@ -322,7 +371,8 @@ def test_large_products_and_validation_make_no_nnz_sized_temporary():
             peaks.append(tracemalloc.get_traced_memory()[1] - base - 8 * size)
     finally:
         tracemalloc.stop()
-    assert built <= 2 * nnz + 8 * n + 64_000, built  # two bool arrays, labels
+    assert built[0] <= 18 * nnz + 16 * n + 64_000, built  # one copy of each array, two bool arrays
+    assert built[1] <= 2 * nnz + 64_000, built  # two bool arrays
     assert max(peaks) <= 64_000, peaks
     a = sparse.csr_matrix((vals, cols, indptr), shape=(n, d))
     assert ds.margins(x).tobytes() == (a @ x).tobytes()

@@ -10,7 +10,7 @@ def test_mutants_apply_to_current_source(monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
     import mutants
 
-    assert len({m[0] for m in mutants.MUTANTS}) == len(mutants.MUTANTS) == 18
+    assert len({m[0] for m in mutants.MUTANTS}) == len(mutants.MUTANTS) == 19
     for name, fname, old, new in mutants.MUTANTS:
         with open(os.path.join(ROOT, "src", "vropt", fname)) as fh:
             assert fh.read().count(old) == 1 and old != new, name

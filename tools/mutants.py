@@ -9,7 +9,7 @@ working tree is never touched), runs `vropt validate` and the tier-1 tests
 in TESTS against the copy, and prints the catch matrix: one row per mutant,
 the checks and tests that fail, and whether any did. A first row runs the
 unchanged copy, which must fail nothing. A row takes about 40 s on one
-core; the 19 rows took 12.5 min on a 2-vCPU VM.
+core; the 20 rows took 8.5 min on a 2-vCPU VM.
 """
 
 import os
@@ -59,6 +59,8 @@ MUTANTS = (
      "not 0 <= eps < math.inf", "False"),
     ("indptr_may_fall", "data.py",
      " or (np.diff(indptr) < 0).any()", ""),
+    ("keep_any_view", "data.py",
+     "type(a.base) is bytes", "a.base is not None"),
 )
 
 # tier-1 tests that target faults no validate check sees
@@ -70,6 +72,7 @@ TESTS = (
     "tests/test_cli.py::test_bad_fstar_or_stop_rule_exits_1_before_any_output",
     "tests/test_diag.py::test_stop_rules",
     "tests/test_data.py::test_dataset_validation",
+    "tests/test_data.py::test_dataset_arrays_view_immutable_bytes_on_every_path",
 )
 
 
