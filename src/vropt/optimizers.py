@@ -155,7 +155,7 @@ class DualState:
 # term, the per-row coefficients, and whether x shrinks by the l2 factor.
 
 
-def _puller(obj, b, lazy=None):
+def _puller(obj, b):
     """pull(x, batch, gamma) -> (idx, vals, lens, ms): the rows' support and
     values (row j's slices when b = 1, lens None; else the rows gathered in
     batch order, lens their lengths) and margins a_j^T x, one ndarray.dot per
@@ -182,8 +182,6 @@ def _puller(obj, b, lazy=None):
         if not all(map(isfinite, ms)):
             _check_finite(math.nan, gamma)
         return idx, vals, lens, ms
-    if lazy is not None:  # b = 1: lazy[idx] is the row caught up (sparse_jit.LazyIterate.read)
-        return lambda x, batch, gamma: pull(lazy, batch, gamma)
     return pull
 
 
@@ -192,15 +190,11 @@ def _spread(coefs, lens, vals):
     return coefs[0] * vals if lens is None else np.array(coefs).repeat(lens) * vals
 
 
-def _mover(obj, b, lazy=None, anchor=None, decay=True):
+def _mover(obj, b, decay=True):
     """move(x, gamma, weight, anchor, idx=None, vec=None): x <- (1 - gamma*l2) x
     + weight*anchor, then x[idx] -= vec row after row (np.subtract.at when b > 1:
     a batch's joined support may repeat an index), then the l1 prox. decay=False
     keeps x unshrunk (the direction carries l2*x); anchor None drops the term."""
-    if lazy is not None:  # on the row pulled last; x catches up under the old anchor first
-        lazy.materialize()
-        lazy.anchor = anchor
-        return lazy.move
     l2, l1, prox = obj.l2, obj.l1, obj.prox
     buf = np.empty(obj.d)
 
@@ -229,14 +223,14 @@ def gd_step(obj, x, gamma):
     return x
 
 
-def _shift_kernel(obj, b, ref=None, anchor=None, anchor_scale=0.0, lazy=None):
+def _shift_kernel(obj, b, ref=None, anchor=None, anchor_scale=0.0):
     """Control-variate step
     x <- (1 - gamma*l2) x + gamma*anchor_scale*anchor - (gamma/b) sum_j (s_j - ref_j) a_j
     with s_j = loss'(a_j^T x). Plain sgd has ref 0 (None; s - 0.0 is s) and no
     anchor; sgd_star has ref loss'(a_j^T x*), anchor (l2, x*); the svrg inner
     step the snapshot scalars, anchor (-1, loss part of grad f(x_ref))."""
     anchor = anchor if anchor_scale else None
-    pull, move, deriv, labels = _puller(obj, b, lazy), _mover(obj, b, lazy, anchor), obj.loss.deriv, obj.py_labels
+    pull, move, deriv, labels = _puller(obj, b), _mover(obj, b), obj.loss.deriv, obj.py_labels
     ref = memoryview(np.zeros(obj.n)) if ref is None else ref
 
     def step(x, batch, gamma):
@@ -251,13 +245,13 @@ def _shift_kernel(obj, b, ref=None, anchor=None, anchor_scale=0.0, lazy=None):
     return step
 
 
-def _table_kernel(obj, b, table, saga, lazy=None):
+def _table_kernel(obj, b, table, saga):
     """Averaged-gradient step. sag refreshes the sampled entries first, then
     moves along the refreshed average gsum/n. saga moves with the pre-step
     average plus (gamma/b) Delta_j per draw, Delta_j = fresh minus stored
     entry (the move reads gsum, not the entries). A row drawn twice moves x
     twice but enters gsum once."""
-    pull, move, deriv, labels = _puller(obj, b, lazy), _mover(obj, b, lazy, table.gsum), obj.loss.deriv, obj.py_labels
+    pull, move, deriv, labels = _puller(obj, b), _mover(obj, b), obj.loss.deriv, obj.py_labels
     tab, gsum, n = table.s, table.gsum, table.n
 
     def step(x, batch, gamma):
@@ -422,10 +416,10 @@ def _sdca_kernel(obj, dual):
 def method_kernel(method, obj, b, state=None, lazy=None):
     """step(x, batch, gamma), the step run() builds for any method at batches
     of b rows, over the method's state (the GradientTable, MomentumState,
-    StarTable, svrg/sarah stage or DualState; gd and sgd take none) and lazy,
-    a sparse_jit.LazyIterate, if given. svrg's binds the stage's anchor;
-    before the first refresh, none. gd's moves on the full gradient and does
-    not read its batch; sdca's steps x = the DualState's w."""
+    StarTable, svrg/sarah stage or DualState; gd and sgd take none); given a
+    sparse_jit.LazyIterate lazy, sparse_jit's table or shift step over it.
+    svrg's binds the stage's anchor; before the first refresh, none. gd's
+    moves on the full gradient; sdca's steps x = the DualState's w."""
     if method == "gd":
         def step(x, batch, gamma):
             x[:] = gd_step(obj, x, gamma)  # the name read per call: perfbench/tracing.py wraps it
@@ -434,16 +428,18 @@ def method_kernel(method, obj, b, state=None, lazy=None):
     if method == "sdca":
         return _sdca_kernel(obj, state)
     if method in TABLE_METHODS:
-        return _table_kernel(obj, b, state, method == "saga", lazy)
+        args = state, method == "saga"
+        return _table_kernel(obj, b, *args) if lazy is None else sparse_jit.table_step(obj, lazy, *args)
     if method == "sgd_momentum":
         return _momentum_kernel(obj, b, state)
     if method == "sarah":
         return _sarah_kernel(obj, b, state)
+    args = ()
     if method == "sgd_star":
-        return _shift_kernel(obj, b, memoryview(state.scalars), state.x_star, obj.l2, lazy)
-    if method == "svrg" and state.x_ref is not None:
-        return _shift_kernel(obj, b, memoryview(state.s_ref), state.loss_ref, -1.0, lazy)
-    return _shift_kernel(obj, b, lazy=lazy)
+        args = memoryview(state.scalars), state.x_star, obj.l2
+    elif method == "svrg" and state.x_ref is not None:
+        args = memoryview(state.s_ref), state.loss_ref, -1.0
+    return _shift_kernel(obj, b, *args) if lazy is None else sparse_jit.shift_step(obj, lazy, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +734,7 @@ def run(config, obj, x0=None):
             # full gradient the refresh computes; the kernel binds the
             # stage's anchor, so it is built after each refresh
             while evals < budget and not stopped:
-                if lazy is not None:  # the refresh reads x, caught up under the old anchor
+                if lazy is not None:  # the refresh reads x, materialized under the old anchor
                     lazy.materialize()
                 (svrg_outer_refresh if method == "svrg" else sarah_refresh)(state, obj, x)
                 stage = method_kernel(method, obj, b, state, lazy)

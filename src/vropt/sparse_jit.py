@@ -1,21 +1,29 @@
 """Just-in-time sparse updates for the batch-1 steps with a constant dense term.
 
-Every step multiplies x by rho = 1 - gamma*l2, adds w_t * anchor_j and moves
+Every step multiplies x by rho = 1 - gamma*l2, adds w_t * anchor and moves
 the sampled row's support. The anchor is constant on coordinate j between
 touches of j: sag/saga's table sum gsum changes only on the sampled support,
 and the shift kernel's anchor is fixed (sgd: none; sgd_star: x*; svrg: the
-stage's loss_ref). Unrolling m untouched steps:
+stage's loss_ref). So x is held in scaled coordinates, as SAG's own
+implementation does (Schmidt, Le Roux & Bach, arXiv 1309.2388):
 
-    x_j(k) = rho^m x_j(c) + anchor_j * sum_{t=c+1..k} rho^(k-t) w_t
+    x = sigma_k (v + anchor S_k),  sigma_k = rho^k,  S_k = sum_{t<=k} w_t / sigma_t
 
-With the decayed prefix G[t] = rho*G[t-1] + w_t (G[0] = 0) the sum collapses
-to G[k] - rho^m G[c], so each coordinate catches up in O(1) regardless of how
-long it slept. The per-step work is therefore O(nnz(a_i)), not O(d).
+with v in x's own array. Off the row a step leaves v as it is; the decay and
+the dense term are two float updates. On the row, x keeps its value when a
+step's vector vec folds in as v -= vec / sigma_{k+1}, and a change delta of
+the anchor while S reads S_t as v -= delta S_t: sag (gsum changes before its
+move) folds v -= delta S_k, saga (after; its vec is gamma delta) v -= delta
+(gamma / sigma_{k+1} + S_{k+1}), the shift steps v -= vec / sigma_{k+1}. A
+step gathers v and the anchor on its row only: O(nnz(a_i)), not O(d).
 
-When rho == 1 the prefix is a plain running sum, accumulated with Kahan
-compensation; catch-up differences then carry an absolute error of order
-eps * |G[k]| * |anchor_j| per touch, far below trace tolerances at the scales
-this engine targets. Each materialize rebases the prefix (checkpoint to checkpoint).
+sigma_k v and sigma_k S_k are of the size of x and of the decayed weight sum
+W_k = sum_t |w_t| rho^(k-t) since the last materialize, so each fold and read
+of x_j adds an absolute error of order eps (|x_j| + |anchor_j| W_k). S is a
+Kahan-compensated sum (at rho = 1, sigma stays 1 and S is the running sum of
+the weights). A step that leaves sigma below SIGMA_FLOOR materializes (x =
+sigma (v + anchor S), then sigma = 1, S = 0), so 1/sigma and S stay finite;
+checkpoints and svrg refreshes materialize too.
 """
 
 import numpy as np
@@ -25,92 +33,107 @@ from .schedules import sample  # noqa: F401 -- perfbench/tracing.py wraps this n
 
 JIT_MODES = ("auto", "on", "off")
 LAZY_METHODS = ("sag", "saga", "sgd", "sgd_star", "svrg")
+SIGMA_FLOOR = 1e-100  # a step that leaves sigma below this materializes
 
 # auto picks the lazy engine from this many features up. An eager step costs
-# O(d) (it decays and shifts all of x), a lazy one O(nnz(a_i)) plus a fixed
-# overhead; over 5-60 nonzeros per row, the table and shift kernels cross
-# between d = 3k and 20k (tools/engine_sweep.py).
+# O(d), a lazy one O(nnz(a_i)); the lazy steps are faster at every width
+# tools/engine_sweep.py times (d = 100 up), but trace headers name this
+# threshold and d < it keeps the eager step's bits (the paper's d = 112).
 LAZY_MIN_D = 15_000
 
 
 class LazyIterate:
-    """Iterate x with per-coordinate staleness: x[j] is current through step
-    c[j]. A lazy step reads its row (read, or lazy[idx]), then moves it."""
+    """Iterate x = sigma*(v + anchor*S) between materializations, with v
+    held in x's own array. table_step and shift_step move it."""
 
-    def __init__(self, x, rho, capacity=1024):
+    prefix = np.zeros(0)  # no catch-up prefix is held; perfbench/tracing.py reads its nbytes
+
+    def __init__(self, x, rho):
         if rho <= 0:
             raise ValueError("decay factor must be positive, got %g" % rho)
         self.x = x
         self.rho = float(rho)
         self.anchor = None
-        self.c = np.zeros(x.shape[0], dtype=np.int64)
-        self.k = 0
-        self._g = np.zeros(max(capacity, 16))
-        self._p = self.rho ** np.arange(self._g.shape[0])  # rho^m, the bits of rho ** m
-        self._last = self._comp = 0.0  # G[k]; Kahan compensation, used when rho == 1
-        self._row = None  # (idx, values) of the last read
+        self.sigma, self.S, self._comp = 1.0, 0.0, 0.0  # _comp: S's Kahan compensation
         self.touched = 0
 
-    @property
-    def prefix(self):
-        """The prefix array G as held; entries 0..k are live."""
-        return self._g
-
-    def read(self, idx):
-        """x[idx] caught up through step k, not written back: the next move
-        writes this row."""
-        ci = self.c[idx]
-        pm = self._p[self.k - ci]  # 1 where current, as rows rarely are where lazy pays
-        xi = pm * self.x[idx]
-        if self.anchor is not None:
-            xi += self.anchor[idx] * (self._last - pm * self._g[ci])
-        self._row = idx, xi
-        return xi
-
-    __getitem__ = read
-
-    def move(self, x, gamma, w, anchor, idx=None, vec=None):
-        """Step k+1 on the row read last, in one write, with the eager move's
-        signature (optimizers._mover; x, gamma, anchor and idx are the
-        iterate's own) and arithmetic: x[idx] = rho*x[idx] + w*anchor[idx] - vec."""
-        idx, xi = self._row
-        k, last = self.k + 1, self._last
-        if k >= self._g.shape[0]:  # G doubles; materialize keeps k below the checkpoint stride
-            self._g = np.concatenate([self._g, np.zeros(self._g.shape[0])])
-            self._p = self.rho ** np.arange(self._g.shape[0])
-        if self.rho == 1.0:
-            y = w - self._comp
-            t = last + y
-            self._comp = (t - last) - y
-        else:
-            t = self.rho * last + w
-        self._g[k] = self._last = t
-        self.k = k
-        new = self.rho * xi
-        if self.anchor is not None:
-            new += w * self.anchor[idx]
-        if vec is not None:
-            new -= vec
-        self.x[idx] = new
-        self.c[idx] = k
-        self.touched += idx.size
-        return self.x
+    def advance(self, w):
+        """sigma and S through one more step of dense weight w; returns both."""
+        sigma = self.sigma * self.rho
+        y = w / sigma - self._comp
+        S = self.S + y
+        self._comp = (S - self.S) - y
+        self.sigma, self.S = sigma, S
+        return sigma, S
 
     def materialize(self):
-        """Catch every coordinate up and rebase (k, c, G[k], Kahan term to 0); returns x."""
-        k, x, c = self.k, self.x, self.c
-        if k:
-            pm = self._p[k - c]
-            x *= pm
-            if self.anchor is not None:
-                gc = self._g[c]
-                gc *= pm
-                np.subtract(self._last, gc, out=gc)
-                gc *= self.anchor
-                x += gc
-            c[:] = 0
-            self.k, self._last, self._comp = 0, 0.0, 0.0
+        """x = sigma*(v + anchor*S) in place, then sigma = 1 and S = 0; returns x."""
+        if self.S and self.anchor is not None:
+            self.x += self.S * self.anchor
+        if self.sigma != 1.0:
+            self.x *= self.sigma
+        self.sigma, self.S, self._comp = 1.0, 0.0, 0.0
+        return self.x
+
+
+def _bind(obj, lazy, anchor):
+    """lazy materialized under its old anchor, then given anchor; returns what a step reads."""
+    from .optimizers import _check_finite
+    lazy.materialize()
+    lazy.anchor = anchor
+    data = obj.data
+    return obj.py_indptr, data.col_indices, data.col_values, obj.loss.deriv, obj.py_labels, _check_finite, lazy.advance
+
+
+def table_step(obj, lazy, table, saga):
+    """optimizers._table_kernel's batch-1 step, up to rounding, on lazy (anchor: gsum)."""
+    indptr, cols, values, deriv, labels, check, advance = _bind(obj, lazy, table.gsum)
+    tab, gsum, n = memoryview(table.s), table.gsum, table.n
+
+    def step(x, batch, gamma):
+        j = batch[0]
+        lo, hi = indptr[j], indptr[j + 1]
+        idx, vals = cols[lo:hi], values[lo:hi]
+        v, a = x[idx], gsum[idx]
+        S = lazy.S
+        m = lazy.sigma * (float(vals.dot(v)) + S * float(vals.dot(a)))
+        check(m, gamma)
+        s = deriv(m, labels[j])
+        delta = (s - tab[j]) * vals
+        tab[j] = s
+        sigma, S1 = advance(-(gamma / n))
+        x[idx] = v - ((gamma / sigma + S1) if saga else S) * delta
+        gsum[idx] = a + delta
+        lazy.touched += hi - lo
+        if sigma < SIGMA_FLOOR:
+            lazy.materialize()
         return x
+    return step
+
+
+def shift_step(obj, lazy, ref=None, anchor=None, anchor_scale=0.0):
+    """optimizers._shift_kernel's batch-1 step, up to rounding, on lazy (anchor: anchor)."""
+    anchor = anchor if anchor_scale else None
+    indptr, cols, values, deriv, labels, check, advance = _bind(obj, lazy, anchor)
+    ref = memoryview(np.zeros(obj.n)) if ref is None else ref
+
+    def step(x, batch, gamma):
+        j = batch[0]
+        lo, hi = indptr[j], indptr[j + 1]
+        idx, vals = cols[lo:hi], values[lo:hi]
+        v = x[idx]
+        m = float(vals.dot(v))
+        if anchor is not None:
+            m += lazy.S * float(vals.dot(anchor[idx]))
+        m *= lazy.sigma
+        check(m, gamma)
+        sigma = advance(gamma * anchor_scale)[0]
+        x[idx] = v - (gamma * (deriv(m, labels[j]) - ref[j]) / sigma) * vals
+        lazy.touched += hi - lo
+        if sigma < SIGMA_FLOOR:
+            lazy.materialize()
+        return x
+    return step
 
 
 def choose_engine(config, obj, gamma):

@@ -463,7 +463,7 @@ def test_run_final_iterates_pinned():
         (cls, dict(method="sdca", epochs=5.0, seed=3), 1500,
          "a586a3e9395927bdaf25ea65b565d6aed8c0cddf9ff4e7788866e986c8a33d12"),
         (sp, dict(method="saga", epochs=30.0, seed=4, jit="on", stop="grad:1e-3"),
-         9000, "74510f792056de63e8d1956e8e41e5918200eca311245318b53dd827f7292a0e"),
+         9000, "e508e4a99ef1d517ed09a36e4faa786af2919f2b59c22f545543878587efc4aa"),
         (cls, dict(method="saga", epochs=5.0, seed=5, scheme=uniform_scheme(batch=3)), 1500,
          "6104fdba9b10a284c6b919f4a68802f1b0bfe858e8ae7ada7b992ba8fa2820c6"),
         (cls, dict(method="sag", epochs=5.0, seed=6, scheme=lip), 1500,

@@ -11,101 +11,144 @@ from vropt.data import Dataset, RandomSource
 from vropt.objectives import GlmObjective
 from vropt.optimizers import ConfigError, RunConfig, run
 from vropt.schedules import sample, uniform_scheme
-from vropt.sparse_jit import LAZY_MIN_D, LazyIterate, choose_engine
+from vropt.sparse_jit import LAZY_MIN_D, SIGMA_FLOOR, LazyIterate, choose_engine
+
+
+def _current(lazy):
+    """x as the scaled iterate holds it: sigma * (v + anchor * S)."""
+    return lazy.sigma * (lazy.x + lazy.anchor * lazy.S)
+
+
+def _saga_fold(lazy, idx, w, vec, delta):
+    """One step in a saga step's order: sigma and S advance by the dense
+    weight w, the row term vec folds into v on idx, then the anchor changes
+    by delta there and that change folds into v."""
+    sigma, S = lazy.advance(w)
+    lazy.x[idx] -= vec / sigma + delta * S
+    lazy.anchor[idx] += delta
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.97, 0.5])
 def test_lazy_iterate_matches_dense(rho):
-    """Protocol as in a sag step: read the sampled support, move it (decay,
-    w*anchor and a row term), then change the anchor on that support. The
-    dense twin applies every step to every coordinate immediately."""
+    """The dense twin applies every step to every coordinate immediately:
+    x = rho*x + w*anchor, then x[idx] -= vec, then the anchor changes on idx."""
     rng = np.random.default_rng(0)
     d = 30
     x0 = rng.normal(size=d)
-    gsum = np.zeros(d)
     lazy = LazyIterate(x0, rho)
-    lazy.anchor = gsum
-    dense = x0.copy()
+    lazy.anchor = np.zeros(d)
+    dense, gsum = x0.copy(), np.zeros(d)
     for step in range(300):
         idx = np.unique(rng.integers(0, d, size=rng.integers(1, 5)))
         w = float(rng.normal() * 0.01)
         vec = rng.normal(size=idx.size) * 0.01
-        lazy.read(idx)
-        lazy.move(lazy.x, None, w, gsum, vec=vec)
+        delta = rng.normal(size=idx.size)
+        _saga_fold(lazy, idx, w, vec, delta)
         dense = rho * dense + w * gsum
         dense[idx] -= vec
-        gsum[idx] += rng.normal(size=idx.size)
+        gsum[idx] += delta
+    assert lazy.sigma == pytest.approx(rho ** 300, rel=1e-12)
     out = lazy.materialize()
     scale = 1.0 + np.linalg.norm(dense)
     assert np.linalg.norm(out - dense) <= 1e-11 * scale
-    assert lazy.k == 0 and not lazy.c.any()  # materialize rebases
+    assert (lazy.sigma, lazy.S) == (1.0, 0.0)  # materialize rebases
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1.0, 0.999, 0.97, 0.5]), st.integers(0, 2**32 - 1), st.integers(1, 40))
 def test_dense_rows_step_as_eager(rho, seed, steps):
-    # a row that covers every coordinate reads x as it is and moves it with
-    # the eager move's arithmetic: rho*x + w*anchor, then -vec, bit for bit
+    # a row that covers every coordinate: the scaled iterate reads and moves
+    # x as the eager move does (rho*x + w*anchor, then -vec, then the anchor
+    # changes), up to rounding. Each fold and read adds at most a few eps of
+    # |x| + |anchor| * W, W the decayed weight sum since the start
+    # (sparse_jit's error bound); over k steps the bound is 8k of them.
     rng = np.random.default_rng(seed)
     d = 12
     x0 = rng.normal(size=d)
     gsum = rng.normal(size=d)
     lazy, eager = LazyIterate(x0.copy(), rho), x0.copy()
-    lazy.anchor = gsum
+    lazy.anchor = gsum.copy()
     every = np.arange(d)
-    for _ in range(steps):
+    eps, weight = np.finfo(float).eps, 0.0
+    for k in range(1, steps + 1):
         w = float(rng.normal() * 0.1)
         vec = rng.normal(size=d) * 0.1
-        assert lazy.read(every).tobytes() == eager.tobytes()
-        lazy.move(lazy.x, None, w, gsum, vec=vec)
+        delta = rng.normal(size=d)
+        _saga_fold(lazy, every, w, vec, delta)
         eager *= rho
         eager += w * gsum
         eager[every] -= vec
-        assert lazy.x.tobytes() == eager.tobytes() and (lazy.c == lazy.k).all()
-        gsum += rng.normal(size=d)
+        gsum += delta
+        weight = rho * weight + abs(w)
+        bound = 8 * k * eps * (np.abs(eager).max() + np.abs(gsum).max() * weight)
+        assert np.abs(_current(lazy) - eager).max() <= bound
+    assert np.abs(lazy.materialize() - eager).max() <= bound
 
 
 def test_lazy_iterate_exact_small():
-    # hand-driven: coordinate 1 left stale across three steps on coordinate 0
+    # hand-driven: three steps that fold nothing, so v stays as it was and
+    # sigma, S carry the decay and the dense term, in binary fractions
     x0 = np.array([1.0, 2.0])
     rho = 0.5
     lazy = LazyIterate(x0, rho)
-    gsum = np.array([0.0, 3.0])
-    lazy.anchor = gsum
+    lazy.anchor = np.array([0.0, 3.0])
     for w in (-0.25, -0.125, -0.0625):
-        lazy.read(np.array([0]))
-        lazy.move(lazy.x, None, w, gsum)
-    # coordinate 1 sees: x*rho^3 + sum_t w_t rho^(3-t) * gsum (gsum constant)
+        lazy.advance(w)
+    assert (lazy.sigma, lazy.S) == (rho**3, -1.5)  # S = sum_t w_t / rho^t
+    assert lazy.x.tolist() == [1.0, 2.0]
+    # coordinate 1: x*rho^3 + sum_t w_t rho^(3-t) * anchor (anchor constant)
     expect = 2.0 * rho**3 - 3.0 * (0.25 * rho**2 + 0.125 * rho + 0.0625)
-    assert lazy.read(np.array([1]))[0] == pytest.approx(expect, rel=1e-15)
-    assert lazy.read(np.array([], dtype=np.int64)).size == 0  # an empty row is a no-op
-    assert lazy.x[0] == rho**3
+    assert _current(lazy).tolist() == [rho**3, expect]
     out = lazy.materialize()
-    assert out[1] == pytest.approx(expect, rel=1e-15)
-    assert lazy.k == 0 and not lazy.c.any()
+    assert out.tolist() == [rho**3, expect]
+    assert (lazy.sigma, lazy.S) == (1.0, 0.0)
 
 
 def test_lazy_iterate_rho_one_long_run():
-    # rho == 1 takes the compensated-summation path; the steps touch only
-    # coordinate 3, where the anchor is 0
+    # rho == 1: sigma stays 1 and S is a compensated running sum of the
+    # weights; the anchor is 0 on coordinates 2 and 3
     lazy = LazyIterate(np.zeros(4), 1.0)
-    gsum = np.array([1e-8, 1.0, 0.0, 0.0])
-    lazy.anchor = gsum
+    lazy.anchor = np.array([1e-8, 1.0, 0.0, 0.0])
     total = 0.0
     for k in range(10000):
-        lazy.read(np.array([3]))
-        lazy.move(lazy.x, None, -1e-4, gsum)
+        lazy.advance(-1e-4)
         total += 1e-4
+    assert lazy.sigma == 1.0
     out = lazy.materialize()
     assert out[0] == pytest.approx(-1e-8 * total, rel=1e-12)
     assert out[1] == pytest.approx(-total, rel=1e-12)
     assert out[2] == out[3] == 0.0
-    # weights below half an ulp of G: a plain sum would stay at 1.0
+    # weights below half an ulp of S: a plain sum would stay at 1.0
     lazy.anchor = np.array([1.0, 0.0, 0.0, 0.0])
     for w in [1.0] + [1e-17] * 10000:
-        lazy.read(np.array([3]))
-        lazy.move(lazy.x, None, w, lazy.anchor)
-    assert lazy.read(np.array([0]))[0] - out[0] - 1.0 == pytest.approx(1e-13, rel=1e-2, abs=0)
+        lazy.advance(w)
+    assert _current(lazy)[0] - out[0] - 1.0 == pytest.approx(1e-13, rel=1e-2, abs=0)
+
+
+@pytest.mark.parametrize("method", ["sag", "saga", "svrg", "sgd"])
+def test_sigma_floor_rebases_long_runs(method, monkeypatch):
+    # gamma*l2 = 0.99 makes rho = 0.01: sigma falls below SIGMA_FLOOR about
+    # every 50 steps, and each time the step materializes. 10^4 lazy steps
+    # stay on the eager path within jit_equivalence's bounds, relative to x
+    # itself (x is small at l2 = 10)
+    floors = []
+    materialize = LazyIterate.materialize
+
+    def counted(self):
+        floors.append(self.sigma < SIGMA_FLOOR)
+        return materialize(self)
+    monkeypatch.setattr(LazyIterate, "materialize", counted)
+    obj = GlmObjective(sparse_gaussian(seed=2, n=200, d=100), "logistic", l2=10.0)
+    gamma = 0.99 / obj.l2
+    epochs = 110.0 if method == "svrg" else 50.0  # svrg: 1000 steps per 2200-eval stage
+    cfg = dict(method=method, epochs=epochs, seed=2, gamma=gamma, inner_t=1000, checkpoint_every=10.0)
+    plain = run(RunConfig(jit="off", **cfg), obj)
+    lazy = run(RunConfig(jit="on", **cfg), obj)
+    assert (plain.aux["engine"], lazy.aux["engine"]) == ("eager", "lazy")
+    assert sum(floors) >= 10_000 // 60, sum(floors)  # one per 51 steps between checkpoints
+    x_rel = float(np.linalg.norm(lazy.x - plain.x) / np.linalg.norm(plain.x))
+    f_rel = max(abs(rl.f - rp.f) / abs(rp.f) for rp, rl in zip(plain.records, lazy.records))
+    assert x_rel <= 1e-9 and f_rel <= 1e-10, (x_rel, f_rel)
 
 
 def test_jit_compatibility_reasons():
@@ -226,8 +269,8 @@ def test_svrg_touched_coords_recount():
 
 
 def test_lazy_memory_bounded_by_data():
-    # every checkpoint rebases the prefix, so a lazy run holds the same
-    # memory at 1 and at 20 epochs (unrebased, the prefix grows with the run)
+    # the lazy state is x and three floats, so a lazy run holds the same
+    # memory at 1 and at 20 epochs
     obj = GlmObjective(sparse_gaussian(seed=0, n=600, d=20_000, density=0.001), "logistic", l2=1e-3)
     cfg = dict(method="saga", seed=0, jit="on")
     run(RunConfig(epochs=1.0, **cfg), obj)  # first-call caches

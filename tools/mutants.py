@@ -27,10 +27,10 @@ MUTANTS = (
     ("saga_move_half", "optimizers.py",
      "move(x, gamma, -(gamma / n), gsum, idx, (gamma / b) * delta)",
      "move(x, gamma, -(gamma / n), gsum, idx, (0.5 * gamma / b) * delta)"),
-    ("lazy_drop_rho_m", "sparse_jit.py",
-     "(self._last - pm * self._g[ci])", "(self._last - self._g[ci])"),
+    ("lazy_saga_fold_s_k", "sparse_jit.py",
+     "((gamma / sigma + S1) if saga else S)", "((gamma / sigma + S) if saga else S)"),
     ("svrg_anchor_0.99", "optimizers.py",
-     "memoryview(state.s_ref), state.loss_ref, -1.0, lazy)", "memoryview(state.s_ref), state.loss_ref, -0.99, lazy)"),
+     "memoryview(state.s_ref), state.loss_ref, -1.0", "memoryview(state.s_ref), state.loss_ref, -0.99"),
     ("sdca_gain_no_dv2", "optimizers.py",
      "- dv * m - 0.5 * rho * dv * dv)", "- dv * m)"),
     ("sarah_stale_x_prev", "optimizers.py",
