@@ -1,8 +1,9 @@
 """Map a function over indices on forked worker processes, results in order.
 
-`vropt compare` runs its grid through in_order, and imports this module
-only then: where Python writes no bytecode, every command compiles the
-modules it imports, and the memory that costs stays with the process.
+`vropt compare` runs its grid through in_order, and `vropt validate` each
+check's units; both import this module only then: where Python writes no
+bytecode, every command compiles the modules it imports, and the memory
+that costs stays with the process.
 """
 
 import contextlib

@@ -160,7 +160,8 @@ def choose_engine(config, obj, gamma):
     elif config.jit == "on":
         return "lazy", "jit = on"
     elif obj.d < LAZY_MIN_D:
-        reason = "d = %d < %d: eager steps are faster at this width" % (obj.d, LAZY_MIN_D)
+        reason = "d = %d < %d: auto keeps the eager step's arithmetic; jit = on runs faster" % (
+            obj.d, LAZY_MIN_D)
     else:
         return "lazy", "d = %d >= %d: lazy steps cost O(nnz(a_i)), eager ones O(d)" % (obj.d, LAZY_MIN_D)
     return "eager", reason

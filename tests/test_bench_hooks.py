@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from vropt import cli, optimizers, sparse_jit
+from vropt import cli, optimizers, sparse_jit, validate
 from vropt.bench_data import load_dataset, sparse_gaussian
 from vropt.objectives import GlmObjective, smoothness
 from vropt.schedules import minibatch_smoothness
@@ -47,6 +47,44 @@ def test_perfbench_traces_every_compare_run(tmp_path, monkeypatch):
     tracer.dump(str(tmp_path / "spans.npz"))
     spans = tracing.SpanFile(str(tmp_path / "spans.npz"))
     assert [method for _, method, _, _ in tracing.run_spans(spans, None)] == ["saga", "saga", "svrg", "svrg"]
+
+
+def test_perfbench_traces_every_validate_run(tmp_path, monkeypatch):
+    """The traced oracle op reads each check's runs from its own span file.
+    With the tracer installed, validate runs every unit in the calling
+    process, as many runs as a serial pass makes, even where it has CPUs to
+    fan out to. The untraced op replaces only validate.run, with an eval
+    counter; that leaves the units to fan out."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    checks = ("iterate_capture_2d", "scalar_table_equivalence")
+    real = validate.run
+    pids = {}
+    for cpus in (1, 2):  # a serial pass, then a fanned one, counting runs by the process they ran in
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        log = tmp_path / ("pids%d" % cpus)
+
+        def counted(*args, log=log):
+            with open(log, "a") as fh:
+                fh.write("%d\n" % os.getpid())
+            return real(*args)
+
+        monkeypatch.setattr(validate, "run", counted)
+        assert all(res.passed for name in checks for res in validate.run_checks(only=name))
+        pids[cpus] = [int(line) for line in log.read_text().split()]
+    monkeypatch.setattr(validate, "run", real)
+    assert pids[1] == [os.getpid()] * 4
+    assert len(pids[2]) == 4 and os.getpid() not in pids[2]
+    tracer = tracing.Tracer(0)
+    try:
+        tracer.install()
+        assert all(res.passed for name in checks for res in validate.run_checks(only=name))
+    finally:
+        tracer.uninstall()
+    tracer.dump(str(tmp_path / "spans.npz"))
+    spans = tracing.SpanFile(str(tmp_path / "spans.npz"))
+    assert [method for _, method, _, _ in tracing.run_spans(spans, None)] == ["sag", "sgd", "saga", "saga"]
 
 
 def test_perfbench_dataset_hooks(monkeypatch):

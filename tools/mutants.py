@@ -8,8 +8,9 @@ tests/ into a temporary directory, applies the replacement there (the
 working tree is never touched), runs `vropt validate` and the tier-1 tests
 in TESTS against the copy, and prints the catch matrix: one row per mutant,
 the checks and tests that fail, and whether any did. A first row runs the
-unchanged copy, which must fail nothing. A row takes about 40 s on one
-core; the 20 rows took 8.5 min on a 2-vCPU VM.
+unchanged copy, which must fail nothing. Rows run one after another: each
+row's `vropt validate` already spreads its checks' units over every CPU
+(vropt/fanout.py), and rows side by side would oversubscribe them.
 """
 
 import os
